@@ -10,14 +10,7 @@ spectrum oracle for desk-scale particle numbers.
 __version__ = "0.1.0"
 
 from .errors import ConfigError, ConvergenceError, PrecisionLossError, TruncationError
-from .oscillator import (
-    OverlapValue,
-    StateTriple,
-    ground_transition_weight,
-    overlap_exact,
-    overlap_ground_exact,
-    overlap_wkb,
-)
+from .oscillator import overlap_exact, overlap_ground_exact, overlap_wkb
 from .quad import DEFAULT_SPEC, QuadSpec, diffraction_z_integral, p_kernel, polylog3, sqrt_singular_integral
 from .scattering import (
     CHANNELS,
@@ -55,8 +48,6 @@ __all__ = [
     "DiscreteEnsemble",
     "Kinematics",
     "RateBreakdown",
-    "OverlapValue",
-    "StateTriple",
     "ScalingFit",
     "ConfigError",
     "ConvergenceError",
@@ -75,7 +66,6 @@ __all__ = [
     "overlap_ground_exact",
     "overlap_exact",
     "overlap_wkb",
-    "ground_transition_weight",
     "rayleigh",
     "diffraction_differential",
     "diffraction_total",

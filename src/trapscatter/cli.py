@@ -7,39 +7,34 @@ sweep-temp      one row per temperature at fixed delta
 oracle-compare  per-channel deviation statistics plus scaling-exponent fits
 
 Output is CSV (fixed '%.10e' formatting, comma separator, '\n' line ends)
-or JSON with a config echo; identical configs produce byte-identical
-files.  Rows may be computed in parallel (TRAPSCATTER_WORKERS environment
-variable); assembly order is always the grid order.
+or JSON with a config echo, where non-finite cells are null; identical
+configs produce byte-identical files.  Run as `trapscatter ...` or
+`python -m trapscatter.cli ...`.
 
-Exit codes: 0 success, 2 invalid configuration, 3 numerical failure in at
-least one row (the table is still written, failures flagged per row).
+Exit codes: 0 success, 2 invalid configuration, 3 numerical failure: in at
+least one row (the table is still written, failures flagged per row), or
+before any row (no table is written).
 """
 
 import argparse
-import concurrent.futures
 import csv
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, ConvergenceError, TruncationError
-from .oracle import exact_breakdown, scaling_probe, solve_mu_discrete
-from .scattering import CHANNELS, Kinematics, decompose, _shape_table
+from .errors import ConfigError, ConvergenceError, PrecisionLossError, TruncationError
+from .oracle import _MAX_N_TOTAL, exact_breakdown, scaling_probe, solve_mu_discrete
+from .scattering import CHANNELS, Kinematics, decompose
 from .thermo import TrapEnsemble, critical_temperature
 
 __all__ = ["SweepConfig", "sweep_angle", "sweep_temperature", "oracle_compare", "main"]
 
-_WORKERS_ENV = "TRAPSCATTER_WORKERS"
-
 _METHODS = ("semiclassical", "oracle", "both")
 _FORMATS = ("csv", "json")
-
-_ORACLE_N_GUARD = 100_000
 
 
 @dataclass
@@ -76,8 +71,16 @@ class SweepConfig:
             raise ConfigError("method", f"must be one of {_METHODS}")
         if self.fmt not in _FORMATS:
             raise ConfigError("format", f"must be one of {_FORMATS}")
-        if self.method in ("oracle", "both") and self.n_total > _ORACLE_N_GUARD:
-            raise ConfigError("n", f"oracle method limited to N <= {_ORACLE_N_GUARD}")
+        if self.oracle and self.n_total > _MAX_N_TOTAL:
+            raise ConfigError("n", f"oracle method limited to N <= {_MAX_N_TOTAL}")
+
+    @property
+    def semiclassical(self):
+        return self.method in ("semiclassical", "both")
+
+    @property
+    def oracle(self):
+        return self.method in ("oracle", "both")
 
     def resolve_temperature(self):
         """Absolute T from either --t or --t-over-tc."""
@@ -123,22 +126,6 @@ class SweepConfig:
         return np.linspace(lo, hi, self.points)
 
 
-def _workers():
-    raw = os.environ.get(_WORKERS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_rows(fn, items):
-    workers = _workers()
-    if workers == 1:
-        return [fn(item) for item in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _flags_field(breakdown):
     parts = [f"{ch}:invalid" for ch in CHANNELS if not breakdown.valid.get(ch, True)]
     parts += [f"{ch}:error" for ch in sorted(breakdown.errors)]
@@ -148,14 +135,52 @@ def _flags_field(breakdown):
 @dataclass
 class SweepTable:
     columns: list
-    rows: list  # list of lists, mixed floats and strings
+    rows: list  # list of lists, mixed floats and strings; flags last
     meta: dict
-    failures: int = 0
+
+    @property
+    def failures(self):
+        """Rows where a channel failed numerically (flagged ':error')."""
+        return sum(":error" in row[-1] for row in self.rows)
 
 
 def _breakdown_cells(breakdown):
     return [breakdown.rayleigh, breakdown.diffraction, breakdown.bose_0m,
             breakdown.bose_mm, breakdown.total]
+
+
+def _channel_cells(config, ensemble, delta, discrete):
+    """Semiclassical and oracle cells of one row, then its flags field.
+
+    `discrete()` gives the oracle ensemble; an oracle failure, in it or in
+    the breakdown, fills that row's oracle cells with NaN and flags it.
+    """
+    cells = []
+    flags = "ok"
+    if config.semiclassical:
+        breakdown = decompose(ensemble, Kinematics(config.k_incident, delta))
+        cells += _breakdown_cells(breakdown)
+        flags = _flags_field(breakdown)
+    if config.oracle:
+        try:
+            cells += _breakdown_cells(exact_breakdown(discrete(), delta))
+        except (ConvergenceError, TruncationError, ValueError) as exc:
+            cells += [math.nan] * 5
+            flags = f"oracle:error:{type(exc).__name__}"
+    return cells + [flags]
+
+
+def _sweep(config, lead_columns, points, meta):
+    """Table with one row per (lead cells, ensemble, delta, discrete) point."""
+    columns = list(lead_columns)
+    if config.semiclassical:
+        columns += list(CHANNELS) + ["total"]
+    if config.oracle:
+        columns += [f"{c}_oracle" for c in CHANNELS] + ["total_oracle"]
+    columns.append("flags")
+    rows = [lead + _channel_cells(config, ensemble, delta, discrete)
+            for lead, ensemble, delta, discrete in points]
+    return SweepTable(columns=columns, rows=rows, meta=meta)
 
 
 def sweep_angle(config):
@@ -165,44 +190,14 @@ def sweep_angle(config):
     grid = config.delta_grid()
     ensemble = TrapEnsemble.solve(config.n_total, temperature)
     discrete = None
-    if config.method in ("oracle", "both"):
-        discrete = solve_mu_discrete(config.n_total, temperature, config.epsilon_max)
-    if config.method in ("semiclassical", "both"):
-        _shape_table()  # warm the shared f-grid before any parallel section
-
-    columns = ["delta", "theta"]
-    if config.method in ("semiclassical", "both"):
-        columns += list(CHANNELS) + ["total"]
-    if config.method in ("oracle", "both"):
-        columns += [f"{c}_oracle" for c in CHANNELS] + ["total_oracle"]
-    columns.append("flags")
-
-    failures = [0]
-
-    def compute(delta):
-        cells = [delta, delta / config.k_incident]
-        flags = "ok"
-        if config.method in ("semiclassical", "both"):
-            kin = Kinematics(config.k_incident, delta)
-            breakdown = decompose(ensemble, kin)
-            cells += _breakdown_cells(breakdown)
-            flags = _flags_field(breakdown)
-            if breakdown.errors:
-                failures[0] += 1
-        if config.method in ("oracle", "both"):
-            try:
-                cells += _breakdown_cells(exact_breakdown(discrete, delta))
-            except (ConvergenceError, TruncationError, ValueError) as exc:
-                cells += [math.nan] * 5
-                flags = f"oracle:error:{type(exc).__name__}"
-                failures[0] += 1
-        cells.append(flags)
-        return cells
-
-    rows = _map_rows(compute, list(grid))
+    if config.oracle:
+        # one discrete ensemble for every row; failing to solve it fails the sweep
+        solved = solve_mu_discrete(config.n_total, temperature, config.epsilon_max)
+        discrete = lambda: solved
+    points = (([delta, delta / config.k_incident], ensemble, delta, discrete) for delta in grid)
     meta = {"command": "sweep-angle", "config": _config_echo(config),
             "temperature": temperature, "t_critical": ensemble.t_critical}
-    return SweepTable(columns=columns, rows=rows, meta=meta, failures=failures[0])
+    return _sweep(config, ["delta", "theta"], points, meta)
 
 
 def sweep_temperature(config, delta_fixed=None):
@@ -216,57 +211,29 @@ def sweep_temperature(config, delta_fixed=None):
         raise ConfigError("delta", "exceeds the elastic bound 2 k_incident")
     grid = config.temperature_grid()
     tc = critical_temperature(config.n_total)
-    if config.method in ("semiclassical", "both"):
-        _shape_table()
 
-    columns = ["t", "t_over_tc", "mu", "n0", "ne"]
-    if config.method in ("semiclassical", "both"):
-        columns += list(CHANNELS) + ["total"]
-    if config.method in ("oracle", "both"):
-        columns += [f"{c}_oracle" for c in CHANNELS] + ["total_oracle"]
-    columns.append("flags")
-
-    failures = [0]
-
-    def compute(temperature):
+    def point(temperature):
         ensemble = TrapEnsemble.solve(config.n_total, temperature)
-        cells = [temperature, temperature / tc, ensemble.mu,
-                 ensemble.n_condensate, ensemble.n_excited]
-        flags = "ok"
-        if config.method in ("semiclassical", "both"):
-            kin = Kinematics(config.k_incident, delta_fixed)
-            breakdown = decompose(ensemble, kin)
-            cells += _breakdown_cells(breakdown)
-            flags = _flags_field(breakdown)
-            if breakdown.errors:
-                failures[0] += 1
-        if config.method in ("oracle", "both"):
-            try:
-                discrete = solve_mu_discrete(config.n_total, temperature, config.epsilon_max)
-                cells += _breakdown_cells(exact_breakdown(discrete, delta_fixed))
-            except (ConvergenceError, TruncationError, ValueError) as exc:
-                cells += [math.nan] * 5
-                flags = f"oracle:error:{type(exc).__name__}"
-                failures[0] += 1
-        cells.append(flags)
-        return cells
+        lead = [temperature, temperature / tc, ensemble.mu,
+                ensemble.n_condensate, ensemble.n_excited]
+        # solved inside the row, so a failure is flagged on that row only
+        discrete = lambda: solve_mu_discrete(config.n_total, temperature, config.epsilon_max)
+        return lead, ensemble, delta_fixed, discrete
 
-    rows = _map_rows(compute, list(grid))
     meta = {"command": "sweep-temp", "config": _config_echo(config),
             "delta": delta_fixed, "t_critical": tc}
-    return SweepTable(columns=columns, rows=rows, meta=meta, failures=failures[0])
+    return _sweep(config, ["t", "t_over_tc", "mu", "n0", "ne"], map(point, grid), meta)
 
 
 def oracle_compare(config):
     """Semiclassical-vs-oracle deviation statistics and scaling fits."""
     config.validate_common()
-    if config.n_total > _ORACLE_N_GUARD:
-        raise ConfigError("n", f"oracle comparison limited to N <= {_ORACLE_N_GUARD}")
+    if config.n_total > _MAX_N_TOTAL:
+        raise ConfigError("n", f"oracle comparison limited to N <= {_MAX_N_TOTAL}")
     temperature = config.resolve_temperature()
     grid = config.delta_grid()
     ensemble = TrapEnsemble.solve(config.n_total, temperature)
     discrete = solve_mu_discrete(config.n_total, temperature, config.epsilon_max)
-    _shape_table()
 
     deviations = {ch: [] for ch in CHANNELS}
     rows = []
@@ -327,6 +294,13 @@ def _config_echo(config):
     return echo
 
 
+def _json_cell(value):
+    if isinstance(value, str):
+        return value
+    value = float(value)
+    return value if math.isfinite(value) else None
+
+
 def _format_cell(value):
     if isinstance(value, str):
         return value
@@ -345,7 +319,7 @@ def write_json(table, stream):
         "version": __version__,
         "meta": table.meta,
         "columns": table.columns,
-        "rows": [[v if isinstance(v, str) else float(v) for v in row] for row in table.rows],
+        "rows": [[_json_cell(v) for v in row] for row in table.rows],
     }
     json.dump(payload, stream, indent=2, sort_keys=True)
     stream.write("\n")
@@ -512,7 +486,14 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config-invalid: {exc}", file=sys.stderr)
         return 2
+    except (ConvergenceError, TruncationError, PrecisionLossError) as exc:
+        print(f"numerical-failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def entrypoint():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oscillator
-from .errors import ConvergenceError, TruncationError
+from .errors import TruncationError
 from .scattering import RateBreakdown
-from .thermo import critical_temperature
+from .thermo import _bisect_increasing, critical_temperature
 
 __all__ = [
     "DiscreteEnsemble",
@@ -40,8 +40,6 @@ __all__ = [
 # Pair sums scale like epsilon_max^3; refuse runaway truncations.
 _MAX_N_TOTAL = 100_000
 _MAX_EPSILON = 600
-
-_BISECT_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -125,22 +123,10 @@ def solve_mu_discrete(n_total, temperature, epsilon_max=None):
         with np.errstate(over="ignore"):
             return float(np.sum(g / np.expm1((eps - mu) / t)))
 
-    lo, hi = -60.0 * t, -1e-12 * t
+    lo = -60.0 * t
     if population(lo) > n_total:
         lo = -5000.0 * t
-    if not population(hi) > n_total:
-        raise ConvergenceError("solve_mu_discrete: bracket does not contain the root")
-    for _ in range(_BISECT_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        if population(mid) < n_total:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15 * t:
-            break
-    else:
-        raise ConvergenceError("solve_mu_discrete: bisection budget exhausted")
-    mu = 0.5 * (lo + hi)
+    mu = _bisect_increasing(population, n_total, lo, -1e-12 * t, 1e-15 * t, "solve_mu_discrete")
 
     if _boltzmann_tail(epsilon_max, mu, t) > 1e-6 * n_total:
         raise TruncationError(

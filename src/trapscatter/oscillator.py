@@ -29,7 +29,6 @@ integrable inverse-square-root singularity on its support boundary.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -37,13 +36,9 @@ from scipy.special import gammaln
 from .errors import PrecisionLossError
 
 __all__ = [
-    "OverlapValue",
-    "StateTriple",
     "overlap_ground_exact",
     "overlap_exact",
     "overlap_wkb",
-    "ground_transition_weight",
-    "diagonal_amplitude",
     "ground_overlap_column",
     "diagonal_amplitude_column",
     "overlap_matrix",
@@ -55,34 +50,6 @@ _AMPLITUDE_BOUND = 1.0 + 1e-9
 
 # Guard for the integrable boundary singularity of the stationary-phase form.
 _WKB_RADICAND_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class OverlapValue:
-    """A squared 1D matrix element together with how it was obtained."""
-
-    value: float
-    method: str  # "exact" | "wkb" | "delta_approx"
-
-    def __float__(self):
-        return self.value
-
-
-@dataclass(frozen=True)
-class StateTriple:
-    """Cartesian quantum numbers of a 3D trap state; energy = mx + my + mz."""
-
-    mx: int
-    my: int
-    mz: int
-
-    def __post_init__(self):
-        if min(self.mx, self.my, self.mz) < 0:
-            raise ValueError("quantum numbers must be non-negative")
-
-    @property
-    def energy(self):
-        return self.mx + self.my + self.mz
 
 
 def _amplitude(n, k, x):
@@ -113,9 +80,8 @@ def overlap_ground_exact(m, delta):
         raise ValueError("delta must be >= 0")
     x = 0.5 * delta * delta
     if x == 0.0:
-        return OverlapValue(1.0 if m == 0 else 0.0, "exact")
-    value = math.exp(-x + m * math.log(x) - math.lgamma(m + 1))
-    return OverlapValue(value, "exact")
+        return 1.0 if m == 0 else 0.0
+    return math.exp(-x + m * math.log(x) - math.lgamma(m + 1))
 
 
 def overlap_exact(m, m_prime, delta):
@@ -127,27 +93,7 @@ def overlap_exact(m, m_prime, delta):
     n = min(m, m_prime)
     k = abs(m - m_prime)
     a = _amplitude(n, k, 0.5 * delta * delta)
-    return OverlapValue(a * a, "exact")
-
-
-def diagonal_amplitude(m, delta):
-    """Signed diagonal amplitude <m|e^{i delta x}|m> = e^{-delta^2/4} L_m(delta^2/2)."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    return _amplitude(m, 0, 0.5 * delta * delta)
-
-
-def ground_transition_weight(delta):
-    """Semiclassical reduction of the ground-state overlap to a spectral line.
-
-    The Poisson distribution of |<0|e^{i delta x}|m>|^2 in m is sharply
-    peaked at delta^2/2 with O(1) width and unit total weight, so for
-    thermal sums it acts as a delta function at m* = delta^2/2.
-    Returns (m_star, weight).
-    """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    return 0.5 * delta * delta, 1.0
+    return a * a
 
 
 def overlap_wkb(m, m_prime, delta):
@@ -169,9 +115,9 @@ def overlap_wkb(m, m_prime, delta):
     hi, lo = max(m, m_prime), min(m, m_prime)
     radicand = 2.0 * lo * delta * delta - (hi - lo - 0.5 * delta * delta) ** 2
     if radicand <= 0.0:
-        return OverlapValue(0.0, "wkb")
+        return 0.0
     radicand = max(radicand, _WKB_RADICAND_FLOOR)
-    return OverlapValue(1.0 / (2.0 * math.pi * math.sqrt(radicand)), "wkb")
+    return 1.0 / (2.0 * math.pi * math.sqrt(radicand))
 
 
 def ground_overlap_column(m_max, delta):

@@ -118,18 +118,20 @@ def polylog3(x):
     return float(s)
 
 
-def _converge(evaluate, spec, context):
-    """Run `evaluate(order)` over increasing orders until two agree."""
+def _converge(evaluate, rungs, rel_tol, abs_tol, context):
+    """Run `evaluate(rung)` over increasing resolutions until two consecutive agree."""
     prev = None
-    for order in _ORDERS:
-        if order > 8 * spec.max_subdivisions:
-            break
-        cur = evaluate(order)
-        if prev is not None:
-            if abs(cur - prev) <= max(spec.abs_tol, spec.rel_tol * abs(cur)):
-                return cur
+    for rung in rungs:
+        cur = evaluate(rung)
+        if prev is not None and abs(cur - prev) <= max(abs_tol, rel_tol * abs(cur)):
+            return cur
         prev = cur
     raise ConvergenceError(f"{context}: quadrature did not converge within budget")
+
+
+def _orders(spec):
+    """The Gauss-Legendre orders the subdivision budget allows (at most 8 per subdivision)."""
+    return [order for order in _ORDERS if order <= 8 * spec.max_subdivisions]
 
 
 def p_kernel(a, b, spec=DEFAULT_SPEC):
@@ -167,7 +169,7 @@ def p_kernel(a, b, spec=DEFAULT_SPEC):
         v2 = 0.5 * 45.0 * float(np.dot(w, f))
         return v1 + v2
 
-    return _converge(evaluate, spec, f"p_kernel({a}, {b})")
+    return _converge(evaluate, _orders(spec), spec.rel_tol, spec.abs_tol, f"p_kernel({a}, {b})")
 
 
 def diffraction_z_integral(delta, mu, temperature, spec=DEFAULT_SPEC):
@@ -207,7 +209,8 @@ def diffraction_z_integral(delta, mu, temperature, spec=DEFAULT_SPEC):
         v2 = _gauss_interval(f, 1.0, umax, order)
         return v1 + v2
 
-    return _converge(evaluate, spec, f"diffraction_z_integral(delta={delta}, mu={mu})")
+    return _converge(evaluate, _orders(spec), spec.rel_tol, spec.abs_tol,
+                     f"diffraction_z_integral(delta={delta}, mu={mu})")
 
 
 def _quad_or_raise(f, a, b, spec, context):

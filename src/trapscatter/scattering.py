@@ -42,7 +42,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 from scipy.interpolate import PchipInterpolator
 
 from . import quad
@@ -172,14 +171,7 @@ def diffraction_total_excited(ensemble, kin, spec=DEFAULT_SPEC):
     def integrand(d):
         return (4.0 * t / d**4) ** 2 * 2.0 * math.pi * d / k**2
 
-    out = integrate.quad(
-        integrand, t**-0.5, np.inf,
-        epsabs=spec.abs_tol, epsrel=spec.rel_tol, limit=spec.max_subdivisions,
-        full_output=1,
-    )
-    if len(out) > 3:
-        raise ConvergenceError(f"diffraction_total_excited: {out[3]}")
-    return out[0]
+    return quad._quad_or_raise(integrand, t**-0.5, np.inf, spec, "diffraction_total_excited")
 
 
 def bose_0m_differential(ensemble, delta):
@@ -212,14 +204,7 @@ def bose_0m_total_numeric(ensemble, kin, spec=DEFAULT_SPEC):
     def integrand(d):
         return bose_0m_differential(ensemble, d) * 2.0 * math.pi * d / k**2
 
-    out = integrate.quad(
-        integrand, 1.0, np.inf,
-        epsabs=spec.abs_tol, epsrel=spec.rel_tol, limit=spec.max_subdivisions,
-        full_output=1,
-    )
-    if len(out) > 3:
-        raise ConvergenceError(f"bose_0m_total_numeric: {out[3]}")
-    return out[0]
+    return quad._quad_or_raise(integrand, 1.0, np.inf, spec, "bose_0m_total_numeric")
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +279,9 @@ def _pair_shape_adaptive(a, nu, spec):
 
         return quad.sqrt_singular_integral(g, ym, x, relaxed)
 
-    out = integrate.quad(
-        middle, 0.25 * a, 0.25 * a + 60.0,
-        epsabs=1e-12, epsrel=1e-6, limit=spec.max_subdivisions, full_output=1,
-    )
-    if len(out) > 3:
-        raise ConvergenceError(f"excited_pair_shape adaptive: {out[3]}")
-    return out[0] / math.pi
+    outer = quad._quad_or_raise(middle, 0.25 * a, 0.25 * a + 60.0, relaxed,
+                                "excited_pair_shape adaptive")
+    return outer / math.pi
 
 
 def excited_pair_shape(a, nu=0.0, spec=DEFAULT_SPEC, method="fixed"):
@@ -319,13 +300,8 @@ def excited_pair_shape(a, nu=0.0, spec=DEFAULT_SPEC, method="fixed"):
         return _pair_shape_adaptive(a, nu, spec)
     if method != "fixed":
         raise ValueError(f"unknown method {method!r}")
-    prev = None
-    for n_outer, n_mid, kernel_order in _SHAPE_LADDER:
-        cur = _pair_shape_fixed(a, nu, n_outer, n_mid, kernel_order)
-        if prev is not None and abs(cur - prev) <= max(_SHAPE_REL_TOL * abs(cur), spec.abs_tol):
-            return cur
-        prev = cur
-    raise ConvergenceError(f"excited_pair_shape({a}, nu={nu}) did not converge")
+    return quad._converge(lambda rung: _pair_shape_fixed(a, nu, *rung), _SHAPE_LADDER,
+                          _SHAPE_REL_TOL, spec.abs_tol, f"excited_pair_shape({a}, nu={nu})")
 
 
 class _ShapeTable:
@@ -373,22 +349,19 @@ def _effective_nu(ensemble):
     return 0.0 if nu < _NU_FLOOR else nu
 
 
-def bose_mm_differential(ensemble, delta, spec=DEFAULT_SPEC, exact=False):
+def bose_mm_differential(ensemble, delta, spec=DEFAULT_SPEC):
     """Excited<->excited stimulated rate T^3 f(delta^2/2T).
 
     The mu = 0 path reads the cached f-grid; ensembles with a significant
     chemical shift (above the transition) are evaluated directly at their
-    nu.  exact=True forces a direct converged evaluation, bypassing the
-    grid (validation flag).
+    nu.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     t = ensemble.temperature
     a = 0.5 * delta * delta / t
     nu = _effective_nu(ensemble)
-    if exact:
-        f = excited_pair_shape(a, nu, spec)
-    elif nu == 0.0:
+    if nu == 0.0:
         f = _shape_table(0.0, spec)(a)
     else:
         f = excited_pair_shape(a, nu, spec)

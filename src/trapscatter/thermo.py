@@ -98,6 +98,26 @@ def _population(mu, n_total, temperature):
     )
 
 
+def _bisect_increasing(fn, target, lo, hi, tol, context):
+    """Root of fn(x) = target for an fn increasing on [lo, hi], by bisection.
+
+    The caller chooses the bracket (and any expansion of it); only the
+    upper end is checked, so fn(lo) <= target is the caller's promise.
+    Stops once the bracket is narrower than `tol` and returns its midpoint.
+    """
+    if not fn(hi) >= target:
+        raise ConvergenceError(f"{context}: bracket does not contain the root")
+    for _ in range(_BISECT_ITERATIONS):
+        mid = 0.5 * (lo + hi)
+        if fn(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < tol:
+            return 0.5 * (lo + hi)
+    raise ConvergenceError(f"{context}: bisection budget exhausted")
+
+
 def chemical_potential(n_total, temperature):
     """Chemical potential from the combined number equation, by bisection.
 
@@ -111,22 +131,10 @@ def chemical_potential(n_total, temperature):
         raise ValueError("n_total must be >= 1")
     t = float(temperature)
     lo = -50.0 * t
-    hi = -1e-12 * t
     if _population(lo, n_total, t) > n_total:
         lo = -5000.0 * t
-    if _population(hi, n_total, t) < n_total:
-        raise ConvergenceError("chemical_potential: bracket does not contain the root")
-    for _ in range(_BISECT_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        if _population(mid, n_total, t) < n_total:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15 * t:
-            break
-    else:
-        raise ConvergenceError("chemical_potential: bisection budget exhausted")
-    return 0.5 * (lo + hi)
+    return _bisect_increasing(lambda mu: _population(mu, n_total, t), n_total,
+                              lo, -1e-12 * t, 1e-15 * t, "chemical_potential")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import trapscatter
 from trapscatter.cli import (
     SweepConfig,
     build_config,
@@ -185,18 +190,36 @@ class TestSweepAngle:
         assert len(rows) == 3
         assert "diffraction:error" in rows[0]["flags"]
 
-    def test_workers_env_preserves_output(self, tmp_path, monkeypatch):
+    def test_failure_before_rows_exit_code(self, tmp_path, capsys):
+        # epsilon_max below 10 T: the shared discrete ensemble cannot be solved
+        out = tmp_path / "none.csv"
+        code = run_main([
+            "sweep-angle", "--n", "1000", "--t", "5", "--method", "oracle",
+            "--epsilon-max", "20", "--out", str(out),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical-failure: TruncationError: epsilon_max=20")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_python_m_matches_main(self, tmp_path):
         args = [
             "sweep-angle", "--n", "300", "--t-over-tc", "0.6",
-            "--k-incident", "100", "--delta-lo", "0.5", "--delta-hi", "6",
-            "--points", "6",
+            "--k-incident", "100", "--points", "3",
         ]
-        serial = tmp_path / "serial.csv"
-        parallel = tmp_path / "parallel.csv"
-        run_main(args + ["--out", str(serial)])
-        monkeypatch.setenv("TRAPSCATTER_WORKERS", "4")
-        run_main(args + ["--out", str(parallel)])
-        assert serial.read_bytes() == parallel.read_bytes()
+        via_main = tmp_path / "main.csv"
+        via_module = tmp_path / "module.csv"
+        assert run_main(args + ["--out", str(via_main)]) == 0
+        src = str(Path(trapscatter.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-m", "trapscatter.cli", *args, "--out", str(via_module)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert via_module.read_bytes() == via_main.read_bytes()
 
 
 class TestSweepTemperature:
@@ -236,6 +259,29 @@ class TestSweepTemperature:
             assert float(row["bose_0m"]) == 0.0
             assert float(row["bose_mm"]) == 0.0
 
+    def test_json_failed_rows_are_null(self, tmp_path):
+        # epsilon_max 100 cannot control the oracle tail above Tc
+        out = tmp_path / "temp.json"
+        code = run_main([
+            "sweep-temp", "--n", "1000", "--t-over-tc-lo", "0.5", "--t-over-tc-hi", "3",
+            "--points", "4", "--delta", "1", "--method", "oracle",
+            "--epsilon-max", "100", "--format", "json", "--out", str(out),
+        ])
+        assert code == 3
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        payload = json.loads(out.read_text(), parse_constant=reject)
+        flags = payload["columns"].index("flags")
+        oracle = [payload["columns"].index(f"{c}_oracle")
+                  for c in ("rayleigh", "diffraction", "bose_0m", "bose_mm", "total")]
+        ok, *failed = payload["rows"]
+        assert ok[flags] == "ok"
+        assert all(isinstance(ok[i], float) for i in oracle)
+        assert [row[flags] for row in failed] == ["oracle:error:TruncationError"] * 3
+        assert all(row[i] is None for row in failed for i in oracle)
+
     def test_requires_delta(self):
         config = SweepConfig(n_total=300, t_ratio_lo=0.3, t_ratio_hi=0.9, points=3)
         with pytest.raises(ConfigError) as err:
@@ -263,6 +309,16 @@ class TestOracleCompare:
         assert 1.7 < report["scaling_fits"]["diffraction"]["exponent"] < 2.2
         assert len(report["rows"]) == 3
 
+    def test_failure_before_rows_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "cmp.json"
+        code = run_main([
+            "oracle-compare", "--n", "1000", "--t", "5", "--method", "oracle",
+            "--epsilon-max", "20", "--format", "json", "--out", str(out),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("numerical-failure: TruncationError")
+        assert not out.exists()
+
     def test_csv_rejected(self, capsys):
         code = run_main([
             "oracle-compare", "--n", "500", "--t-over-tc", "0.6",
@@ -276,3 +332,22 @@ class TestOracleCompare:
         config = SweepConfig(n_total=200_000, t_over_tc=0.6, method="oracle")
         with pytest.raises(ConfigError):
             config.validate_common()
+
+
+class TestRowFunction:
+    def test_temp_and_angle_rows_agree(self, tmp_path):
+        # (N, T, delta) = (500, 5, 1) and (500, 6, 1) are exact grid end
+        # points of both sweeps; their channel cells must print identically
+        common = ["--n", "500", "--k-incident", "100", "--method", "both"]
+        temp = tmp_path / "temp.csv"
+        assert run_main(["sweep-temp", *common, "--t-lo", "5", "--t-hi", "6",
+                         "--points", "2", "--delta", "1", "--out", str(temp)]) == 0
+        header_t, rows_t = read_rows(temp)
+        channels = header_t[header_t.index("rayleigh"):]
+        assert channels[-2:] == ["total_oracle", "flags"]
+        for t, temp_row in zip(("5", "6"), rows_t):
+            angle = tmp_path / f"angle_{t}.csv"
+            assert run_main(["sweep-angle", *common, "--t", t, "--delta-lo", "1",
+                             "--delta-hi", "2", "--points", "2", "--out", str(angle)]) == 0
+            _, rows_a = read_rows(angle)
+            assert [rows_a[0][c] for c in channels] == [temp_row[c] for c in channels]

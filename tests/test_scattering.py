@@ -251,11 +251,6 @@ class TestBoseMm:
             rtol=1e-12,
         )
 
-    def test_exact_flag_bypasses_grid(self):
-        ens = synthetic_ensemble(5000, 12.0, 2000.0, mu=-1e-9)
-        direct = bose_mm_differential(ens, 3.0, exact=True)
-        assert_allclose(direct, 12.0**3 * excited_pair_shape(0.375), rtol=1e-12)
-
     def test_envelope_bound(self):
         # rate <= Ne e^{-a/4} with Ne the saturated cloud zeta(3) T^3:
         # equivalent to f(a) e^{a/4} <= zeta(3), true since f(0) ~ 0.22

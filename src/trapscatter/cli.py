@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, ConvergenceError, PrecisionLossError, TruncationError
-from .oracle import _MAX_N_TOTAL, exact_breakdown, scaling_probe, solve_mu_discrete
+from .oracle import _MAX_EPSILON, _MAX_N_TOTAL, exact_breakdown, scaling_probe, solve_mu_discrete
 from .scattering import CHANNELS, Kinematics, decompose
 from .thermo import TrapEnsemble, critical_temperature
 
@@ -73,6 +73,8 @@ class SweepConfig:
             raise ConfigError("format", f"must be one of {_FORMATS}")
         if self.oracle and self.n_total > _MAX_N_TOTAL:
             raise ConfigError("n", f"oracle method limited to N <= {_MAX_N_TOTAL}")
+        if self.epsilon_max is not None and self.epsilon_max > _MAX_EPSILON:
+            raise ConfigError("epsilon-max", f"oracle truncation limited to <= {_MAX_EPSILON}")
 
     @property
     def semiclassical(self):
@@ -402,7 +404,7 @@ def build_config(args):
                 raise ConfigError(key, str(exc)) from exc
     for key, (field_name, _) in _CONFIG_FIELDS.items():
         flag_value = getattr(args, key, None)
-        if flag_value is not None and flag_value is not False:
+        if flag_value is not None:
             setattr(config, field_name, flag_value)
     return config
 
@@ -426,7 +428,7 @@ def _add_grid_flags(parser):
     parser.add_argument("--delta-lo", dest="delta_lo", type=float, default=None)
     parser.add_argument("--delta-hi", dest="delta_hi", type=float, default=None)
     parser.add_argument("--points", type=int, default=None)
-    parser.add_argument("--log", action="store_true", default=False,
+    parser.add_argument("--log", action=argparse.BooleanOptionalAction, default=None,
                         help="log-spaced grid")
 
 
@@ -449,7 +451,8 @@ def build_parser():
     p_temp.add_argument("--t-over-tc-lo", dest="t_over_tc_lo", type=float, default=None)
     p_temp.add_argument("--t-over-tc-hi", dest="t_over_tc_hi", type=float, default=None)
     p_temp.add_argument("--points", type=int, default=None)
-    p_temp.add_argument("--log", action="store_true", default=False)
+    p_temp.add_argument("--log", action=argparse.BooleanOptionalAction, default=None,
+                        help="log-spaced grid")
 
     p_cmp = sub.add_parser("oracle-compare", help="semiclassical vs oracle report")
     _add_common_flags(p_cmp)

@@ -12,15 +12,16 @@ the diffraction z-integral
 and an adaptive integrator for integrands with inverse-square-root
 endpoint singularities.
 
-All quadratures are deterministic: identical inputs give bit-identical
-outputs.  The fixed-node kernels converge by comparing successive
-Gauss-Legendre orders against the requested tolerances.
+The kernel and the z-integral are closed forms (dilogarithm and Bessel K);
+the only quadratures left here are the adaptive integrator and the
+convergence ladder that the shape function of `scattering` runs.  All are
+deterministic: identical inputs give bit-identical outputs.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from .errors import ConvergenceError
 
@@ -56,9 +57,6 @@ DEFAULT_SPEC = QuadSpec()
 
 _LEGGAUSS_CACHE = {}
 
-# Gauss-Legendre orders tried in sequence until two consecutive results agree.
-_ORDERS = (64, 96, 144, 216, 324, 486)
-
 # zeta(3 - j) for j >= 3 (zeta at non-positive integers), used by the
 # Li3(e^{-y}) expansion near y = 0.  Even negative arguments vanish.
 _NEG_ZETA = {
@@ -85,13 +83,6 @@ def _leggauss(n):
     if n not in _LEGGAUSS_CACHE:
         _LEGGAUSS_CACHE[n] = np.polynomial.legendre.leggauss(n)
     return _LEGGAUSS_CACHE[n]
-
-
-def _gauss_interval(f, a, b, n):
-    """Integral of vectorized f over [a, b] with an n-node Gauss-Legendre rule."""
-    x, w = _leggauss(n)
-    half = 0.5 * (b - a)
-    return half * float(np.dot(w, f(half * (x + 1.0) + a)))
 
 
 def polylog3(x):
@@ -129,57 +120,95 @@ def _converge(evaluate, rungs, rel_tol, abs_tol, context):
     raise ConvergenceError(f"{context}: quadrature did not converge within budget")
 
 
-def _orders(spec):
-    """The Gauss-Legendre orders the subdivision budget allows (at most 8 per subdivision)."""
-    return [order for order in _ORDERS if order <= 8 * spec.max_subdivisions]
+# Below this z = e^{-a} the dilogarithm forms lose digits to cancellation
+# and their power series, truncated after k = 9, take over.
+_SERIES_Z = 0.01
+_SERIES_K = np.arange(2.0, 10.0)
+
+# Pairs with |a - b| below this fraction of min(m, 1), m their midpoint, take
+# the midpoint expansion, where the divided difference would cancel.  Its d^2
+# term leaves an O((d/m)^4) error, small enough for a switch relative to m:
+# both sides then hold 1e-10 for m >= 1e-4 (5e-9 at m = 1e-6).
+_NEAR_PAIR = 1e-2
 
 
-def p_kernel(a, b, spec=DEFAULT_SPEC):
+def _series(z, coefficients):
+    """sum_j coefficients[j] z^j by Horner's rule."""
+    total = np.zeros_like(z)
+    for c in coefficients[::-1]:
+        total = total * z + c
+    return total
+
+
+def _li2_excess(x):
+    """M(z) = (Li2(z) - z)/z = sum_{k>=2} z^{k-1}/k^2 at z = e^{-x}."""
+    z = np.exp(-x)
+    k = _SERIES_K
+    with np.errstate(divide="ignore", invalid="ignore"):
+        closed = (special.spence(-np.expm1(-x)) - z) / z
+    return np.where(z < _SERIES_Z, z * _series(z, 1.0 / k**2), closed)
+
+
+def _midpoint_expansion(m, d):
+    """P(m - d/2, m + d/2) = P(m, m) + E(m) d^2 + O(d^4), at z = e^{-m}.
+
+    P(m, m) = z^2 M'(z) = -ln(1 - z) - Li2(z) and
+    E = [z/(1-z)^2 - 3z/(1-z) - 2 ln(1-z)] / 24, both by series below
+    _SERIES_Z.
+    """
+    z = np.exp(-m)
+    one_minus = -np.expm1(-m)
+    k = _SERIES_K
+    small = z < _SERIES_Z
+    diagonal = np.where(small, z * z * _series(z, (k - 1) / k**2),
+                        -np.log(one_minus) - special.spence(one_minus))
+    k = k[1:]
+    curvature = np.where(small, z**3 * _series(z, (k - 1) * (k - 2) / (24.0 * k)),
+                         (z / one_minus**2 - 3.0 * z / one_minus - 2.0 * np.log(one_minus)) / 24.0)
+    return diagonal + d * d * curvature
+
+
+def p_kernel(a, b):
     """Thermal pair kernel P(a, b); symmetric, positive, decreasing in each argument.
 
-    Diverges logarithmically only when both arguments vanish; a single
-    vanishing argument is an integrable endpoint.
+    Closed form (partial fractions in e^z and int z dz/(e^{z+a} - 1) =
+    Li2(e^{-a}), DLMF 25.12):
+
+        P(a, b) = [e^a Li2(e^{-a}) - e^b Li2(e^{-b})] / (e^b - e^a)
+                = |M(e^{-a}) - M(e^{-b})| e^{-min(a, b)} / expm1(|a - b|),
+
+    with M(z) = (Li2(z) - z)/z, which keeps full relative precision for
+    large arguments.  Pairs with |a - b| < _NEAR_PAIR min(m, 1), m the
+    midpoint, where the difference would cancel, take the midpoint
+    expansion instead.  Accepts scalars or broadcastable arrays and returns
+    the matching float or array.  Diverges logarithmically only when both
+    arguments vanish; a single vanishing argument is an integrable endpoint.
     """
-    a = float(a)
-    b = float(b)
-    if a < 0 or b < 0:
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if np.any(a < 0) or np.any(b < 0):
         raise ValueError("p_kernel arguments must be non-negative")
-    if a < 1e-14 and b < 1e-14:
+    if np.any((a < 1e-14) & (b < 1e-14)):
         raise ValueError("p_kernel diverges logarithmically at a = b = 0")
-
-    # Scale of the near-origin structure; the log map resolves every
-    # decade between `scale` and 1 with uniform node density.
-    scale = max(min(a, b), 1e-9)
-    tmax = np.log1p(1.0 / scale)
-
-    def evaluate(order):
-        x, w = _leggauss(order)
-        # piece 1: z in [0, 1] via z = scale*(e^t - 1)
-        t = 0.5 * tmax * (x + 1.0)
-        wt = 0.5 * tmax * w
-        z = scale * np.expm1(t)
-        jac = scale * np.exp(t)
-        with np.errstate(over="ignore"):
-            f = z / (np.expm1(z + a) * np.expm1(z + b))
-        v1 = float(np.dot(wt, f * jac))
-        # piece 2: z in [1, 46]; integrand decays like z e^{-2z}
-        z = 0.5 * 45.0 * (x + 1.0) + 1.0
-        with np.errstate(over="ignore"):
-            f = z / (np.expm1(z + a) * np.expm1(z + b))
-        v2 = 0.5 * 45.0 * float(np.dot(w, f))
-        return v1 + v2
-
-    return _converge(evaluate, _orders(spec), spec.rel_tol, spec.abs_tol, f"p_kernel({a}, {b})")
+    gap = np.abs(a - b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = np.asarray(np.abs(_li2_excess(a) - _li2_excess(b))
+                           * np.exp(-np.minimum(a, b)) / np.expm1(gap))
+    mid = 0.5 * (a + b)
+    near = gap < _NEAR_PAIR * np.minimum(mid, 1.0)
+    if np.any(near):
+        value[near] = _midpoint_expansion(mid[near], gap[near])
+    return float(value) if value.ndim == 0 else value
 
 
-def diffraction_z_integral(delta, mu, temperature, spec=DEFAULT_SPEC):
+def diffraction_z_integral(delta, mu):
     """Excited-cloud suppression factor of the diffraction amplitude.
 
-    Equals int_0^inf dz z^{-3} e^{-1/z} e^{delta^2 mu z/2}, evaluated after
-    the substitution u = 1/z as int_0^inf u e^{-u - beta/u} du with
-    beta = -delta^2 mu / 2 >= 0.  Exactly 1 at mu = 0, decreasing in |mu|.
-    The caller is responsible for the delta^2 T >> 1 validity regime;
-    `temperature` is accepted for interface symmetry only.
+    Equals int_0^inf dz z^{-3} e^{-1/z} e^{delta^2 mu z/2}, which after
+    u = 1/z is int_0^inf u e^{-u - beta/u} du = 2 beta K2(2 sqrt(beta))
+    with beta = -delta^2 mu / 2 >= 0 (DLMF 10.32.10).  Exactly 1 at mu = 0
+    (and below beta = 1e-16, where 1 - beta rounds to 1), decreasing in
+    |mu|.  The caller is responsible for the delta^2 T >> 1 validity regime.
     """
     delta = float(delta)
     mu = float(mu)
@@ -188,29 +217,10 @@ def diffraction_z_integral(delta, mu, temperature, spec=DEFAULT_SPEC):
     if mu > 0:
         raise ValueError("mu must be <= 0")
     beta = -delta * delta * mu / 2.0
-    umax = 50.0 + 4.0 * np.sqrt(beta)
-
-    def f(u):
-        with np.errstate(divide="ignore", over="ignore"):
-            expo = np.where(u > 0, -u - beta / np.maximum(u, 1e-300), -np.inf)
-        return u * np.exp(expo)
-
-    # The e^{-beta/u} boundary layer lives at u ~ beta; a log map from that
-    # scale up to u = 1 resolves it for any beta, the rest is smooth.
-    scale = max(min(beta, 1.0), 1e-9)
-    tmax = np.log1p(1.0 / scale)
-
-    def evaluate(order):
-        x, w = _leggauss(order)
-        t = 0.5 * tmax * (x + 1.0)
-        u = scale * np.expm1(t)
-        jac = scale * np.exp(t)
-        v1 = 0.5 * tmax * float(np.dot(w, f(u) * jac))
-        v2 = _gauss_interval(f, 1.0, umax, order)
-        return v1 + v2
-
-    return _converge(evaluate, _orders(spec), spec.rel_tol, spec.abs_tol,
-                     f"diffraction_z_integral(delta={delta}, mu={mu})")
+    if beta < 1e-16:
+        return 1.0
+    x = 2.0 * np.sqrt(beta)
+    return float(2.0 * beta * special.kve(2, x) * np.exp(-x))
 
 
 def _quad_or_raise(f, a, b, spec, context):

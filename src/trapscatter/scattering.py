@@ -23,12 +23,13 @@ The pair-transfer shape function is
            P(x + nu, y + nu) [(y - y-)(y+ - y)]^(-1/2),
     y+- = x + a +- 2 sqrt(a x),     nu = -mu/T,
 
-with P the thermal pair kernel from `quad`.  The support boundary carries
-an integrable inverse-square-root singularity, removed by quadratic
-substitutions before Gauss-Legendre quadrature.  For mu = 0 the function
-is precomputed on a log-spaced grid a in [1e-3, 40] (120 points) with
-monotone cubic interpolation; a direct nested-quadrature evaluation is
-available for validation.
+with P the closed-form thermal pair kernel from `quad`.  The support
+boundary carries an integrable inverse-square-root singularity, removed by
+quadratic substitutions before a two-level Gauss-Legendre rule evaluated as
+one array expression.  Every differential rate evaluates f at its own a and
+nu directly; only the angle integral of `bose_mm_total` reads a log-spaced
+grid a in [1e-3, 40] (120 points, one per nu) with monotone cubic
+interpolation.  An adaptive-quadrature route is available for validation.
 
 Semiclassical validity: the continuum treatment of excited states breaks
 down at small momentum transfer.  `decompose` flags the diffraction
@@ -68,17 +69,14 @@ __all__ = [
 
 CHANNELS = ("rayleigh", "diffraction", "bose_0m", "bose_mm")
 
-# Shape-function grid (mu = 0): log-spaced, cached per process.
+# Shape-function grid of the angle integral: log-spaced, cached per nu.
 _SHAPE_A_GRID = np.geomspace(1e-3, 40.0, 120)
 
-# Nested-quadrature resolutions tried in order: (outer, middle, kernel) nodes.
-_SHAPE_LADDER = ((96, 32, 64), (144, 48, 96), (216, 72, 144))
+# Nested-quadrature resolutions tried in order: (outer, middle) nodes.
+_SHAPE_LADDER = ((96, 32), (144, 48), (216, 72))
 
-# The triple nest relaxes the inner tolerance to bound cost.
+# The nest relaxes the tolerance to bound cost.
 _SHAPE_REL_TOL = 1e-5
-
-# Chemical-potential shifts below this are indistinguishable from 0 for f.
-_NU_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -138,7 +136,7 @@ def rayleigh(ensemble):
     return n, 4.0 * math.pi * n
 
 
-def diffraction_differential(ensemble, delta, spec=DEFAULT_SPEC):
+def diffraction_differential(ensemble, delta):
     """|N0 e^{-delta^2/4} + (4T/delta^4) Z|^2 with Z = 1 at mu = 0.
 
     The square keeps the condensate-cloud cross term.  Below the
@@ -148,7 +146,7 @@ def diffraction_differential(ensemble, delta, spec=DEFAULT_SPEC):
     if delta <= 0:
         raise ValueError("delta must be positive")
     t = ensemble.temperature
-    z = quad.diffraction_z_integral(delta, ensemble.mu, t, spec)
+    z = quad.diffraction_z_integral(delta, ensemble.mu)
     amplitude = ensemble.n_condensate * math.exp(-0.25 * delta * delta)
     amplitude += 4.0 * t / delta**4 * z
     return amplitude * amplitude
@@ -211,27 +209,7 @@ def bose_0m_total_numeric(ensemble, kin, spec=DEFAULT_SPEC):
 # Pair-transfer shape function f(a)
 # ---------------------------------------------------------------------------
 
-def _pair_kernel_batch(a, b_vec, order):
-    """P(a, b) for one a and a vector of b, on a shared z-grid.
-
-    Same two-piece rule as quad.p_kernel: a log map resolving the smallest
-    argument scale on z in [0, 1], then a plain rule on [1, 46].
-    """
-    scale = max(min(a, float(np.min(b_vec))), 1e-9)
-    tmax = np.log1p(1.0 / scale)
-    x, w = quad._leggauss(order)
-    t = 0.5 * tmax * (x + 1.0)
-    wt = (0.5 * tmax * w) * (scale * np.exp(t))
-    z1 = scale * np.expm1(t)
-    z2 = 0.5 * 45.0 * (x + 1.0) + 1.0
-    w2 = 0.5 * 45.0 * w
-    with np.errstate(over="ignore"):
-        f1 = z1[:, None] / (np.expm1(z1 + a)[:, None] * np.expm1(z1[:, None] + b_vec[None, :]))
-        f2 = z2[:, None] / (np.expm1(z2 + a)[:, None] * np.expm1(z2[:, None] + b_vec[None, :]))
-    return wt @ f1 + w2 @ f2
-
-
-def _pair_shape_fixed(a, nu, n_outer, n_mid, kernel_order):
+def _pair_shape_fixed(a, nu, n_outer, n_mid):
     """One fixed-resolution evaluation of f(a) at chemical shift nu."""
     xg, wg = quad._leggauss(n_mid)
     xo, wo = quad._leggauss(n_outer)
@@ -239,22 +217,17 @@ def _pair_shape_fixed(a, nu, n_outer, n_mid, kernel_order):
     smax = math.sqrt(60.0)
     s = 0.5 * smax * (xo + 1.0)
     ws = 0.5 * smax * wo
-    total = 0.0
-    for si, wi in zip(s, ws):
-        x = 0.25 * a + si * si
-        ym = x + a - 2.0 * math.sqrt(a * x)
-        yp = x + a + 2.0 * math.sqrt(a * x)
-        umax = math.sqrt(max(x - ym, 0.0))
-        if umax <= 0.0:
-            continue
-        # middle: y = ym + u^2 removes the boundary singularity at y-
-        u = 0.5 * umax * (xg + 1.0)
-        wu = 0.5 * umax * wg
-        y = ym + u * u
-        p = _pair_kernel_batch(x + nu, y + nu, kernel_order)
-        inner = float(np.dot(wu, 2.0 * p / np.sqrt(yp - y)))
-        total += wi * 2.0 * si * inner
-    return total / math.pi
+    x = 0.25 * a + s * s
+    ym = x + a - 2.0 * np.sqrt(a * x)
+    yp = x + a + 2.0 * np.sqrt(a * x)
+    umax = np.sqrt(np.maximum(x - ym, 0.0))[:, None]
+    # middle: y = ym + u^2 removes the boundary singularity at y-
+    u = 0.5 * umax * (xg + 1.0)
+    wu = 0.5 * umax * wg
+    y = ym[:, None] + u * u
+    p = quad.p_kernel(x[:, None] + nu, y + nu)
+    inner = np.sum(wu * 2.0 * p / np.sqrt(yp[:, None] - y), axis=1)
+    return float(np.dot(ws * 2.0 * s, inner)) / math.pi
 
 
 def _pair_shape_adaptive(a, nu, spec):
@@ -275,7 +248,7 @@ def _pair_shape_adaptive(a, nu, spec):
             r = (y - ym) * (yp - y)
             if r <= 0.0:
                 return 0.0
-            return quad.p_kernel(x + nu, y + nu, relaxed) / math.sqrt(r)
+            return quad.p_kernel(x + nu, y + nu) / math.sqrt(r)
 
         return quad.sqrt_singular_integral(g, ym, x, relaxed)
 
@@ -287,10 +260,9 @@ def _pair_shape_adaptive(a, nu, spec):
 def excited_pair_shape(a, nu=0.0, spec=DEFAULT_SPEC, method="fixed"):
     """Dimensionless shape function f(a) of the excited<->excited rate.
 
-    a = delta^2/(2T); nu = -mu/T >= 0 shifts both occupation factors above
-    the transition.  method="fixed" runs the production Gauss-Legendre
-    nest with a built-in resolution ladder; method="adaptive" is the slow
-    validation route.
+    a = delta^2/(2T); nu = -mu/T >= 0 shifts both occupation factors.
+    method="fixed" runs the production Gauss-Legendre nest with a built-in
+    resolution ladder; method="adaptive" is the slow validation route.
     """
     if a <= 0:
         raise ValueError("a must be positive")
@@ -305,7 +277,7 @@ def excited_pair_shape(a, nu=0.0, spec=DEFAULT_SPEC, method="fixed"):
 
 
 class _ShapeTable:
-    """f(a) sampled on the standard grid, with log-log monotone interpolation."""
+    """f(a, nu) sampled on the standard grid, with log-log monotone interpolation."""
 
     def __init__(self, nu, spec):
         self.a_grid = _SHAPE_A_GRID
@@ -338,45 +310,26 @@ _SHAPE_TABLE_CACHE = {}
 
 
 def _shape_table(nu=0.0, spec=DEFAULT_SPEC):
+    """The f-grid at nu rounded to 1e-9, built on first use."""
     key = round(nu, 9)
     if key not in _SHAPE_TABLE_CACHE:
-        _SHAPE_TABLE_CACHE[key] = _ShapeTable(nu, spec)
+        _SHAPE_TABLE_CACHE[key] = _ShapeTable(key, spec)
     return _SHAPE_TABLE_CACHE[key]
 
 
-def _effective_nu(ensemble):
-    nu = -ensemble.mu / ensemble.temperature
-    return 0.0 if nu < _NU_FLOOR else nu
-
-
 def bose_mm_differential(ensemble, delta, spec=DEFAULT_SPEC):
-    """Excited<->excited stimulated rate T^3 f(delta^2/2T).
-
-    The mu = 0 path reads the cached f-grid; ensembles with a significant
-    chemical shift (above the transition) are evaluated directly at their
-    nu.
-    """
+    """Excited<->excited stimulated rate T^3 f(delta^2/2T, -mu/T), f evaluated directly."""
     if delta <= 0:
         raise ValueError("delta must be positive")
     t = ensemble.temperature
     a = 0.5 * delta * delta / t
-    nu = _effective_nu(ensemble)
-    if nu == 0.0:
-        f = _shape_table(0.0, spec)(a)
-    else:
-        f = excited_pair_shape(a, nu, spec)
-    return t**3 * f
+    return t**3 * excited_pair_shape(a, -ensemble.mu / t, spec)
 
 
 def bose_mm_total(ensemble, kin, spec=DEFAULT_SPEC):
-    """Angle-integrated excited<->excited rate (2 pi T^4 / k_i^2) int f(a) da."""
+    """Angle-integrated excited<->excited rate (2 pi T^4 / k_i^2) int f(a, nu) da."""
     t = ensemble.temperature
-    nu = _effective_nu(ensemble)
-    if nu == 0.0:
-        shape_integral = _shape_table(0.0, spec).integral
-    else:
-        table = _ShapeTable(nu, spec)
-        shape_integral = table.integral
+    shape_integral = _shape_table(-ensemble.mu / t, spec).integral
     return 2.0 * math.pi * t**4 / kin.k_incident**2 * shape_integral
 
 
@@ -429,7 +382,7 @@ def decompose(ensemble, kin, delta=None, spec=DEFAULT_SPEC):
 
     values = {
         "rayleigh": run("rayleigh", lambda: rayleigh(ensemble)[0]),
-        "diffraction": run("diffraction", lambda: diffraction_differential(ensemble, delta, spec)),
+        "diffraction": run("diffraction", lambda: diffraction_differential(ensemble, delta)),
         "bose_0m": run("bose_0m", lambda: bose_0m_differential(ensemble, delta)),
         "bose_mm": run("bose_mm", lambda: bose_mm_differential(ensemble, delta, spec)),
     }

@@ -83,6 +83,31 @@ class TestConfigPlumbing:
             config.delta_grid()
         assert err.value.field == field
 
+    @pytest.mark.parametrize("subcommand", ["sweep-angle", "sweep-temp"])
+    def test_no_log_overrides_config_file(self, tmp_path, subcommand):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("log = true\n")
+        parser = build_parser()
+        base = [subcommand, "--config", str(cfg)]
+        assert build_config(parser.parse_args(base)).log_spacing is True
+        assert build_config(parser.parse_args(base + ["--no-log"])).log_spacing is False
+        assert build_config(parser.parse_args([subcommand, "--log"])).log_spacing is True
+
+    @pytest.mark.parametrize("subcommand,grid", [
+        ("sweep-angle", ["--t", "5", "--delta-lo", "1", "--delta-hi", "2"]),
+        ("sweep-temp", ["--t-lo", "5", "--t-hi", "6", "--delta", "1"]),
+        ("oracle-compare", ["--t", "5", "--delta-lo", "1", "--delta-hi", "2", "--format", "json"]),
+    ])
+    def test_epsilon_max_above_cost_guard(self, tmp_path, capsys, subcommand, grid):
+        out = tmp_path / "none.out"
+        code = run_main([subcommand, "--n", "1000", "--method", "oracle", "--points", "2",
+                         "--epsilon-max", "700", "--out", str(out)] + grid)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config-invalid: ") and "epsilon-max" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_temperature_exclusivity(self):
         with pytest.raises(ConfigError):
             SweepConfig(t=5.0, t_over_tc=0.5).resolve_temperature()

@@ -40,13 +40,26 @@ class TestPolylog3:
 
 
 def _p_reference(a, b):
+    # relative tolerance only: P(60, 60) ~ 2e-53
     def integrand(z):
         if z + max(a, b) > 600.0:
             return 0.0
         return z / (math.expm1(z + a) * math.expm1(z + b))
 
-    v1, _ = integrate.quad(integrand, 0, 1, limit=300, epsabs=1e-14, epsrel=1e-12)
-    v2, _ = integrate.quad(integrand, 1, np.inf, limit=300, epsabs=1e-14, epsrel=1e-12)
+    v1, _ = integrate.quad(integrand, 0, 1, limit=300, epsabs=0.0, epsrel=1e-12)
+    v2, _ = integrate.quad(integrand, 1, np.inf, limit=300, epsabs=0.0, epsrel=1e-12)
+    return v1 + v2
+
+
+def _z_reference(delta, mu):
+    # int_0^inf u e^{-u - beta/u} du by adaptive quadrature, split at u = 1
+    beta = -delta * delta * mu / 2.0
+
+    def integrand(u):
+        return u * math.exp(-u - beta / u) if u > 0.0 else 0.0
+
+    v1, _ = integrate.quad(integrand, 0, 1, limit=300, epsabs=0.0, epsrel=1e-13)
+    v2, _ = integrate.quad(integrand, 1, np.inf, limit=300, epsabs=0.0, epsrel=1e-13)
     return v1 + v2
 
 
@@ -63,6 +76,25 @@ class TestPKernel:
     )
     def test_against_adaptive_reference(self, a, b):
         assert_allclose(p_kernel(a, b), _p_reference(a, b), rtol=1e-9)
+
+    @pytest.mark.parametrize("base", [1.5, 3.0])
+    @pytest.mark.parametrize("gap", [0.0, 1e-12, 1e-9, 0.9e-5, 1.1e-5, 1e-3, 0.99e-2, 1.01e-2])
+    def test_near_diagonal_precision(self, base, gap):
+        # both sides of the midpoint-expansion switch at gap = 1e-2 min(m, 1)
+        assert_allclose(p_kernel(base, base + gap), _p_reference(base, base + gap), rtol=1e-9)
+
+    @pytest.mark.parametrize("a", [1e-6, 60.0])
+    def test_diagonal_extremes(self, a):
+        assert_allclose(p_kernel(a, a), _p_reference(a, a), rtol=1e-9)
+
+    def test_array_input_matches_scalar(self):
+        a = np.array([[1e-6], [0.3], [7.0], [60.0]])
+        b = np.array([1e-6, 0.3 + 1e-9, 0.31, 2.0, 60.0])
+        grid = p_kernel(a, b)
+        assert grid.shape == (4, 5)
+        for i in range(4):
+            for j in range(5):
+                assert grid[i, j] == p_kernel(float(a[i, 0]), float(b[j]))
 
     def test_single_zero_argument_finite(self):
         value = p_kernel(0.0, 1.0)
@@ -90,9 +122,12 @@ class TestPKernel:
 
 
 class TestDiffractionZIntegral:
-    @pytest.mark.parametrize("delta,t", [(0.5, 2.0), (2.0, 10.0), (10.0, 50.0)])
-    def test_unit_at_zero_mu(self, delta, t):
-        assert_allclose(diffraction_z_integral(delta, 0.0, t), 1.0, atol=1e-12)
+    @pytest.mark.parametrize("delta", [0.5, 2.0, 10.0])
+    def test_unit_at_zero_mu(self, delta):
+        assert diffraction_z_integral(delta, 0.0) == 1.0
+        # beta = -delta^2 mu / 2 below 1e-16: 1 - beta rounds to 1
+        assert diffraction_z_integral(delta, -1e-18) == 1.0
+        assert diffraction_z_integral(delta, -1e-12) < 1.0
 
     @pytest.mark.parametrize(
         "delta,mu", [(2.0, -0.00216), (1.0, -0.5), (0.5, -2.0), (3.0, -1.0), (1.0, -50.0)]
@@ -103,23 +138,24 @@ class TestDiffractionZIntegral:
         # x = delta sqrt(-2 mu).
         beta = -delta * delta * mu / 2.0
         reference = 2.0 * beta * kv(2, 2.0 * math.sqrt(beta))
-        assert_allclose(diffraction_z_integral(delta, mu, 10.0), reference, rtol=1e-11)
+        assert_allclose(diffraction_z_integral(delta, mu), reference, rtol=1e-11)
+        assert_allclose(diffraction_z_integral(delta, mu), _z_reference(delta, mu), rtol=1e-11)
 
     def test_unit_bessel_argument(self):
         # delta sqrt(-2 mu) = 1 <=> beta = 1/4
         delta, mu = 1.0, -0.5
         assert math.isclose(delta * math.sqrt(-2 * mu), 1.0)
         reference = 0.5 * kv(2, 1.0)
-        assert_allclose(diffraction_z_integral(delta, mu, 10.0), reference, rtol=1e-11)
+        assert_allclose(diffraction_z_integral(delta, mu), reference, rtol=1e-11)
 
     def test_strong_suppression(self):
-        assert diffraction_z_integral(2.0, -5000.0, 10.0) < 1e-30
+        assert diffraction_z_integral(2.0, -5000.0) < 1e-30
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            diffraction_z_integral(0.0, 0.0, 10.0)
+            diffraction_z_integral(0.0, 0.0)
         with pytest.raises(ValueError):
-            diffraction_z_integral(1.0, 0.1, 10.0)
+            diffraction_z_integral(1.0, 0.1)
 
 
 class TestSqrtSingularIntegral:
@@ -156,6 +192,7 @@ class TestQuadSpec:
             QuadSpec(max_subdivisions=0)
 
     def test_budget_exhaustion(self):
-        # a budget too small to allow even two quadrature resolutions
+        # one subdivision cannot resolve ten oscillations to 1e-8
         with pytest.raises(ConvergenceError):
-            p_kernel(0.5, 0.5, QuadSpec(rel_tol=1e-8, abs_tol=1e-12, max_subdivisions=1))
+            sqrt_singular_integral(lambda y: math.cos(60.0 * y), 0.0, 1.0,
+                                   QuadSpec(rel_tol=1e-8, abs_tol=1e-12, max_subdivisions=1))

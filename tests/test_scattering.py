@@ -247,9 +247,20 @@ class TestBoseMm:
         a = 0.5 * delta * delta / 12.0
         assert_allclose(
             bose_mm_differential(ens, delta),
-            12.0**3 * _shape_table()(a),
+            12.0**3 * excited_pair_shape(a, 1e-9 / 12.0),
             rtol=1e-12,
         )
+
+    def test_row_uses_true_chemical_shift(self):
+        # nu = -mu/T ~ 7e-4 here; a row must see f(a, nu), not f(a, 0)
+        ens = TrapEnsemble.at_ratio(10_000, 0.9525)
+        t = ens.temperature
+        nu = -ens.mu / t
+        assert 1e-4 < nu < 1e-3
+        a = 0.5 / t
+        row = decompose(ens, Kinematics(1000.0, 1.0)).bose_mm / t**3
+        assert_allclose(row, excited_pair_shape(a, nu), rtol=1e-12)
+        assert_allclose(row, excited_pair_shape(a, nu, method="adaptive"), rtol=1e-4)
 
     def test_envelope_bound(self):
         # rate <= Ne e^{-a/4} with Ne the saturated cloud zeta(3) T^3:

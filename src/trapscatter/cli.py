@@ -166,7 +166,7 @@ def _channel_cells(config, ensemble, delta, discrete):
     if config.oracle:
         try:
             cells += _breakdown_cells(exact_breakdown(discrete(), delta))
-        except (ConvergenceError, TruncationError, ValueError) as exc:
+        except (ConvergenceError, TruncationError, PrecisionLossError, ValueError) as exc:
             cells += [math.nan] * 5
             flags = f"oracle:error:{type(exc).__name__}"
     return cells + [flags]

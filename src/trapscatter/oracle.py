@@ -12,20 +12,25 @@ sums against projected thermal weights::
     PW(mx, mx')  = sum_q (q+1) <n_{mx+q}> <n_{mx'+q}>   (pair projection)
 
 where q = my + mz runs over the 2D transverse spectrum with multiplicity
-q + 1.  The occupation-product form uses <n_i n_f> ~ <n_i><n_f>; the
-corrections are O(1/N) after thermal averaging, so this module is the
-oracle for the spectral sums only, not for occupation correlations.
+q + 1.  PW does not depend on delta: it is the Gram product S^T S of the
+scaled Hankel matrix S[q, mx] = sqrt(q+1) <n_{q+mx}> (zero past the
+truncation), one BLAS call, built once per ensemble.
+
+The occupation-product form uses <n_i n_f> ~ <n_i><n_f>; the corrections
+are O(1/N) after thermal averaging, so this module is the oracle for the
+spectral sums only, not for occupation correlations.
 Transition pairs are counted in both directions, matching the factor 2 of
 the ground<->excited channel.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import oscillator
-from .errors import TruncationError
+from .errors import PrecisionLossError, TruncationError
 from .scattering import RateBreakdown
 from .thermo import _bisect_increasing, critical_temperature
 
@@ -55,6 +60,13 @@ class DiscreteEnsemble:
     @property
     def n0_exact(self):
         return float(self.occupations[0])
+
+    @cached_property
+    def pair_weights(self):
+        """PW(mx, mx'), independent of delta; built on first use, then shared read-only."""
+        pw = _projected_pair_weights(self.occupations)
+        pw.setflags(write=False)
+        return pw
 
 
 def _default_epsilon_max(n_total, temperature):
@@ -152,19 +164,18 @@ def _projected_weights(occ):
 
 
 def _projected_pair_weights(occ):
-    """PW(mx, mx') = sum_q (q+1) occ[mx+q] occ[mx'+q]."""
+    """PW(mx, mx') = sum_q (q+1) occ[mx+q] occ[mx'+q] as S^T S; occ[q+mx] is a view."""
     size = occ.size
-    pw = np.zeros((size, size))
-    for q in range(size):
-        tail = occ[q:]
-        pw[: size - q, : size - q] += (q + 1.0) * np.outer(tail, tail)
-    return pw
+    hankel = np.lib.stride_tricks.sliding_window_view(np.concatenate([occ, np.zeros(size - 1)]), size)
+    s = np.sqrt(np.arange(1.0, size + 1.0))[:, None] * hankel
+    return s.T @ s
 
 
 def exact_breakdown(ens, delta):
     """All four channels from direct sums over the discrete spectrum.
 
     delta = 0 degenerates cleanly: diffraction N^2, Bose channels 0.
+    A bose_mm negative beyond rounding raises PrecisionLossError.
     """
     if delta < 0:
         raise ValueError("delta must be >= 0")
@@ -190,10 +201,13 @@ def exact_breakdown(ens, delta):
     n0 = float(occ[0])
     bose_0m = 2.0 * n0 * float(np.dot(occ[1:], f_col[1:]))
 
-    pw = _projected_pair_weights(occ)
-    offdiag = float(np.sum(g * pw) - np.dot(np.diag(g), np.diag(pw)))
+    # sum the off-diagonal pairs directly, not as a total minus a nearly equal diagonal
+    np.fill_diagonal(g, 0.0)
+    offdiag = float(np.vdot(g, ens.pair_weights))
     # remove the ground<->(m,0,0) pairs already counted in bose_0m
     bose_mm = offdiag - bose_0m
+    if bose_mm < -1e-12 * offdiag:
+        raise PrecisionLossError(f"bose_mm = {bose_mm:.3e} < 0 beyond rounding of {offdiag:.3e}")
 
     return RateBreakdown.build(n, diffraction, bose_0m, max(bose_mm, 0.0))
 

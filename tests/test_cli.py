@@ -215,6 +215,42 @@ class TestSweepAngle:
         assert len(rows) == 3
         assert "diffraction:error" in rows[0]["flags"]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_oracle_precision_loss_fails_one_row(self, tmp_path, monkeypatch, fmt):
+        import trapscatter.cli as cli
+        from trapscatter.errors import PrecisionLossError
+
+        real_breakdown = cli.exact_breakdown
+
+        def breakdown(ens, delta):
+            if delta == 2.5:
+                raise PrecisionLossError("synthetic")
+            return real_breakdown(ens, delta)
+
+        monkeypatch.setattr(cli, "exact_breakdown", breakdown)
+        out = tmp_path / f"rows.{fmt}"
+        code = run_main([
+            "sweep-angle", "--n", "300", "--t-over-tc", "0.6", "--method", "oracle",
+            "--delta-lo", "1", "--delta-hi", "4", "--points", "3",
+            "--format", fmt, "--out", str(out),
+        ])
+        assert code == 3
+        if fmt == "csv":
+            header, rows = read_rows(out)
+            cells = [[float(row[c]) for c in header if c.endswith("_oracle")] for row in rows]
+            flags = [row["flags"] for row in rows]
+            failed = [math.isnan(c) for c in cells[1]]
+        else:
+            payload = json.loads(out.read_text())
+            oracle = [i for i, c in enumerate(payload["columns"]) if c.endswith("_oracle")]
+            rows = payload["rows"]
+            cells = [[row[i] for i in oracle] for row in rows]
+            flags = [row[-1] for row in rows]
+            failed = [c is None for c in cells[1]]
+        assert flags == ["ok", "oracle:error:PrecisionLossError", "ok"]
+        assert len(failed) == 5 and all(failed)
+        assert all(math.isfinite(c) for row in (cells[0], cells[2]) for c in row)
+
     def test_failure_before_rows_exit_code(self, tmp_path, capsys):
         # epsilon_max below 10 T: the shared discrete ensemble cannot be solved
         out = tmp_path / "none.csv"

@@ -2,20 +2,40 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from trapscatter import (
     DiscreteEnsemble,
+    PrecisionLossError,
     TruncationError,
     condensate_count,
     critical_temperature,
     exact_breakdown,
+    oracle,
+    oscillator,
     scaling_probe,
     solve_mu_discrete,
 )
 from trapscatter.oracle import _boltzmann_tail, _projected_pair_weights, _projected_weights
-from trapscatter.oscillator import diagonal_amplitude_column, overlap_matrix
+from trapscatter.oscillator import diagonal_amplitude_column, ground_overlap_column, overlap_matrix
 from trapscatter.thermo import degeneracy, occupation
+
+
+def _pair_weights_loop(occ):
+    """Reference PW: one rank-one update per transverse level q."""
+    size = occ.size
+    pw = np.zeros((size, size))
+    for q in range(size):
+        tail = occ[q:]
+        pw[: size - q, : size - q] += (q + 1.0) * np.outer(tail, tail)
+    return pw
+
+
+@pytest.fixture(scope="module")
+def discrete_1e5_07():
+    return solve_mu_discrete(100_000, 0.7 * critical_temperature(100_000))
 
 
 class TestSolveMuDiscrete:
@@ -90,6 +110,42 @@ class TestProjectedWeights:
                 )
                 assert_allclose(pw[m1, m2], brute, rtol=1e-14)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(1e-150, 1e6)), min_size=1, max_size=64))
+    def test_gram_product_matches_loop(self, values):
+        occ = np.array(values)
+        gram = _projected_pair_weights(occ)
+        loop = _pair_weights_loop(occ)
+        assert_allclose(gram, loop, rtol=1e-13, atol=0)
+        assert np.array_equal(gram == 0.0, loop == 0.0)
+
+    def test_gram_product_on_large_ensemble(self, discrete_1e5_07):
+        occ = discrete_1e5_07.occupations
+        assert discrete_1e5_07.epsilon_max == 543
+        gram = _projected_pair_weights(occ)
+        loop = _pair_weights_loop(occ)
+        assert_allclose(gram, loop, rtol=1e-13, atol=0)
+        assert np.array_equal(gram == 0.0, loop == 0.0)
+
+    def test_pair_weights_built_once_per_ensemble(self, monkeypatch):
+        calls = []
+
+        def counted(occ):
+            calls.append(occ.size)
+            return _projected_pair_weights(occ)
+
+        monkeypatch.setattr(oracle, "_projected_pair_weights", counted)
+        t = 0.6 * critical_temperature(500)
+        ens = solve_mu_discrete(500, t)
+        exact_breakdown(ens, 0.0)
+        assert calls == []  # delta = 0 needs no pair weights
+        deltas = (0.4, 1.3, 3.0)
+        shared = [exact_breakdown(ens, delta) for delta in deltas]
+        assert calls == [ens.epsilon_max + 1]
+        assert not ens.pair_weights.flags.writeable
+        fresh = [exact_breakdown(solve_mu_discrete(500, t), delta) for delta in deltas]
+        assert shared == fresh
+
     def test_weights_sum_to_population(self):
         ens = solve_mu_discrete(300, 4.0)
         w = _projected_weights(ens.occupations)
@@ -152,6 +208,33 @@ class TestExactBreakdown:
                         brute += occ[mx + my + mz] * occ[mx2 + my + mz] * g[mx, mx2]
         bd = exact_breakdown(ens_full, 0.9)
         assert_allclose(bd.bose_mm, brute, rtol=1e-10)
+
+    def test_bose_mm_small_delta_is_quadratic(self, discrete_1e5_07):
+        # bose_mm ~ delta^2 as delta -> 0, while the diagonal of g stays
+        # 1 - O(delta^2): the off-diagonal sum must not be a total minus it
+        ratios = [exact_breakdown(discrete_1e5_07, d).bose_mm / d**2 for d in (1e-6, 1e-5, 1e-4)]
+        assert max(ratios) / min(ratios) - 1.0 < 1e-6, ratios
+
+    def test_bose_mm_against_exactly_rounded_sums(self):
+        # cold ensemble: the off-diagonal sum is 700 times bose_mm
+        ens = solve_mu_discrete(10_000, 0.2 * critical_temperature(10_000))
+        emax = ens.epsilon_max
+        occ = ens.occupations
+        g = overlap_matrix(emax, 1.0)
+        off = ~np.eye(emax + 1, dtype=bool)
+        f_col = ground_overlap_column(emax, 1.0)
+        reference = (math.fsum((g * _pair_weights_loop(occ))[off])
+                     - math.fsum(2.0 * occ[0] * occ[1:] * f_col[1:]))
+        assert_allclose(exact_breakdown(ens, 1.0).bose_mm, reference, rtol=1e-12)
+
+    def test_negative_bose_mm_raises(self, monkeypatch):
+        # a bose_0m larger than every off-diagonal pair together is a fault,
+        # not a rate to clamp to zero
+        column = oscillator.ground_overlap_column
+        monkeypatch.setattr(oscillator, "ground_overlap_column", lambda m, d: 10.0 * column(m, d))
+        ens = solve_mu_discrete(500, 0.5 * critical_temperature(500))
+        with pytest.raises(PrecisionLossError):
+            exact_breakdown(ens, 1.0)
 
     def test_semiclassical_band_at_small_n(self):
         # N = 200, T = 0.6 Tc: the continuum ground<->excited formula is

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -117,6 +118,36 @@ class TestOverlapMatrix:
         g = overlap_matrix(240, 1.3)
         sums = g[:40].sum(axis=1)
         assert_allclose(sums, 1.0, atol=1e-10)
+
+    @pytest.mark.parametrize("delta", [1.0, 4.0, 8.0])
+    def test_level_1200_against_mpmath_laguerre(self, delta):
+        # reach past the 600-level cost guard: 60-digit
+        # e^{-x} x^k n!/(n+k)! [L_n^(k)(x)]^2 on a grid of (n, k) plus points
+        # on and beyond the upper turning offset k = x + 2 sqrt(n x), where
+        # the element is classically forbidden and decays
+        m_max = 1200
+        x = 0.5 * delta * delta
+        g = overlap_matrix(m_max, delta)
+        grid = (0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1199, 1200)
+        points = {(n, k) for n in grid for k in grid if n + k <= m_max}
+        for n in grid:
+            edge = x + 2.0 * math.sqrt(n * x)
+            points |= {(n, round(f * edge)) for f in (1.0, 1.2, 1.5, 2.0, 3.0)
+                       if n + round(f * edge) <= m_max}
+        forbidden_checked = 0
+        with mpmath.workdps(60):
+            xm = mpmath.mpf(delta) ** 2 / 2
+            for n, k in sorted(points):
+                exact = (mpmath.exp(-xm) * xm**k * mpmath.factorial(n) / mpmath.factorial(n + k)
+                         * mpmath.laguerre(n, k, xm) ** 2)
+                value = g[n, n + k]
+                assert abs(value - float(exact)) <= 1e-12, (n, k)
+                assert g[n + k, n] == value
+                if (k - x) ** 2 > 4.0 * n * x and exact > mpmath.mpf("1e-100"):
+                    # no silent loss of relative accuracy in the forbidden corner
+                    assert abs(value / float(exact) - 1.0) < 1e-11, (n, k)
+                    forbidden_checked += 1
+        assert forbidden_checked > 100
 
 
 class TestGroundTransitionWeight:

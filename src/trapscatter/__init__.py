@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .errors import ConfigError, ConvergenceError, PrecisionLossError, TruncationError
 from .oscillator import overlap_exact, overlap_ground_exact, overlap_wkb
-from .quad import DEFAULT_SPEC, QuadSpec, diffraction_z_integral, p_kernel, polylog3, sqrt_singular_integral
+from .quad import DEFAULT_SPEC, QuadSpec, diffraction_z_integral, p_kernel, polylog3
 from .scattering import (
     CHANNELS,
     Kinematics,
@@ -62,7 +62,6 @@ __all__ = [
     "polylog3",
     "p_kernel",
     "diffraction_z_integral",
-    "sqrt_singular_integral",
     "overlap_ground_exact",
     "overlap_exact",
     "overlap_wkb",

@@ -31,7 +31,6 @@ integrable inverse-square-root singularity on its support boundary.
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import PrecisionLossError
 
@@ -50,6 +49,11 @@ _AMPLITUDE_BOUND = 1.0 + 1e-9
 
 # Guard for the integrable boundary singularity of the stationary-phase form.
 _WKB_RADICAND_FLOOR = 1e-12
+
+
+def _log_factorials(size):
+    """ln k! for k = 0..size-1, one math.lgamma per element."""
+    return np.array([math.lgamma(k + 1.0) for k in range(size)])
 
 
 def _amplitude(n, k, x):
@@ -128,7 +132,7 @@ def ground_overlap_column(m_max, delta):
         out[0] = 1.0
         return out
     m = np.arange(m_max + 1)
-    return np.exp(-x + m * math.log(x) - gammaln(m + 1))
+    return np.exp(-x + m * math.log(x) - _log_factorials(m_max + 1))
 
 
 def diagonal_amplitude_column(m_max, delta):
@@ -163,7 +167,7 @@ def overlap_matrix(m_max, delta):
         return np.eye(size)
     ks = np.arange(size, dtype=float)
     a_prev = np.zeros(size)
-    a = np.exp(-0.5 * x + 0.5 * ks * math.log(x) - 0.5 * gammaln(ks + 1))
+    a = np.exp(-0.5 * x + 0.5 * ks * math.log(x) - 0.5 * _log_factorials(size))
     amp = np.zeros((size, size))
     for n in range(size):
         width = size - n

@@ -29,7 +29,7 @@ quadratic substitutions before a two-level Gauss-Legendre rule evaluated as
 one array expression.  Every differential rate evaluates f at its own a and
 nu directly; only the angle integral of `bose_mm_total` reads a log-spaced
 grid a in [1e-3, 40] (120 points, one per nu) with monotone cubic
-interpolation.  An adaptive-quadrature route is available for validation.
+interpolation.  The other angle-integrated totals are closed forms.
 
 Semiclassical validity: the continuum treatment of excited states breaks
 down at small momentum transfer.  `decompose` flags the diffraction
@@ -43,11 +43,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from . import quad
 from .errors import ConvergenceError
-from .quad import DEFAULT_SPEC, QuadSpec
+from .quad import DEFAULT_SPEC
 
 __all__ = [
     "CHANNELS",
@@ -157,19 +156,14 @@ def diffraction_total(ensemble, kin):
     return 2.0 * math.pi * ensemble.n_condensate**2 / kin.k_incident**2
 
 
-def diffraction_total_excited(ensemble, kin, spec=DEFAULT_SPEC):
+def diffraction_total_excited(ensemble, kin):
     """Excited-cloud part of the diffraction total, cut off at delta = T^{-1/2}.
 
-    Integrates (4T/delta^4)^2 over solid angle from the smallest momentum
-    transfer the discrete spectrum supports; scales as Ne^{5/3}/k_i^2.
+    The solid-angle integral of (4T/delta^4)^2 from the smallest momentum
+    transfer the discrete spectrum supports, 16 pi T^5 / (3 k_i^2); scales
+    as Ne^{5/3}/k_i^2.
     """
-    t = ensemble.temperature
-    k = kin.k_incident
-
-    def integrand(d):
-        return (4.0 * t / d**4) ** 2 * 2.0 * math.pi * d / k**2
-
-    return quad._quad_or_raise(integrand, t**-0.5, np.inf, spec, "diffraction_total_excited")
+    return 16.0 * math.pi * ensemble.temperature**5 / (3.0 * kin.k_incident**2)
 
 
 def bose_0m_differential(ensemble, delta):
@@ -195,14 +189,14 @@ def bose_0m_total(ensemble, kin):
     return 4.0 * math.pi * ensemble.n_condensate * t / kin.k_incident**2 * math.log(2.0 * t)
 
 
-def bose_0m_total_numeric(ensemble, kin, spec=DEFAULT_SPEC):
-    """Direct angular integral of bose_0m_differential from delta = 1."""
-    k = kin.k_incident
+def bose_0m_total_numeric(ensemble, kin):
+    """Angular integral of bose_0m_differential from delta = 1, in closed form.
 
-    def integrand(d):
-        return bose_0m_differential(ensemble, d) * 2.0 * math.pi * d / k**2
-
-    return quad._quad_or_raise(integrand, 1.0, np.inf, spec, "bose_0m_total_numeric")
+    With u = delta^2/2T the integral is -(4 pi N0 T / k_i^2) ln(1 - e^{-1/2T}).
+    """
+    t = ensemble.temperature
+    return (4.0 * math.pi * ensemble.n_condensate * t / kin.k_incident**2
+            * -math.log(-math.expm1(-0.5 / t)))
 
 
 # ---------------------------------------------------------------------------
@@ -230,48 +224,17 @@ def _pair_shape_fixed(a, nu, n_outer, n_mid):
     return float(np.dot(ws * 2.0 * s, inner)) / math.pi
 
 
-def _pair_shape_adaptive(a, nu, spec):
-    """Reference evaluation: adaptive outer/middle quadrature, scalar kernel.
-
-    Slow; used to validate the fixed-rule path.
-    """
-    relaxed = QuadSpec(rel_tol=1e-6, abs_tol=spec.abs_tol, max_subdivisions=spec.max_subdivisions)
-
-    def middle(x):
-        ym = x + a - 2.0 * math.sqrt(a * x)
-        yp = x + a + 2.0 * math.sqrt(a * x)
-        if x - ym <= 0.0:
-            return 0.0
-
-        def g(y):
-            y = min(y, x)
-            r = (y - ym) * (yp - y)
-            if r <= 0.0:
-                return 0.0
-            return quad.p_kernel(x + nu, y + nu) / math.sqrt(r)
-
-        return quad.sqrt_singular_integral(g, ym, x, relaxed)
-
-    outer = quad._quad_or_raise(middle, 0.25 * a, 0.25 * a + 60.0, relaxed,
-                                "excited_pair_shape adaptive")
-    return outer / math.pi
-
-
-def excited_pair_shape(a, nu=0.0, spec=DEFAULT_SPEC, method="fixed"):
+def excited_pair_shape(a, nu=0.0, spec=DEFAULT_SPEC):
     """Dimensionless shape function f(a) of the excited<->excited rate.
 
     a = delta^2/(2T); nu = -mu/T >= 0 shifts both occupation factors.
-    method="fixed" runs the production Gauss-Legendre nest with a built-in
-    resolution ladder; method="adaptive" is the slow validation route.
+    Runs the Gauss-Legendre nest up its resolution ladder until two rungs
+    agree.
     """
     if a <= 0:
         raise ValueError("a must be positive")
     if nu < 0:
         raise ValueError("nu must be >= 0")
-    if method == "adaptive":
-        return _pair_shape_adaptive(a, nu, spec)
-    if method != "fixed":
-        raise ValueError(f"unknown method {method!r}")
     return quad._converge(lambda rung: _pair_shape_fixed(a, nu, *rung), _SHAPE_LADDER,
                           _SHAPE_REL_TOL, spec.abs_tol, f"excited_pair_shape({a}, nu={nu})")
 
@@ -280,6 +243,9 @@ class _ShapeTable:
     """f(a, nu) sampled on the standard grid, with log-log monotone interpolation."""
 
     def __init__(self, nu, spec):
+        # only the angle-integrated bose_mm total builds a table
+        from scipy.interpolate import PchipInterpolator
+
         self.a_grid = _SHAPE_A_GRID
         self.f_values = np.array(
             [excited_pair_shape(a, nu, spec) for a in self.a_grid]

@@ -103,12 +103,16 @@ def _bisect_increasing(fn, target, lo, hi, tol, context):
 
     The caller chooses the bracket (and any expansion of it); only the
     upper end is checked, so fn(lo) <= target is the caller's promise.
-    Stops once the bracket is narrower than `tol` and returns its midpoint.
+    Stops once the bracket is narrower than `tol`, or once no float lies
+    strictly inside it (a `tol` below one ulp of the root), and returns its
+    midpoint.
     """
     if not fn(hi) >= target:
         raise ConvergenceError(f"{context}: bracket does not contain the root")
     for _ in range(_BISECT_ITERATIONS):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
         if fn(mid) < target:
             lo = mid
         else:

@@ -283,6 +283,16 @@ class TestSweepAngle:
         assert via_module.read_bytes() == via_main.read_bytes()
 
 
+    def test_classical_regime(self, tmp_path):
+        out = tmp_path / "hot.csv"
+        assert run_main([
+            "sweep-angle", "--n", "10000", "--t-over-tc", "10",
+            "--delta-lo", "1", "--delta-hi", "5", "--points", "3", "--out", str(out),
+        ]) == 0
+        _, rows = read_rows(out)
+        assert len(rows) == 3
+
+
 class TestSweepTemperature:
     def test_columns_and_mu_crossing(self, tmp_path):
         out = tmp_path / "temp.csv"
@@ -412,3 +422,34 @@ class TestRowFunction:
                              "--delta-hi", "2", "--points", "2", "--out", str(angle)]) == 0
             _, rows_a = read_rows(angle)
             assert [rows_a[0][c] for c in channels] == [temp_row[c] for c in channels]
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # a fresh interpreter runs one command of each kind in-process, then
+    # reports every scipy module it loaded
+    script = f"""
+import sys
+from trapscatter.cli import main
+out = {str(tmp_path)!r}
+codes = [
+    main(["sweep-angle", "--n", "500", "--t-over-tc", "0.7", "--k-incident", "100",
+          "--delta-lo", "0.5", "--delta-hi", "8", "--points", "3", "--out", out + "/a.csv"]),
+    main(["sweep-temp", "--n", "500", "--t-over-tc-lo", "0.5", "--t-over-tc-hi", "1.2",
+          "--points", "3", "--delta", "1.0", "--k-incident", "100", "--method", "both",
+          "--out", out + "/t.csv"]),
+    main(["oracle-compare", "--n", "500", "--t-over-tc", "0.6", "--k-incident", "100",
+          "--delta-lo", "1", "--delta-hi", "4", "--points", "3", "--format", "json",
+          "--out", out + "/c.json"]),
+]
+print(codes)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    src = str(Path(trapscatter.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    codes, loaded = done.stdout.splitlines()[-2:]
+    assert codes == "[0, 0, 0]"
+    assert loaded == "[]"

@@ -4,8 +4,10 @@ import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import gammaln
 
-from trapscatter import overlap_exact, overlap_ground_exact, overlap_wkb, sqrt_singular_integral
+from _reference import sqrt_singular_integral
+from trapscatter import oscillator, overlap_exact, overlap_ground_exact, overlap_wkb
 from trapscatter.oscillator import (
     _amplitude,
     diagonal_amplitude_column,
@@ -103,6 +105,31 @@ class TestDiagonalAmplitude:
         col = diagonal_amplitude_column(60, 1.7)
         for m in (0, 1, 33, 60):
             assert_allclose(col[m], _amplitude(m, 0, 0.5 * 1.7**2), rtol=1e-12, atol=1e-300)
+
+
+class TestLogFactorials:
+    @pytest.fixture
+    def gammaln_factorials(self, monkeypatch):
+        """Run `fn` with the log-factorials taken from scipy's gammaln instead."""
+        def run(fn, *args):
+            with monkeypatch.context() as patch:
+                patch.setattr(oscillator, "_log_factorials",
+                              lambda size: gammaln(np.arange(size) + 1.0))
+                return fn(*args)
+        return run
+
+    @pytest.mark.parametrize("delta", [0.3, 2.0, 8.0, 30.0])
+    def test_ground_column_against_gammaln(self, gammaln_factorials, delta):
+        reference = gammaln_factorials(ground_overlap_column, 600, delta)
+        assert_allclose(ground_overlap_column(600, delta), reference, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("delta", [1.0, 4.0, 8.0])
+    def test_overlap_matrix_against_gammaln(self, gammaln_factorials, delta):
+        # the recurrence carries a one-ulp change of its start value to
+        # 2.3e-14 at (n, k) = (472, 28), delta = 1, where both paths are
+        # within 1.3e-14 of 60-digit mpmath
+        reference = gammaln_factorials(overlap_matrix, 600, delta)
+        assert_allclose(overlap_matrix(600, delta), reference, rtol=0, atol=3e-14)
 
 
 class TestOverlapMatrix:

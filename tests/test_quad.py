@@ -4,17 +4,17 @@ import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy import integrate
 from scipy.special import kv
 
+from _reference import p_reference, sqrt_singular_integral, z_reference
 from trapscatter import (
     ConvergenceError,
     QuadSpec,
     diffraction_z_integral,
     p_kernel,
     polylog3,
-    sqrt_singular_integral,
 )
+from trapscatter.quad import _SERIES_Z, _k2_scaled, _li2_excess
 
 
 class TestPolylog3:
@@ -39,28 +39,21 @@ class TestPolylog3:
             polylog3(x)
 
 
-def _p_reference(a, b):
-    # relative tolerance only: P(60, 60) ~ 2e-53
-    def integrand(z):
-        if z + max(a, b) > 600.0:
-            return 0.0
-        return z / (math.expm1(z + a) * math.expm1(z + b))
-
-    v1, _ = integrate.quad(integrand, 0, 1, limit=300, epsabs=0.0, epsrel=1e-12)
-    v2, _ = integrate.quad(integrand, 1, np.inf, limit=300, epsabs=0.0, epsrel=1e-12)
-    return v1 + v2
-
-
-def _z_reference(delta, mu):
-    # int_0^inf u e^{-u - beta/u} du by adaptive quadrature, split at u = 1
-    beta = -delta * delta * mu / 2.0
-
-    def integrand(u):
-        return u * math.exp(-u - beta / u) if u > 0.0 else 0.0
-
-    v1, _ = integrate.quad(integrand, 0, 1, limit=300, epsabs=0.0, epsrel=1e-13)
-    v2, _ = integrate.quad(integrand, 1, np.inf, limit=300, epsabs=0.0, epsrel=1e-13)
-    return v1 + v2
+class TestLi2Excess:
+    def test_against_mpmath(self):
+        # M(z) = (Li2(z) - z)/z at z = e^{-x}: x = 0 and both branch edges,
+        # x = 1 and z = _SERIES_Z, from either side
+        edges = [1.0, -math.log(_SERIES_Z)]
+        x = np.concatenate([
+            np.geomspace(1e-10, 60.0, 2000), [0.0],
+            edges, np.nextafter(edges, 0.0), np.nextafter(edges, 100.0),
+        ])
+        with mpmath.workdps(40):
+            reference = []
+            for xi in x:
+                z = mpmath.exp(-mpmath.mpf(float(xi)))
+                reference.append(float((mpmath.polylog(2, z) - z) / z))
+        assert_allclose(_li2_excess(x), reference, rtol=1e-13, atol=0.0)
 
 
 class TestPKernel:
@@ -75,17 +68,17 @@ class TestPKernel:
         "a,b", [(0.0, 1.0), (0.3, 1.7), (0.01, 0.01), (1e-5, 2.0), (3.0, 0.2), (1e-6, 1e-6)]
     )
     def test_against_adaptive_reference(self, a, b):
-        assert_allclose(p_kernel(a, b), _p_reference(a, b), rtol=1e-9)
+        assert_allclose(p_kernel(a, b), p_reference(a, b), rtol=1e-9)
 
     @pytest.mark.parametrize("base", [1.5, 3.0])
     @pytest.mark.parametrize("gap", [0.0, 1e-12, 1e-9, 0.9e-5, 1.1e-5, 1e-3, 0.99e-2, 1.01e-2])
     def test_near_diagonal_precision(self, base, gap):
         # both sides of the midpoint-expansion switch at gap = 1e-2 min(m, 1)
-        assert_allclose(p_kernel(base, base + gap), _p_reference(base, base + gap), rtol=1e-9)
+        assert_allclose(p_kernel(base, base + gap), p_reference(base, base + gap), rtol=1e-9)
 
     @pytest.mark.parametrize("a", [1e-6, 60.0])
     def test_diagonal_extremes(self, a):
-        assert_allclose(p_kernel(a, a), _p_reference(a, a), rtol=1e-9)
+        assert_allclose(p_kernel(a, a), p_reference(a, a), rtol=1e-9)
 
     def test_array_input_matches_scalar(self):
         a = np.array([[1e-6], [0.3], [7.0], [60.0]])
@@ -139,7 +132,7 @@ class TestDiffractionZIntegral:
         beta = -delta * delta * mu / 2.0
         reference = 2.0 * beta * kv(2, 2.0 * math.sqrt(beta))
         assert_allclose(diffraction_z_integral(delta, mu), reference, rtol=1e-11)
-        assert_allclose(diffraction_z_integral(delta, mu), _z_reference(delta, mu), rtol=1e-11)
+        assert_allclose(diffraction_z_integral(delta, mu), z_reference(delta, mu), rtol=1e-11)
 
     def test_unit_bessel_argument(self):
         # delta sqrt(-2 mu) = 1 <=> beta = 1/4
@@ -147,6 +140,24 @@ class TestDiffractionZIntegral:
         assert math.isclose(delta * math.sqrt(-2 * mu), 1.0)
         reference = 0.5 * kv(2, 1.0)
         assert_allclose(diffraction_z_integral(delta, mu), reference, rtol=1e-11)
+
+    def test_against_mpmath(self):
+        # x = 2 sqrt(beta) over the range the cutoff rule is built for;
+        # below beta = 1e-16 the factor is exactly 1 (test_unit_at_zero_mu)
+        x = np.geomspace(2e-8, 200.0, 400)
+        with mpmath.workdps(40):
+            for xi in x:
+                mu = -0.5 * xi * xi
+                beta = mpmath.mpf(-mu) / 2
+                reference = float(2 * beta * mpmath.besselk(2, 2 * mpmath.sqrt(beta)))
+                assert_allclose(diffraction_z_integral(1.0, mu), reference, rtol=2e-13)
+
+    def test_scaled_bessel_against_mpmath(self):
+        # e^x K2(x) up to x = 2000, where K2 itself underflows
+        with mpmath.workdps(40):
+            for xi in np.geomspace(2e-8, 2000.0, 400):
+                reference = float(mpmath.besselk(2, xi) * mpmath.exp(xi))
+                assert_allclose(_k2_scaled(float(xi)), reference, rtol=2e-13)
 
     def test_strong_suppression(self):
         assert diffraction_z_integral(2.0, -5000.0) < 1e-30

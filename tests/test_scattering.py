@@ -1,8 +1,11 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from _reference import bose_0m_total_quadrature, diffraction_total_excited_quadrature, pair_shape_adaptive
 from trapscatter import (
     CHANNELS,
     ConvergenceError,
@@ -199,6 +202,16 @@ class TestBose0m:
         assert bose_0m_total(empty, Kinematics(100.0)) == 0.0
 
 
+class TestClosedFormTotals:
+    @pytest.mark.parametrize("n,ratio", [(1_000, 0.3), (10_000, 0.7), (100_000, 0.95)])
+    def test_against_quadrature(self, n, ratio):
+        ens = TrapEnsemble.at_ratio(n, ratio)
+        kin = Kinematics(1000.0)
+        assert_allclose(diffraction_total_excited(ens, kin),
+                        diffraction_total_excited_quadrature(ens, kin), rtol=1e-13)
+        assert_allclose(bose_0m_total_numeric(ens, kin), bose_0m_total_quadrature(ens, kin), rtol=1e-13)
+
+
 class TestExcitedPairShape:
     def test_order_one_at_small_a(self):
         assert_allclose(excited_pair_shape(1e-3), 0.2207409, rtol=1e-4)
@@ -219,9 +232,7 @@ class TestExcitedPairShape:
 
     @pytest.mark.parametrize("a", [0.01, 1.0, 8.0])
     def test_adaptive_route_agrees(self, a):
-        fixed = excited_pair_shape(a, method="fixed")
-        adaptive = excited_pair_shape(a, method="adaptive")
-        assert_allclose(fixed, adaptive, rtol=1e-4)
+        assert_allclose(excited_pair_shape(a), pair_shape_adaptive(a), rtol=1e-4)
 
     def test_grid_interpolation_quality(self):
         table = _shape_table()
@@ -236,8 +247,6 @@ class TestExcitedPairShape:
             excited_pair_shape(0.0)
         with pytest.raises(ValueError):
             excited_pair_shape(1.0, nu=-0.1)
-        with pytest.raises(ValueError):
-            excited_pair_shape(1.0, method="nope")
 
 
 class TestBoseMm:
@@ -260,7 +269,7 @@ class TestBoseMm:
         a = 0.5 / t
         row = decompose(ens, Kinematics(1000.0, 1.0)).bose_mm / t**3
         assert_allclose(row, excited_pair_shape(a, nu), rtol=1e-12)
-        assert_allclose(row, excited_pair_shape(a, nu, method="adaptive"), rtol=1e-4)
+        assert_allclose(row, pair_shape_adaptive(a, nu), rtol=1e-4)
 
     def test_envelope_bound(self):
         # rate <= Ne e^{-a/4} with Ne the saturated cloud zeta(3) T^3:
@@ -383,3 +392,24 @@ class TestDecompose:
         ens = TrapEnsemble.at_ratio(1000, 0.7)
         with pytest.raises(ValueError):
             decompose(ens, Kinematics(100.0, 0.0))
+
+
+class TestDecomposeProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(10, 1_000_000), st.floats(0.1, 3.0), st.floats(0.05, 30.0))
+    def test_channels_non_negative_and_summed(self, n, ratio, delta):
+        bd = decompose(TrapEnsemble.at_ratio(n, ratio), Kinematics(1000.0, delta))
+        assert all(bd.channel(c) >= 0.0 for c in CHANNELS)
+        assert bd.total == bd.rayleigh + bd.diffraction + bd.bose_0m + bd.bose_mm
+        assert bd.errors == {}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(10, 1_000_000), st.floats(0.1, 3.0),
+           st.floats(0.05, 30.0), st.floats(0.05, 30.0))
+    def test_bose_0m_decreasing(self, n, ratio, d1, d2):
+        lo, hi = sorted((d1, d2))
+        assume(hi > lo * (1.0 + 1e-9))
+        ens = TrapEnsemble.at_ratio(n, ratio)
+        near, far = bose_0m_differential(ens, lo), bose_0m_differential(ens, hi)
+        # strict wherever the farther rate has not underflowed to 0
+        assert near > far if far > 0.0 else near >= far

@@ -111,6 +111,17 @@ class TestChemicalPotential:
             population = occupation(0.0, mu, t) + excited_count(t, mu)
             assert_allclose(population, n, rtol=1e-9)
 
+    @pytest.mark.parametrize("ratio", [5.0, 10.0, 30.0, 100.0])
+    def test_number_equation_in_classical_regime(self, ratio):
+        # |mu|/T above 4.5: the 1e-15 T tolerance is below one ulp of mu,
+        # so the bisection must stop on an unsplittable bracket
+        n = 10_000
+        t = ratio * critical_temperature(n)
+        mu = chemical_potential(n, t)
+        assert mu / t < -4.5
+        population = occupation(0.0, mu, t) + excited_count(t, mu)
+        assert_allclose(population, n, rtol=1e-12)
+
     def test_ground_occupation_matches_condensate(self):
         n = 10_000
         tc = critical_temperature(n)

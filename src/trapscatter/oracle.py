@@ -6,15 +6,21 @@ occupations, and channel rates assembled from exact 1D matrix elements.
 
 Separability makes the sums tractable.  With delta along x, a pair of 3D
 states couples only if it shares (my, mz), so every channel reduces to 1D
-sums against projected thermal weights::
+sums over q = my + mz, the 2D transverse spectrum with multiplicity q + 1.
+The diagonal channels read the projected weights
 
-    W(mx)        = sum_q (q+1) <n_{mx+q}>          (single projection)
-    PW(mx, mx')  = sum_q (q+1) <n_{mx+q}> <n_{mx'+q}>   (pair projection)
+    W(mx) = sum_q (q+1) <n_{mx+q}> .
 
-where q = my + mz runs over the 2D transverse spectrum with multiplicity
-q + 1.  PW does not depend on delta: it is the Gram product S^T S of the
-scaled Hankel matrix S[q, mx] = sqrt(q+1) <n_{q+mx}> (zero past the
-truncation), one BLAS call, built once per ensemble.
+The pair (mx, mx + k) at transverse level q joins the 3D levels i = mx + q
+and i + k, so summing over mx <= i first,
+
+    bose_mm = 2 sum_{i>=1} sum_{k>=1} <n_i> <n_{i+k}> C[i, k],
+    C[i, k] = sum_{mx<=i} (i - mx + 1) |<mx|e^{i delta x}|mx+k>|^2 ,
+
+two running sums down the columns of the squared overlap band.  Row i = 0
+holds exactly the ground<->(m,0,0) pairs of bose_0m and is left out, so
+every term is non-negative and nothing is subtracted.  Each delta costs
+O(epsilon_max^2).
 
 The occupation-product form uses <n_i n_f> ~ <n_i><n_f>; the corrections
 are O(1/N) after thermal averaging, so this module is the oracle for the
@@ -25,12 +31,11 @@ the ground<->excited channel.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import oscillator
-from .errors import PrecisionLossError, TruncationError
+from .errors import TruncationError
 from .scattering import RateBreakdown
 from .thermo import _bisect_increasing, critical_temperature
 
@@ -60,13 +65,6 @@ class DiscreteEnsemble:
     @property
     def n0_exact(self):
         return float(self.occupations[0])
-
-    @cached_property
-    def pair_weights(self):
-        """PW(mx, mx'), independent of delta; built on first use, then shared read-only."""
-        pw = _projected_pair_weights(self.occupations)
-        pw.setflags(write=False)
-        return pw
 
 
 def _default_epsilon_max(n_total, temperature):
@@ -163,19 +161,10 @@ def _projected_weights(occ):
     return rev2 - (mx - 1.0) * rev1
 
 
-def _projected_pair_weights(occ):
-    """PW(mx, mx') = sum_q (q+1) occ[mx+q] occ[mx'+q] as S^T S; occ[q+mx] is a view."""
-    size = occ.size
-    hankel = np.lib.stride_tricks.sliding_window_view(np.concatenate([occ, np.zeros(size - 1)]), size)
-    s = np.sqrt(np.arange(1.0, size + 1.0))[:, None] * hankel
-    return s.T @ s
-
-
 def exact_breakdown(ens, delta):
     """All four channels from direct sums over the discrete spectrum.
 
     delta = 0 degenerates cleanly: diffraction N^2, Bose channels 0.
-    A bose_mm negative beyond rounding raises PrecisionLossError.
     """
     if delta < 0:
         raise ValueError("delta must be >= 0")
@@ -193,23 +182,19 @@ def exact_breakdown(ens, delta):
         total_occ = float(np.sum(w))
         return RateBreakdown.build(n, total_occ**2, 0.0, 0.0)
 
-    amp_diag = oscillator.diagonal_amplitude_column(emax, delta)
-    f_col = oscillator.ground_overlap_column(emax, delta)
-    g = oscillator.overlap_matrix(emax, delta)
-
-    diffraction = float(np.dot(amp_diag, w)) ** 2
+    band = oscillator.overlap_band(emax, delta)
+    # a contiguous copy: the strided column would be summed in another order
+    diffraction = float(np.dot(band[:, 0].copy(), w)) ** 2
+    sq = np.square(band, out=band)
     n0 = float(occ[0])
-    bose_0m = 2.0 * n0 * float(np.dot(occ[1:], f_col[1:]))
+    bose_0m = 2.0 * n0 * float(np.dot(occ[1:], sq[0, 1:]))
 
-    # sum the off-diagonal pairs directly, not as a total minus a nearly equal diagonal
-    np.fill_diagonal(g, 0.0)
-    offdiag = float(np.vdot(g, ens.pair_weights))
-    # remove the ground<->(m,0,0) pairs already counted in bose_0m
-    bose_mm = offdiag - bose_0m
-    if bose_mm < -1e-12 * offdiag:
-        raise PrecisionLossError(f"bose_mm = {bose_mm:.3e} < 0 beyond rounding of {offdiag:.3e}")
+    # C of the module docstring; row i = 0 is the ground pairs already in bose_0m
+    pair = np.cumsum(np.cumsum(sq, axis=0, out=sq), axis=0, out=sq)
+    hankel = np.lib.stride_tricks.sliding_window_view(np.concatenate([occ, np.zeros(emax)]), emax + 1)
+    bose_mm = 2.0 * float(np.einsum("i,ik,ik->", occ[1:], hankel[1:, 1:], pair[1:, 1:]))
 
-    return RateBreakdown.build(n, diffraction, bose_0m, max(bose_mm, 0.0))
+    return RateBreakdown.build(n, diffraction, bose_0m, bose_mm)
 
 
 @dataclass(frozen=True)

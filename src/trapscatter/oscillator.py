@@ -40,6 +40,7 @@ __all__ = [
     "overlap_wkb",
     "ground_overlap_column",
     "diagonal_amplitude_column",
+    "overlap_band",
     "overlap_matrix",
 ]
 
@@ -152,36 +153,48 @@ def diagonal_amplitude_column(m_max, delta):
     return out
 
 
-def overlap_matrix(m_max, delta):
-    """Dense matrix of exact squared elements for all m, m' <= m_max.
+def overlap_band(m_max, delta):
+    """Signed amplitudes band[n, k] = A_n(k) for the level pairs (n, n+k), n + k <= m_max.
 
     Runs the scaled recurrence for every offset k at once (vectorized over
-    k, sequential in n), filling both symmetric diagonals per step.  Cost
-    is O(m_max^2).
+    k, sequential in n); row n holds the m_max + 1 - n pairs that start at
+    level n and is 0 beyond them.  Cost is O(m_max^2).
     """
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
     x = 0.5 * delta * delta
     size = m_max + 1
+    band = np.zeros((size, size))
     if x == 0.0:
-        return np.eye(size)
+        band[:, 0] = 1.0
+        return band
     ks = np.arange(size, dtype=float)
-    a_prev = np.zeros(size)
-    a = np.exp(-0.5 * x + 0.5 * ks * math.log(x) - 0.5 * _log_factorials(size))
-    amp = np.zeros((size, size))
-    for n in range(size):
-        width = size - n
-        amp[n, n:] = a[:width]
-        amp[n:, n] = a[:width]
-        if width == 1:
-            break
-        a_next = ((2 * n + ks + 1 - x) * a - np.sqrt(n * (n + ks)) * a_prev) / np.sqrt(
-            (n + 1) * (n + ks + 1)
-        )
-        a_prev, a = a, a_next
-    peak = float(np.max(np.abs(amp)))
-    if peak > _AMPLITUDE_BOUND or not np.all(np.isfinite(amp)):
+    band[0] = np.exp(-0.5 * x + 0.5 * ks * math.log(x) - 0.5 * _log_factorials(size))
+    band[0, 0] = math.exp(-0.5 * x)  # so column 0 is diagonal_amplitude_column bit for bit
+    levels = np.arange(2.0 * size)
+    lin = levels[1:] - x  # lin[2n + k] = 2n + k + 1 - x
+    # sqrt(n (n + k)) is 0 at n = 0, where band[n - 1] is the still-empty last row
+    root_prev = np.zeros(size)
+    for n in range(size - 1):
+        w = size - n - 1
+        root = np.sqrt((n + 1) * levels[n + 1:n + 1 + w])  # sqrt((n + 1)(n + k + 1))
+        row = band[n + 1, :w]
+        np.multiply(lin[2 * n:2 * n + w], band[n, :w], out=row)
+        row -= root_prev[:w] * band[n - 1, :w]
+        row /= root
+        root_prev = root
+    # comparisons with nan are false, so nan fails too
+    if not (band.max() <= _AMPLITUDE_BOUND and band.min() >= -_AMPLITUDE_BOUND):
         raise PrecisionLossError(
-            f"overlap matrix recurrence unstable at m_max={m_max}, delta={delta:g}"
+            f"overlap recurrence unstable at m_max={m_max}, delta={delta:g}"
         )
-    return amp * amp
+    return band
+
+
+def overlap_matrix(m_max, delta):
+    """Dense symmetric matrix of exact squared elements for all m, m' <= m_max."""
+    band = overlap_band(m_max, delta)
+    rows, cols = np.triu_indices(m_max + 1)
+    g = np.zeros_like(band)
+    g[rows, cols] = g[cols, rows] = band[rows, cols - rows] ** 2
+    return g

@@ -1,7 +1,9 @@
 """Adaptive-quadrature references for the closed forms and the fixed-rule nest.
 
 They reuse only the program's scalar pair kernel and the differential rate
-they integrate; they are slow and exist only to validate the program.
+they integrate; they are slow and exist only to validate the program.  The
+dense overlap recurrence at the end is the earlier form of the band
+recurrence, kept to pin the band's bits.
 """
 
 import math
@@ -10,6 +12,7 @@ import numpy as np
 from scipy import integrate
 
 from trapscatter import DEFAULT_SPEC, ConvergenceError, QuadSpec, bose_0m_differential, p_kernel
+from trapscatter.oscillator import _log_factorials
 
 
 def quad_or_raise(f, a, b, spec, context):
@@ -117,3 +120,32 @@ def z_reference(delta, mu):
     v1, _ = integrate.quad(integrand, 0, 1, limit=300, epsabs=0.0, epsrel=1e-13)
     v2, _ = integrate.quad(integrand, 1, np.inf, limit=300, epsabs=0.0, epsrel=1e-13)
     return v1 + v2
+
+
+def overlap_matrix_dense(m_max, delta):
+    """The dense squared-element matrix as one recurrence over all offsets k.
+
+    Steps every k at once and writes both symmetric diagonals per level n,
+    the form `oscillator.overlap_matrix` had before it became the scatter
+    of `overlap_band`; the band's squared off-diagonal pairs must reproduce
+    it bit for bit.
+    """
+    x = 0.5 * delta * delta
+    size = m_max + 1
+    if x == 0.0:
+        return np.eye(size)
+    ks = np.arange(size, dtype=float)
+    a_prev = np.zeros(size)
+    a = np.exp(-0.5 * x + 0.5 * ks * math.log(x) - 0.5 * _log_factorials(size))
+    amp = np.zeros((size, size))
+    for n in range(size):
+        width = size - n
+        amp[n, n:] = a[:width]
+        amp[n:, n] = a[:width]
+        if width == 1:
+            break
+        a_next = ((2 * n + ks + 1 - x) * a - np.sqrt(n * (n + ks)) * a_prev) / np.sqrt(
+            (n + 1) * (n + ks + 1)
+        )
+        a_prev, a = a, a_next
+    return amp * amp

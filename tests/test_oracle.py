@@ -2,35 +2,44 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from trapscatter import (
     DiscreteEnsemble,
-    PrecisionLossError,
     TruncationError,
     condensate_count,
     critical_temperature,
     exact_breakdown,
-    oracle,
-    oscillator,
     scaling_probe,
     solve_mu_discrete,
 )
-from trapscatter.oracle import _boltzmann_tail, _projected_pair_weights, _projected_weights
-from trapscatter.oscillator import diagonal_amplitude_column, ground_overlap_column, overlap_matrix
+from trapscatter.oracle import _boltzmann_tail, _projected_weights
+from trapscatter.oscillator import diagonal_amplitude_column, overlap_matrix
 from trapscatter.thermo import degeneracy, occupation
 
 
-def _pair_weights_loop(occ):
-    """Reference PW: one rank-one update per transverse level q."""
+def _pair_weights_loop(occ, skip_ground=False):
+    """Reference PW(mx, mx') = sum_q (q+1) occ[mx+q] occ[mx'+q], one rank-one update per q.
+
+    skip_ground leaves out the q = 0 pairs with a level-0 end: the
+    ground<->(m,0,0) pairs that bose_0m counts.
+    """
     size = occ.size
     pw = np.zeros((size, size))
     for q in range(size):
         tail = occ[q:]
-        pw[: size - q, : size - q] += (q + 1.0) * np.outer(tail, tail)
+        update = (q + 1.0) * np.outer(tail, tail)
+        if skip_ground and q == 0:
+            update[0, :] = update[:, 0] = 0.0
+        pw[: size - q, : size - q] += update
     return pw
+
+
+def _bose_mm_reference(ens, delta):
+    """Exactly rounded sum over m != m' of g[m, m'] PW[m, m'], ground pairs never added."""
+    g = overlap_matrix(ens.epsilon_max, delta)
+    np.fill_diagonal(g, 0.0)
+    return math.fsum((g * _pair_weights_loop(ens.occupations, skip_ground=True)).ravel())
 
 
 @pytest.fixture(scope="module")
@@ -101,50 +110,18 @@ class TestProjectedWeights:
             assert_allclose(w[mx], brute, rtol=1e-14)
 
     def test_pair_projection_brute_force(self):
+        # the reference pair weights of the bose_mm sums below
         occ = np.array([2.0, 1.0, 0.5, 0.25])
-        pw = _projected_pair_weights(occ)
+        pw = _pair_weights_loop(occ)
+        no_ground = _pair_weights_loop(occ, skip_ground=True)
         for m1 in range(4):
             for m2 in range(4):
-                brute = sum(
-                    (q + 1) * occ[m1 + q] * occ[m2 + q] for q in range(4 - max(m1, m2))
-                )
+                qs = range(4 - max(m1, m2))
+                brute = sum((q + 1) * occ[m1 + q] * occ[m2 + q] for q in qs)
                 assert_allclose(pw[m1, m2], brute, rtol=1e-14)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.one_of(st.just(0.0), st.floats(1e-150, 1e6)), min_size=1, max_size=64))
-    def test_gram_product_matches_loop(self, values):
-        occ = np.array(values)
-        gram = _projected_pair_weights(occ)
-        loop = _pair_weights_loop(occ)
-        assert_allclose(gram, loop, rtol=1e-13, atol=0)
-        assert np.array_equal(gram == 0.0, loop == 0.0)
-
-    def test_gram_product_on_large_ensemble(self, discrete_1e5_07):
-        occ = discrete_1e5_07.occupations
-        assert discrete_1e5_07.epsilon_max == 543
-        gram = _projected_pair_weights(occ)
-        loop = _pair_weights_loop(occ)
-        assert_allclose(gram, loop, rtol=1e-13, atol=0)
-        assert np.array_equal(gram == 0.0, loop == 0.0)
-
-    def test_pair_weights_built_once_per_ensemble(self, monkeypatch):
-        calls = []
-
-        def counted(occ):
-            calls.append(occ.size)
-            return _projected_pair_weights(occ)
-
-        monkeypatch.setattr(oracle, "_projected_pair_weights", counted)
-        t = 0.6 * critical_temperature(500)
-        ens = solve_mu_discrete(500, t)
-        exact_breakdown(ens, 0.0)
-        assert calls == []  # delta = 0 needs no pair weights
-        deltas = (0.4, 1.3, 3.0)
-        shared = [exact_breakdown(ens, delta) for delta in deltas]
-        assert calls == [ens.epsilon_max + 1]
-        assert not ens.pair_weights.flags.writeable
-        fresh = [exact_breakdown(solve_mu_discrete(500, t), delta) for delta in deltas]
-        assert shared == fresh
+                brute = sum((q + 1) * occ[m1 + q] * occ[m2 + q] for q in qs
+                            if q > 0 or min(m1, m2) > 0)
+                assert_allclose(no_ground[m1, m2], brute, rtol=1e-14)
 
     def test_weights_sum_to_population(self):
         ens = solve_mu_discrete(300, 4.0)
@@ -216,25 +193,16 @@ class TestExactBreakdown:
         assert max(ratios) / min(ratios) - 1.0 < 1e-6, ratios
 
     def test_bose_mm_against_exactly_rounded_sums(self):
-        # cold ensemble: the off-diagonal sum is 700 times bose_mm
+        # cold ensemble: the ground pairs are 700 times bose_mm, so a total
+        # minus bose_0m would keep only the last digits
         ens = solve_mu_discrete(10_000, 0.2 * critical_temperature(10_000))
-        emax = ens.epsilon_max
-        occ = ens.occupations
-        g = overlap_matrix(emax, 1.0)
-        off = ~np.eye(emax + 1, dtype=bool)
-        f_col = ground_overlap_column(emax, 1.0)
-        reference = (math.fsum((g * _pair_weights_loop(occ))[off])
-                     - math.fsum(2.0 * occ[0] * occ[1:] * f_col[1:]))
-        assert_allclose(exact_breakdown(ens, 1.0).bose_mm, reference, rtol=1e-12)
+        assert_allclose(exact_breakdown(ens, 1.0).bose_mm, _bose_mm_reference(ens, 1.0), rtol=1e-14)
 
-    def test_negative_bose_mm_raises(self, monkeypatch):
-        # a bose_0m larger than every off-diagonal pair together is a fault,
-        # not a rate to clamp to zero
-        column = oscillator.ground_overlap_column
-        monkeypatch.setattr(oscillator, "ground_overlap_column", lambda m, d: 10.0 * column(m, d))
-        ens = solve_mu_discrete(500, 0.5 * critical_temperature(500))
-        with pytest.raises(PrecisionLossError):
-            exact_breakdown(ens, 1.0)
+    @pytest.mark.parametrize("ratio,delta", [(r, d) for r in (0.05, 0.1, 0.2, 0.7) for d in (0.3, 1.0)
+                                             if (r, d) != (0.2, 1.0)])  # (0.2, 1) is the test above
+    def test_bose_mm_against_subtraction_free_sum(self, ratio, delta):
+        ens = solve_mu_discrete(10_000, ratio * critical_temperature(10_000))
+        assert_allclose(exact_breakdown(ens, delta).bose_mm, _bose_mm_reference(ens, delta), rtol=1e-14)
 
     def test_semiclassical_band_at_small_n(self):
         # N = 200, T = 0.6 Tc: the continuum ground<->excited formula is

@@ -3,17 +3,26 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import gammaln
 
-from _reference import sqrt_singular_integral
-from trapscatter import oscillator, overlap_exact, overlap_ground_exact, overlap_wkb
+from _reference import overlap_matrix_dense, sqrt_singular_integral
+from trapscatter import PrecisionLossError, oscillator, overlap_exact, overlap_ground_exact, overlap_wkb
 from trapscatter.oscillator import (
     _amplitude,
     diagonal_amplitude_column,
     ground_overlap_column,
+    overlap_band,
     overlap_matrix,
 )
+
+
+def _mpmath_amplitude(n, k, xm):
+    """Signed A_n(k) = e^{-x/2} x^{k/2} sqrt(n!/(n+k)!) L_n^(k)(x) at the working precision."""
+    return (mpmath.exp(-xm / 2) * xm ** (mpmath.mpf(k) / 2)
+            * mpmath.sqrt(mpmath.factorial(n) / mpmath.factorial(n + k)) * mpmath.laguerre(n, k, xm))
 
 
 class TestGroundOverlap:
@@ -175,6 +184,64 @@ class TestOverlapMatrix:
                     assert abs(value / float(exact) - 1.0) < 1e-11, (n, k)
                     forbidden_checked += 1
         assert forbidden_checked > 100
+
+
+class TestOverlapBand:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 300), st.floats(0.05, 12.0))
+    def test_squares_match_overlap_matrix(self, m_max, delta):
+        # bit for bit: overlap_matrix is the band's symmetric scatter, column 0
+        # is diagonal_amplitude_column, and every off-diagonal square is the
+        # dense all-offset recurrence's
+        band = overlap_band(m_max, delta)
+        n, k = np.divmod(np.arange(band.size), m_max + 1)
+        inside = n + k <= m_max
+        assert np.all(band.ravel()[~inside] == 0.0)
+        assert np.array_equal(band[:, 0], diagonal_amplitude_column(m_max, delta))
+        n, k = n[inside], k[inside]
+        squares = band[n, k] ** 2
+        g = overlap_matrix(m_max, delta)
+        assert np.array_equal(g[n, n + k], squares) and np.array_equal(g, g.T)
+        pairs = k > 0
+        assert np.array_equal(overlap_matrix_dense(m_max, delta)[n, n + k][pairs], squares[pairs])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 120), st.floats(0.1, 8.0))
+    def test_row_unitarity(self, top, delta):
+        # row n pairs with n + k through band[n, k] and with n - k through
+        # band[n - k, k]; the pad reaches twice the upper turning offset
+        x = 0.5 * delta * delta
+        pad = math.ceil(2.0 * (x + 2.0 * math.sqrt(top * x)) + 40.0)
+        sq = overlap_band(top + pad, delta) ** 2
+        for n in range(top + 1):
+            k = np.arange(1, n + 1)
+            assert abs(sq[n].sum() + sq[n - k, k].sum() - 1.0) < 1e-10, n
+
+    @pytest.mark.parametrize("delta", [0.3, 0.5])
+    def test_level_600_against_mpmath_laguerre(self, delta):
+        # below delta = 1 the upward recurrence is nearly degenerate
+        # (A_{n+1} ~ 2 A_n - A_{n-1}) and loses the most: every 6th level,
+        # k through twice the upper turning offset x + 2 sqrt(n x)
+        m_max = 600
+        x = 0.5 * delta * delta
+        band = overlap_band(m_max, delta)
+        worst = 0.0
+        with mpmath.workdps(60):
+            xm = mpmath.mpf(delta) ** 2 / 2
+            for n in range(0, m_max + 1, 6):
+                edge = x + 2.0 * math.sqrt(n * x)
+                for k in range(min(m_max - n, math.ceil(2.0 * edge) + 3) + 1):
+                    worst = max(worst, abs(band[n, k] - float(_mpmath_amplitude(n, k, xm))))
+        assert worst < 1e-12, worst
+
+    def test_validation(self, monkeypatch):
+        with pytest.raises(ValueError):
+            overlap_band(-1, 1.0)
+        with pytest.raises(PrecisionLossError):
+            overlap_band(10, math.nan)
+        monkeypatch.setattr(oscillator, "_AMPLITUDE_BOUND", 0.5)
+        with pytest.raises(PrecisionLossError):
+            overlap_band(10, 1.0)
 
 
 class TestGroundTransitionWeight:

@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .errors import ConfigError, ConvergenceError, PrecisionLossError, TruncationError
 from .oscillator import overlap_exact, overlap_ground_exact, overlap_wkb
-from .quad import DEFAULT_SPEC, QuadSpec, diffraction_z_integral, p_kernel, polylog3
+from .quad import diffraction_z_integral, p_kernel, polylog3
 from .scattering import (
     CHANNELS,
     Kinematics,
@@ -42,8 +42,6 @@ __all__ = [
     "__version__",
     "CHANNELS",
     "ZETA3",
-    "DEFAULT_SPEC",
-    "QuadSpec",
     "TrapEnsemble",
     "DiscreteEnsemble",
     "Kinematics",

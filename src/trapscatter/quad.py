@@ -11,47 +11,30 @@ and the diffraction z-integral
 
 The kernel and the z-integral are closed forms (dilogarithm and Bessel K),
 evaluated with numpy alone: the dilogarithm by series, K2 by an
-exponentially convergent trapezoid rule; no scipy is imported.  The only
-other quadrature here is the convergence ladder that the shape function of
-`scattering` runs.  All are deterministic: identical inputs give
-bit-identical outputs.
+exponentially convergent trapezoid rule; no scipy is imported.  The
+kernel of the shape function of `scattering`,
+
+    G(a, b) = sum_{n, m >= 1} e^{-n a - m b} / (n + m)^{5/2},
+
+is the same closed form with Li_{5/2} in place of Li2, whose expansion
+uses hard-coded zeta(5/2 - k).  All are deterministic: identical inputs
+give bit-identical outputs.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
-
 __all__ = [
-    "QuadSpec",
-    "DEFAULT_SPEC",
     "polylog3",
     "p_kernel",
+    "g_kernel",
     "diffraction_z_integral",
 ]
 
 ZETA3 = 1.2020569031595943
 ZETA2 = 1.6449340668482264
 
-
-@dataclass(frozen=True)
-class QuadSpec:
-    """Tolerances and budget for the quadrature kernels."""
-
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions <= 0:
-            raise ValueError("max_subdivisions must be positive")
-
-
-DEFAULT_SPEC = QuadSpec()
 
 _LEGGAUSS_CACHE = {}
 
@@ -96,17 +79,6 @@ def polylog3(x):
     for j in range(3, 15):
         s += _NEG_ZETA[j - 3] * (-y) ** j / _FACTORIALS[j]
     return float(s)
-
-
-def _converge(evaluate, rungs, rel_tol, abs_tol, context):
-    """Run `evaluate(rung)` over increasing resolutions until two consecutive agree."""
-    prev = None
-    for rung in rungs:
-        cur = evaluate(rung)
-        if prev is not None and abs(cur - prev) <= max(abs_tol, rel_tol * abs(cur)):
-            return cur
-        prev = cur
-    raise ConvergenceError(f"{context}: quadrature did not converge within budget")
 
 
 # Below this z = e^{-a} the dilogarithm forms lose digits to cancellation
@@ -222,6 +194,117 @@ def p_kernel(a, b):
     if np.any(near):
         value[near] = _midpoint_expansion(mid[near], gap[near], excess[a.size + b.size:])
     return float(value) if value.ndim == 0 else value
+
+
+# zeta(5/2 - k) for k = 0..25, the values of 40-digit mpmath rounded to
+# double.  Shifted by j they are the coefficients of
+# Li_{5/2-j}(e^{-t}) = (-d/dt)^j Li_{5/2}(e^{-t}).
+_ZETA_HALF = (
+    1.341487257250917, 2.612375348685488, -1.4603545088095868, -0.20788622497735457,
+    -0.025485201889833036, 0.008516928777850331, 0.004441011335479432, -0.0030916692472158338,
+    -0.0026714580198992244, 0.0027467679395368687, 0.00326903957260022, -0.00441603287300489,
+    -0.006672172296466641, 0.011146122473942813, 0.02039697871594279, -0.04057496748119458,
+    -0.08717525590621725, 0.2011740493842269, 0.4962712199120576, -1.303229250705114,
+    -3.629759299774574, 10.687327069021993, 33.168325785694606, -108.21747505877606,
+    -370.3018783754786, 1326.0458117490157,
+)
+
+# For t <= 1, Li_{5/2-j}(e^{-t}) = Gamma(j - 3/2) t^{3/2-j}
+# + sum_k zeta(5/2-j-k) (-t)^k/k! (DLMF 25.12.12), j = 0..5, through k = 19
+# (the next term of Li_{5/2} is below 2e-18).  For t > 1 the power series in
+# z = e^{-t} runs over N = 2..35 (the next term is below 1e-17 relative).
+_HALF_TERMS = 20
+_HALF_SERIES = np.array([[_ZETA_HALF[j + k] / math.factorial(k) for j in range(6)]
+                         for k in range(_HALF_TERMS)])
+_HALF_GAMMA = math.sqrt(math.pi) * np.array([4.0 / 3.0, -2.0, 1.0, 0.5, 0.75, 1.875])
+_HALF_ORDERS = 1.5 - np.arange(6.0)
+_HALF_N = np.arange(2.0, 36.0)
+_HALF_POWER = _HALF_N**-2.5
+# power-series coefficients of the three midpoint terms of `_half_midpoint`
+_HALF_MIDPOINT = np.stack([
+    (_HALF_N - 1.0) * _HALF_N**-2.5,
+    (_HALF_N - 1.0) * (_HALF_N - 2.0) * _HALF_N**-1.5 / 24.0,
+    (3.0 * _HALF_N**4 - 15.0 * _HALF_N**3 + 20.0 * _HALF_N**2 - 8.0) * _HALF_N**-1.5 / 5760.0,
+], axis=1)
+
+# Pairs of G with |a - b| below this fraction of min(m, 1), m their midpoint,
+# take the midpoint expansion through d^4, whose d^6 remainder stays below
+# 1e-14 there; the divided difference beyond keeps 3e-16/|a - b|.
+_HALF_NEAR = 1e-2
+
+
+def _powers(x, n):
+    """Rows x^0 .. x^{n-1}, one per element of the 1-D array x."""
+    out = np.empty((x.size, n))
+    out[:, 0] = 1.0
+    out[:, 1:] = x[:, None]
+    return np.cumprod(out, axis=1, out=out)
+
+
+def _li52_excess(t):
+    """M(z) = (Li_{5/2}(z) - z)/z = sum_{N>=2} z^{N-1}/N^{5/2} at z = e^{-t}, t >= 0.
+
+    The expansion in t for t <= 1, exact at t = 0, and the power series
+    beyond, each on its own elements; every sum is one product of a power
+    table with a coefficient vector.  Relative error below 4e-14 against
+    mpmath, most of it from the cancelling expansion near t = 1.
+    """
+    out = np.empty_like(t)
+    near = t <= 1.0
+    y = t[near]
+    li = _powers(-y, _HALF_TERMS) @ _HALF_SERIES[:, 0] + _HALF_GAMMA[0] * y * np.sqrt(y)
+    out[near] = li * np.exp(y) - 1.0
+    z = np.exp(-t[~near])
+    out[~near] = z * (_powers(z, _HALF_N.size) @ _HALF_POWER)
+    return out
+
+
+def _half_midpoint(m):
+    """Rows (c0, c1, c2) of G(m - d/2, m + d/2) = c0 + c1 d^2 + c2 d^4 + O(d^6).
+
+    The pairs with n + n' = N sum to z^N sinh(u d/2)/sinh(d/2), u = N - 1,
+    z = e^{-m}, which expands as u [1 + (u^2 - 1) d^2/24
+    + (u^2 - 1)(3u^2 - 7) d^4/5760].  Hence c0 = Li_{3/2} - Li_{5/2},
+    c1 = (Li_{-1/2} - 3 Li_{1/2} + 2 Li_{3/2})/24 and
+    c2 = (3 Li_{-5/2} - 15 Li_{-3/2} + 20 Li_{-1/2} - 8 Li_{3/2})/5760,
+    from the expansions in m for m <= 1 and as power series beyond.
+    """
+    out = np.empty((m.size, 3))
+    small = m <= 1.0
+    y = m[small]
+    li = _powers(-y, _HALF_TERMS) @ _HALF_SERIES + _HALF_GAMMA * y[:, None] ** _HALF_ORDERS
+    out[small, 0] = li[:, 1] - li[:, 0]
+    out[small, 1] = (li[:, 3] - 3.0 * li[:, 2] + 2.0 * li[:, 1]) / 24.0
+    out[small, 2] = (3.0 * li[:, 5] - 15.0 * li[:, 4] + 20.0 * li[:, 3] - 8.0 * li[:, 1]) / 5760.0
+    z = np.exp(-m[~small])
+    out[~small] = (z * z)[:, None] * (_powers(z, _HALF_N.size) @ _HALF_MIDPOINT)
+    return out
+
+
+def g_kernel(a, b):
+    """G(a, b) = sum_{n, m >= 1} e^{-n a - m b}/(n + m)^{5/2} for 1-D arrays a, b >= 0.
+
+    The sum over n at fixed n + m is geometric, so as for `p_kernel`
+
+        G(a, b) = |M(e^{-a}) - M(e^{-b})| e^{-min(a, b)} / expm1(|a - b|),
+
+    now with M(z) = (Li_{5/2}(z) - z)/z.  Pairs with |a - b| <
+    _HALF_NEAR min(m, 1), m the midpoint, take the midpoint expansion.
+    Symmetric, positive and decreasing in each argument.
+    """
+    if np.any(a < 0) or np.any(b < 0):
+        raise ValueError("g_kernel arguments must be non-negative")
+    gap = np.abs(a - b)
+    mid = 0.5 * (a + b)
+    near = gap < _HALF_NEAR * np.minimum(mid, 1.0)
+    excess = _li52_excess(np.concatenate([a, b]))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        value = np.abs(excess[:a.size] - excess[a.size:]) * np.exp(-np.minimum(a, b)) / np.expm1(gap)
+    if np.any(near):
+        c = _half_midpoint(mid[near])
+        d2 = gap[near] ** 2
+        value[near] = c[:, 0] + d2 * (c[:, 1] + d2 * c[:, 2])
+    return value
 
 
 def _k2_scaled(x):

@@ -1,18 +1,40 @@
-"""Adaptive-quadrature references for the closed forms and the fixed-rule nest.
+"""Independent references for the closed forms and the shape function.
 
-They reuse only the program's scalar pair kernel and the differential rate
-they integrate; they are slow and exist only to validate the program.  The
+The adaptive quadratures reuse only the program's scalar pair kernel and
+the differential rate they integrate; the shape-function references are the
+double series, a 25-digit mpmath quadrature and the harmonic series of its
+angle integral.  They are slow and exist only to validate the program.  The
 dense overlap recurrence at the end is the earlier form of the band
 recurrence, kept to pin the band's bits.
 """
 
 import math
+from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 from scipy import integrate
 
-from trapscatter import DEFAULT_SPEC, ConvergenceError, QuadSpec, bose_0m_differential, p_kernel
+from trapscatter import ConvergenceError, bose_0m_differential, excited_pair_shape, p_kernel
 from trapscatter.oscillator import _log_factorials
+
+
+@dataclass(frozen=True)
+class QuadSpec:
+    """Tolerances and budget of the adaptive references."""
+
+    rel_tol: float = 1e-8
+    abs_tol: float = 1e-12
+    max_subdivisions: int = 2000
+
+    def __post_init__(self):
+        if self.rel_tol <= 0 or self.abs_tol <= 0:
+            raise ValueError("tolerances must be positive")
+        if self.max_subdivisions <= 0:
+            raise ValueError("max_subdivisions must be positive")
+
+
+DEFAULT_SPEC = QuadSpec()
 
 
 def quad_or_raise(f, a, b, spec, context):
@@ -74,6 +96,81 @@ def pair_shape_adaptive(a, nu=0.0):
 
     outer = quad_or_raise(middle, 0.25 * a, 0.25 * a + 60.0, relaxed, "excited_pair_shape adaptive")
     return outer / math.pi
+
+
+def pair_shape_series(a, nu):
+    """f(a, nu) = (1/2) sum_N e^{-N nu}/N^3 sum_{n=1}^{N-1} e^{-a n (N - n)/N}, for nu >= 0.05.
+
+    Terms stop at N nu = 42, below e^{-42} of the first; summed by fsum.
+    """
+    terms = []
+    for big_n in range(2, int(42.0 / nu) + 2):
+        n = np.arange(1, big_n)
+        terms.append(math.exp(-big_n * nu) / big_n**3 * float(np.sum(np.exp(-a * n * (big_n - n) / big_n))))
+    return 0.5 * math.fsum(terms)
+
+
+def pair_shape_mpmath(a, nu, dps=25):
+    """f(a, nu) by tanh-sinh quadrature of its 1-D form at `dps` digits.
+
+    f = pi^{-1/2} int_0^inf G(nu + (h + r)^2, nu + (h - r)^2) dr, h = sqrt(a)/2,
+    with G(A, B) = e^{-B} [M(B) - M(A)]/expm1(A - B) for A > B and
+    M(t) = e^t Li_{5/2}(e^{-t}) - 1: the expansion in t with mpmath's zeta
+    values up to t = 3/2, the power series beyond.  Breakpoints at r = h,
+    at h +- sqrt(nu) 4^k and at the integers.
+    """
+    with mpmath.workdps(dps + 5):
+        mpf = mpmath.mpf
+        coeffs = [mpmath.zeta(mpf(5) / 2 - k) / mpmath.factorial(k) for k in range(int(1.3 * dps) + 12)]
+        gamma = mpmath.gamma(mpf(-3) / 2)
+        tiny = mpf(10) ** (-dps - 6)
+
+        def excess(t):
+            if t <= 1.5:
+                total = mpf(0)
+                for c in reversed(coeffs):
+                    total = total * -t + c
+                return (total + gamma * t * mpmath.sqrt(t)) * mpmath.exp(t) - 1
+            z = mpmath.exp(-t)
+            total, n, power = mpf(0), 2, z
+            while power > tiny:
+                total += power / mpf(n) ** mpf(2.5)
+                n += 1
+                power *= z
+            return total
+
+        def kernel(r):
+            big, small = nu + (h + r) ** 2, nu + (h - r) ** 2
+            if big < small:
+                big, small = small, big
+            return mpmath.exp(-small) * (excess(small) - excess(big)) / mpmath.expm1(big - small)
+
+        a, nu = mpf(a), mpf(nu)
+        h = mpmath.sqrt(a) / 2
+        points = {mpf(0), h, h + 7}
+        points.update(mpf(k) for k in range(int(h) + 8))
+        step = mpmath.sqrt(nu) if nu > 0 else h
+        while step < 7:
+            points.update(p for p in (h - step, h + step) if p > 0)
+            step *= 4
+        value = mpmath.quad(kernel, sorted(points)) / mpmath.sqrt(mpmath.pi)
+        return float(value)
+
+
+def shape_integral_series(nu):
+    """int_0^inf f(a, nu) da = sum_{N>=2} H_{N-1} e^{-N nu}/N^3; pi^4/360 at nu = 0."""
+    if nu == 0.0:
+        return math.pi**4 / 360.0
+    big_n = np.arange(2.0, 42.0 / nu + 2.0)
+    harmonic = np.cumsum(1.0 / (big_n - 1.0))
+    return math.fsum(harmonic * np.exp(-big_n * nu) / big_n**3)
+
+
+def shape_integral_adaptive(nu):
+    """int_0^inf excited_pair_shape(a, nu) da by adaptive quadrature, split at a = 1."""
+    spec = QuadSpec(rel_tol=1e-13, abs_tol=1e-15)
+    head = quad_or_raise(lambda a: excited_pair_shape(a, nu), 0.0, 1.0, spec, "shape integral head")
+    return head + quad_or_raise(lambda a: excited_pair_shape(a, nu), 1.0, np.inf, spec, "shape integral tail")
 
 
 def diffraction_total_excited_quadrature(ensemble, kin):

@@ -196,7 +196,7 @@ class TestSweepAngle:
         import trapscatter.cli as cli
         from trapscatter.scattering import RateBreakdown
 
-        def broken(ensemble, kin, delta=None, spec=None):
+        def broken(ensemble, kin, delta=None):
             return RateBreakdown.build(
                 float(ensemble.n_total), 0.0, 0.0, 0.0,
                 valid={c: False for c in ("rayleigh", "diffraction", "bose_0m", "bose_mm")},

@@ -6,15 +6,22 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import kv
 
-from _reference import p_reference, sqrt_singular_integral, z_reference
+from _reference import QuadSpec, p_reference, sqrt_singular_integral, z_reference
 from trapscatter import (
     ConvergenceError,
-    QuadSpec,
     diffraction_z_integral,
     p_kernel,
     polylog3,
 )
-from trapscatter.quad import _SERIES_Z, _k2_scaled, _li2_excess
+from trapscatter.quad import (
+    _HALF_NEAR,
+    _SERIES_Z,
+    _ZETA_HALF,
+    _k2_scaled,
+    _li2_excess,
+    _li52_excess,
+    g_kernel,
+)
 
 
 class TestPolylog3:
@@ -54,6 +61,76 @@ class TestLi2Excess:
                 z = mpmath.exp(-mpmath.mpf(float(xi)))
                 reference.append(float((mpmath.polylog(2, z) - z) / z))
         assert_allclose(_li2_excess(x), reference, rtol=1e-13, atol=0.0)
+
+
+def _g_mpmath(a, b):
+    """G(a, b) from mpmath's Li_{5/2} at 40 digits."""
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(float(a)), mpmath.mpf(float(b))
+
+        def excess(t):
+            z = mpmath.exp(-t)
+            return (mpmath.polylog(2.5, z) - z) / z
+
+        if a < b:
+            a, b = b, a
+        return float(mpmath.exp(-b) * (excess(b) - excess(a)) / mpmath.expm1(a - b))
+
+
+class TestHalfOrderPolylog:
+    def test_zeta_literals(self):
+        with mpmath.workdps(40):
+            reference = [float(mpmath.zeta(mpmath.mpf(5) / 2 - k)) for k in range(len(_ZETA_HALF))]
+        assert_allclose(_ZETA_HALF, reference, rtol=2e-16, atol=0.0)
+
+    def test_excess_against_mpmath(self):
+        # M(z) = (Li_{5/2}(z) - z)/z at z = e^{-t}: t = 0 and either side of
+        # the t = 1 switch between the expansion in t and the power series
+        t = np.concatenate([np.geomspace(1e-10, 60.0, 80),
+                            [0.0, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)]])
+        with mpmath.workdps(40):
+            reference = []
+            for ti in t:
+                z = mpmath.exp(-mpmath.mpf(float(ti)))
+                reference.append(float((mpmath.polylog(2.5, z) - z) / z))
+        # the expansion in t cancels most near t = 1 (3.8e-14 at worst)
+        assert_allclose(_li52_excess(t), reference, rtol=5e-14, atol=0.0)
+
+
+class TestGKernel:
+    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (0.3, 1.7), (1e-6, 0.02), (0.9, 1.1), (1.0, 1.0 + 1e-3),
+                                     (2.0, 9.0), (0.5, 40.0), (25.0, 30.0)])
+    def test_against_mpmath(self, a, b):
+        assert_allclose(g_kernel(np.array([a]), np.array([b])), _g_mpmath(a, b), rtol=1e-12)
+
+    @pytest.mark.parametrize("mid", [1e-4, 1e-3, 0.05, 0.2, 0.999, 1.5, 8.0])
+    @pytest.mark.parametrize("ratio", [1e-6, 0.99 * _HALF_NEAR, 1.01 * _HALF_NEAR, 0.1])
+    def test_near_diagonal(self, mid, ratio):
+        # both sides of the midpoint-expansion switch at gap = _HALF_NEAR min(m, 1):
+        # the expansion holds 1e-14, the divided difference 3e-16/gap
+        gap = ratio * min(mid, 1.0)
+        a, b = mid - 0.5 * gap, mid + 0.5 * gap
+        rtol = 1e-14 if ratio < _HALF_NEAR else max(1e-12, 3e-16 / gap)
+        assert_allclose(g_kernel(np.array([a]), np.array([b])), _g_mpmath(a, b), rtol=rtol)
+
+    def test_diagonal_is_polylog_difference(self):
+        # G(m, m) = Li_{3/2}(z) - Li_{5/2}(z), z = e^{-m}
+        m = np.array([1e-8, 0.3, 1.0, 4.0])
+        with mpmath.workdps(30):
+            reference = [float(mpmath.polylog(1.5, mpmath.exp(-x)) - mpmath.polylog(2.5, mpmath.exp(-x)))
+                         for x in m]
+        assert_allclose(g_kernel(m, m), reference, rtol=1e-13)
+
+    def test_symmetric_and_decreasing(self):
+        x = np.geomspace(1e-4, 30.0, 40)
+        grid = g_kernel(np.repeat(x, x.size), np.tile(x, x.size)).reshape(x.size, x.size)
+        # symmetric to rounding: an argument's M may land in another BLAS lane
+        assert_allclose(grid, grid.T, rtol=1e-15, atol=0.0)
+        assert np.all(np.diff(grid, axis=0) < 0.0)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            g_kernel(np.array([-0.1]), np.array([1.0]))
 
 
 class TestPKernel:

@@ -1,11 +1,20 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from _reference import bose_0m_total_quadrature, diffraction_total_excited_quadrature, pair_shape_adaptive
+from _reference import (
+    bose_0m_total_quadrature,
+    diffraction_total_excited_quadrature,
+    pair_shape_adaptive,
+    pair_shape_mpmath,
+    pair_shape_series,
+    shape_integral_adaptive,
+    shape_integral_series,
+)
 from trapscatter import (
     CHANNELS,
     ConvergenceError,
@@ -23,7 +32,10 @@ from trapscatter import (
     excited_pair_shape,
     rayleigh,
 )
+from trapscatter import quad
 from trapscatter.scattering import (
+    _SHAPE_FLOOR,
+    _shape_nodes,
     _shape_table,
     bose_0m_total_numeric,
     channel_validity,
@@ -210,12 +222,58 @@ class TestClosedFormTotals:
         assert_allclose(bose_0m_total_numeric(ens, kin), bose_0m_total_quadrature(ens, kin), rtol=1e-13)
 
 
+# f(a, nu) from `_reference.pair_shape_mpmath` at 25 digits, rounded to double
+_MPMATH_SHAPE = {
+    (0.001, 0.0): 0.22074087157185251, (0.001, 1e-06): 0.2207372441801932,
+    (0.001, 0.0001): 0.22039605897725958, (0.001, 0.001): 0.21783707423925527,
+    (0.018, 0.0): 0.2132113221970318, (0.018, 1e-06): 0.21320913306825953,
+    (0.018, 0.0001): 0.21299420440909453, (0.018, 0.001): 0.2111389954192306,
+    (0.3, 0.0): 0.15354915780138936, (0.3, 1e-06): 0.15354832564556412,
+    (0.3, 0.0001): 0.15346607196909803, (0.3, 0.001): 0.1527268465371677,
+    (1.0, 0.0): 0.08664656370301874, (1.0, 1e-06): 0.08664621820446729,
+    (1.0, 0.0001): 0.08661204330702023, (1.0, 0.001): 0.0863033780487822,
+    (8.0, 0.0): 0.0013940733324904443, (8.0, 1e-06): 0.0013940701343604384,
+    (8.0, 0.0001): 0.0013937535727207284, (8.0, 0.001): 0.0013908801892830239,
+    (16.0, 0.0): 2.1964030199672033e-05, (16.0, 1e-06): 2.196398505928754e-05,
+    (16.0, 0.0001): 2.1959516634096914e-05, (16.0, 0.001): 2.1918937373007403e-05,
+    (30.0, 0.0): 1.919828118906755e-08, (30.0, 1e-06): 1.9198242709522888e-08,
+    (30.0, 0.0001): 1.919443361680572e-08, (30.0, 0.001): 1.915984018891192e-08,
+}
+
+
 class TestExcitedPairShape:
     def test_order_one_at_small_a(self):
-        assert_allclose(excited_pair_shape(1e-3), 0.2207409, rtol=1e-4)
+        assert_allclose(excited_pair_shape(1e-3), 0.2207408715718523, rtol=1e-12)
 
     def test_reference_point(self):
-        assert_allclose(excited_pair_shape(8.0), 1.3940734e-3, rtol=1e-4)
+        assert_allclose(excited_pair_shape(8.0), 0.001394073332490444, rtol=1e-12)
+
+    @pytest.mark.parametrize("nu", [0.05, 0.3, 1.0, 3.0])
+    def test_against_double_series(self, nu):
+        for a in (1e-3, 0.018, 0.3, 1.0, 4.0, 8.0, 16.0, 30.0):
+            assert_allclose(excited_pair_shape(a, nu), pair_shape_series(a, nu), rtol=1e-12)
+
+    @pytest.mark.parametrize("a,nu", sorted(_MPMATH_SHAPE))
+    def test_against_mpmath(self, a, nu):
+        assert_allclose(excited_pair_shape(a, nu), _MPMATH_SHAPE[a, nu], rtol=1e-12)
+
+    @pytest.mark.parametrize("a,nu", [(1e-3, 0.0), (8.0, 1e-4), (30.0, 1e-6)])
+    def test_mpmath_table_is_current(self, a, nu):
+        # the pinned values are what the reference computes
+        assert_allclose(pair_shape_mpmath(a, nu), _MPMATH_SHAPE[a, nu], rtol=1e-15)
+
+    @pytest.mark.parametrize("nu", [0.0, 1e-3, 0.1, 1.0])
+    def test_angle_integral_is_harmonic_series(self, nu):
+        # int_0^inf f(a, nu) da = sum_N H_{N-1} e^{-N nu}/N^3, pi^4/360 at nu = 0
+        assert_allclose(shape_integral_adaptive(nu), shape_integral_series(nu), rtol=1e-10)
+
+    @pytest.mark.parametrize("a,rtol", [(60.0, 1e-8), (200.0, 1e-12)])
+    def test_leading_large_a_terms(self, a, rtol):
+        # n = m = 1 gives e^{-a/2}/16; relative to it n + m = 3 adds
+        # (16/27) e^{-a/6}, n + m = 4 adds e^{-a/4}/4, and the rest is below
+        # e^{-3a/10}/7
+        expected = 1.0 + 16.0 / 27.0 * math.exp(-a / 6.0) + 0.25 * math.exp(-a / 4.0)
+        assert_allclose(16.0 * math.exp(0.5 * a) * excited_pair_shape(a), expected, rtol=rtol)
 
     def test_monotone_decreasing(self):
         values = [excited_pair_shape(a) for a in (0.5, 1.0, 2.0, 4.0, 8.0)]
@@ -230,7 +288,8 @@ class TestExcitedPairShape:
 
     @pytest.mark.parametrize("a", [0.01, 1.0, 8.0])
     def test_adaptive_route_agrees(self, a):
-        assert_allclose(excited_pair_shape(a), pair_shape_adaptive(a), rtol=1e-4)
+        # the adaptive nest runs at rel_tol 1e-6 and is 2.1e-6 off at a = 8
+        assert_allclose(excited_pair_shape(a), pair_shape_adaptive(a), rtol=1e-5)
 
     def test_grid_interpolation_quality(self):
         table = _shape_table()
@@ -245,6 +304,74 @@ class TestExcitedPairShape:
             excited_pair_shape(0.0)
         with pytest.raises(ValueError):
             excited_pair_shape(1.0, nu=-0.1)
+
+
+def _rule_state(a, nu, switch):
+    """Which side of each switch of the f rule every node sits on."""
+    h = 0.5 * math.sqrt(a)
+    r, _ = _shape_nodes(h, nu)
+    big, small = nu + (h + r) ** 2, nu + (h - r) ** 2
+    gap, mid = big - small, 0.5 * (big + small)
+    near = gap < quad._HALF_NEAR * np.minimum(mid, 1.0)
+    if switch == "panels":
+        return r.size
+    if switch == "series":
+        return tuple(np.flatnonzero(np.concatenate([big, small, mid[near]]) <= 1.0))
+    return tuple(np.flatnonzero(near))
+
+
+class TestShapeProperties:
+    # a search: most draws of a start and an end straddle no switch of the kind asked for
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(st.floats(-3.0, 1.6), st.one_of(st.just(None), st.floats(-9.0, 0.5)),
+           st.sampled_from(["a", "nu"]), st.floats(1.01, 8.0),
+           st.sampled_from(["panels", "series", "near"]))
+    def test_continuous_across_rule_switches(self, log_a, log_nu, along, factor, switch):
+        # bisect to where the panel count, the t = 1 series switch of M or
+        # the midpoint switch of G changes, and step f across it
+        assume(along == "a" or log_nu is not None)
+        start = [10.0**log_a, 0.0 if log_nu is None else 10.0**log_nu]
+        index = 0 if along == "a" else 1
+        end = list(start)
+        end[index] *= factor
+        state = _rule_state(*start, switch)
+        assume(_rule_state(*end, switch) != state)
+        lo, hi = start[index], end[index]
+        while hi - lo > 1e-13 * lo:
+            point = list(start)
+            point[index] = 0.5 * (lo + hi)
+            if _rule_state(*point, switch) == state:
+                lo = point[index]
+            else:
+                hi = point[index]
+        below, above = list(start), list(start)
+        below[index], above[index] = lo, hi
+        assert_allclose(excited_pair_shape(*above), excited_pair_shape(*below), rtol=1e-11)
+
+    @pytest.mark.parametrize("a", [0.01, 1.0, 8.0])
+    def test_continuous_across_grading_floor(self, a):
+        # below nu = (_SHAPE_FLOOR h)^2 the branch point counts as on the axis
+        h = 0.5 * math.sqrt(a)
+        nu = (_SHAPE_FLOOR * h) ** 2
+        below, above = nu * (1.0 - 1e-12), nu * (1.0 + 1e-12)
+        assert _shape_nodes(h, below)[0].size != _shape_nodes(h, above)[0].size
+        assert_allclose(excited_pair_shape(a, above), excited_pair_shape(a, below), rtol=1e-11)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-3.0, 1.6), st.floats(-3.0, 1.6), st.one_of(st.just(0.0), st.floats(1e-9, 5.0)))
+    def test_positive_and_decreasing_in_a(self, log_a1, log_a2, nu):
+        lo, hi = sorted((10.0**log_a1, 10.0**log_a2))
+        assume(hi > lo * (1.0 + 1e-6))
+        near, far = excited_pair_shape(lo, nu), excited_pair_shape(hi, nu)
+        assert near > far > 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-3.0, 1.6), st.floats(0.0, 5.0), st.floats(0.0, 5.0))
+    def test_decreasing_in_nu(self, log_a, nu1, nu2):
+        lo, hi = sorted((nu1, nu2))
+        assume(hi > lo + 1e-6)
+        a = 10.0**log_a
+        assert excited_pair_shape(a, lo) > excited_pair_shape(a, hi) > 0.0
 
 
 class TestBoseMm:
@@ -369,7 +496,7 @@ class TestDecompose:
     def test_channel_error_does_not_abort(self, monkeypatch):
         import trapscatter.scattering as sc
 
-        def boom(ensemble, delta, spec=None):
+        def boom(ensemble, delta):
             raise ConvergenceError("synthetic failure")
 
         monkeypatch.setattr(sc, "bose_mm_differential", boom)

@@ -19,8 +19,8 @@ and i + k, so summing over mx <= i first,
 
 two running sums down the columns of the squared overlap band.  Row i = 0
 holds exactly the ground<->(m,0,0) pairs of bose_0m and is left out, so
-every term is non-negative and nothing is subtracted.  Each delta costs
-O(epsilon_max^2).
+every term is non-negative and nothing is subtracted.  Each distinct delta
+costs O(epsilon_max^2) up to the cost guard; a fixed-delta sweep shares one band.
 
 The occupation-product form uses <n_i n_f> ~ <n_i><n_f>; the corrections
 are O(1/N) after thermal averaging, so this module is the oracle for the
@@ -29,6 +29,7 @@ Transition pairs are counted in both directions, matching the factor 2 of
 the ground<->excited channel.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -47,9 +48,10 @@ __all__ = [
     "scaling_probe",
 ]
 
-# Pair sums scale like epsilon_max^3; refuse runaway truncations.
+# One overlap band costs O(epsilon_max^2) per delta; refuse runaway truncations.
 _MAX_N_TOTAL = 100_000
 _MAX_EPSILON = 600
+_PAIR_SUMS = {}  # the one entry of _pair_sums: delta -> (size, signed column 0, C)
 
 
 @dataclass(frozen=True)
@@ -70,15 +72,15 @@ class DiscreteEnsemble:
 def _default_epsilon_max(n_total, temperature):
     """Smallest truncation with a controlled occupation tail.
 
-    Starts from max(30, 12 T) and extends until the mu = 0 Boltzmann
-    bound drops below 1e-6 N; near Tc the tail fraction depends only on
-    epsilon_max / T, so a fixed multiple of T cannot satisfy the bound
-    for every N.
+    Bisects from max(30, 12 T) for the first level where the mu = 0
+    Boltzmann bound, strictly decreasing in epsilon_max, is below 1e-6 N;
+    near Tc the tail fraction depends only on epsilon_max / T, so a fixed
+    multiple of T cannot satisfy the bound for every N.
     """
-    floor = max(30, math.ceil(12.0 * temperature))
-    for emax in range(floor, _MAX_EPSILON + 1):
-        if _boltzmann_tail(emax, 0.0, temperature) < 1e-6 * n_total:
-            return emax
+    levels = range(max(30, math.ceil(12.0 * temperature)), _MAX_EPSILON + 1)
+    at = bisect.bisect_left(levels, True, key=lambda e: _boltzmann_tail(e, 0.0, temperature) < 1e-6 * n_total)
+    if at < len(levels):
+        return levels[at]
     raise TruncationError(
         f"no truncation below {_MAX_EPSILON} controls the tail for "
         f"N={n_total}, T={temperature:g}"
@@ -161,6 +163,26 @@ def _projected_weights(occ):
     return rev2 - (mx - 1.0) * rev1
 
 
+def _pair_sums(m_max, delta):
+    """Column 0 of the overlap band and its running sums C, held for one delta.
+
+    Entries with n + k <= m_max do not depend on the size built; callers slice.
+    A larger m_max at the held delta rebuilds at twice the held size (capped
+    by the cost guard); a new delta builds at exactly m_max.
+    """
+    held = _PAIR_SUMS.get(delta, (-1,))[0]  # -1: a new delta
+    if held < m_max:
+        _PAIR_SUMS.clear()  # before the build, so two bands are never alive at once
+        size = max(m_max, min(_MAX_EPSILON, 2 * held))
+        band = oscillator.overlap_band(size, delta)
+        column = band[:, 0].copy()
+        # C of the module docstring; its row 0 is the band's squared row 0
+        pair = np.cumsum(np.cumsum(np.square(band, out=band), axis=0, out=band), axis=0, out=band)
+        column.flags.writeable = pair.flags.writeable = False
+        _PAIR_SUMS[delta] = (size, column, pair)
+    return _PAIR_SUMS[delta]
+
+
 def exact_breakdown(ens, delta):
     """All four channels from direct sums over the discrete spectrum.
 
@@ -182,17 +204,14 @@ def exact_breakdown(ens, delta):
         total_occ = float(np.sum(w))
         return RateBreakdown.build(n, total_occ**2, 0.0, 0.0)
 
-    band = oscillator.overlap_band(emax, delta)
-    # a contiguous copy: the strided column would be summed in another order
-    diffraction = float(np.dot(band[:, 0].copy(), w)) ** 2
-    sq = np.square(band, out=band)
+    _, column, pair = _pair_sums(emax, delta)
+    diffraction = float(np.dot(column[:emax + 1], w)) ** 2
     n0 = float(occ[0])
-    bose_0m = 2.0 * n0 * float(np.dot(occ[1:], sq[0, 1:]))
+    bose_0m = 2.0 * n0 * float(np.dot(occ[1:], pair[0, 1:emax + 1]))
 
-    # C of the module docstring; row i = 0 is the ground pairs already in bose_0m
-    pair = np.cumsum(np.cumsum(sq, axis=0, out=sq), axis=0, out=sq)
+    # row i = 0 is the ground pairs already in bose_0m; the zero padding drops i + k > emax
     hankel = np.lib.stride_tricks.sliding_window_view(np.concatenate([occ, np.zeros(emax)]), emax + 1)
-    bose_mm = 2.0 * float(np.einsum("i,ik,ik->", occ[1:], hankel[1:, 1:], pair[1:, 1:]))
+    bose_mm = 2.0 * float(np.einsum("i,ik,ik->", occ[1:], hankel[1:, 1:], pair[1:emax + 1, 1:emax + 1]))
 
     return RateBreakdown.build(n, diffraction, bose_0m, bose_mm)
 

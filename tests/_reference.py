@@ -5,7 +5,8 @@ the differential rate they integrate; the shape-function references are the
 double series, a 25-digit mpmath quadrature and the harmonic series of its
 angle integral.  They are slow and exist only to validate the program.  The
 dense overlap recurrence at the end is the earlier form of the band
-recurrence, kept to pin the band's bits.
+recurrence, kept to pin the band's bits, and the level-by-level truncation
+scan is the reference for the oracle's bisected default epsilon_max.
 """
 
 import math
@@ -15,7 +16,8 @@ import mpmath
 import numpy as np
 from scipy import integrate
 
-from trapscatter import ConvergenceError, bose_0m_differential, excited_pair_shape, p_kernel
+from trapscatter import ConvergenceError, TruncationError, bose_0m_differential, excited_pair_shape, p_kernel
+from trapscatter.oracle import _MAX_EPSILON, _boltzmann_tail
 from trapscatter.oscillator import _log_factorials
 
 
@@ -246,3 +248,11 @@ def overlap_matrix_dense(m_max, delta):
         )
         a_prev, a = a, a_next
     return amp * amp
+
+
+def default_epsilon_max_scan(n_total, temperature):
+    """First level from max(30, 12 T) up whose mu = 0 tail bound is below 1e-6 N, one level at a time."""
+    for emax in range(max(30, math.ceil(12.0 * temperature)), _MAX_EPSILON + 1):
+        if _boltzmann_tail(emax, 0.0, temperature) < 1e-6 * n_total:
+            return emax
+    raise TruncationError(f"no truncation below {_MAX_EPSILON} for N={n_total}, T={temperature:g}")

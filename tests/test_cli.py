@@ -424,6 +424,47 @@ class TestRowFunction:
             assert [rows_a[0][c] for c in channels] == [temp_row[c] for c in channels]
 
 
+class TestOracleBandReuse:
+    """The oracle builds its overlap band once per delta, not once per row."""
+
+    @pytest.fixture
+    def band_calls(self, monkeypatch):
+        from trapscatter import oracle, oscillator
+
+        calls = []
+        real = oscillator.overlap_band
+
+        def counted(m_max, delta):
+            calls.append((m_max, delta))
+            return real(m_max, delta)
+
+        monkeypatch.setattr(oscillator, "overlap_band", counted)
+        monkeypatch.setattr(oracle, "_PAIR_SUMS", {})
+        return calls
+
+    def test_temperature_sweep_shares_one_band(self, tmp_path, band_calls):
+        out = tmp_path / "temp.csv"
+        assert run_main([
+            "sweep-temp", "--n", "10000", "--t-over-tc-lo", "0.2", "--t-over-tc-hi", "1.4",
+            "--points", "60", "--delta", "1.0", "--k-incident", "1000", "--method", "both",
+            "--out", str(out),
+        ]) == 0
+        assert len(read_rows(out)[1]) == 60
+        # the truncation rises with T; doubling the held band keeps the builds few
+        assert 1 <= len(band_calls) <= 6, band_calls
+
+    def test_angle_sweep_builds_one_band_per_delta(self, tmp_path, band_calls):
+        out = tmp_path / "angle.csv"
+        assert run_main([
+            "sweep-angle", "--n", "3000", "--t-over-tc", "0.7", "--k-incident", "100",
+            "--delta-lo", "0.5", "--delta-hi", "8", "--points", "20", "--method", "oracle",
+            "--out", str(out),
+        ]) == 0
+        assert len(read_rows(out)[1]) == 20
+        assert len({d for _, d in band_calls}) == len(band_calls) == 20
+        assert len({m for m, _ in band_calls}) == 1  # every band at the ensemble's own truncation
+
+
 def test_cli_runs_without_scipy(tmp_path):
     # a fresh interpreter runs one command of each kind in-process, then
     # reports every scipy module it loaded

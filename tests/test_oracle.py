@@ -2,18 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from _reference import default_epsilon_max_scan
 from trapscatter import (
     DiscreteEnsemble,
     TruncationError,
     condensate_count,
     critical_temperature,
     exact_breakdown,
+    oracle,
     scaling_probe,
     solve_mu_discrete,
 )
-from trapscatter.oracle import _boltzmann_tail, _projected_weights
+from trapscatter.oracle import _boltzmann_tail, _default_epsilon_max, _projected_weights
 from trapscatter.oscillator import diagonal_amplitude_column, overlap_matrix
 from trapscatter.thermo import degeneracy, occupation
 
@@ -99,6 +103,25 @@ class TestSolveMuDiscrete:
             solve_mu_discrete(0, 1.0)
         with pytest.raises(ValueError):
             solve_mu_discrete(10, -1.0)
+
+
+class TestDefaultEpsilonMax:
+    def test_bisection_matches_linear_scan(self):
+        # T up to 60 reaches both failures: a tail bound still too large at
+        # the cost guard, and a 12 T floor already above it
+        outcomes = {"level": 0, "raise": 0}
+        for n in np.unique(np.geomspace(1, 100_000, 40).astype(int)):
+            for t in np.geomspace(0.05, 60.0, 70):
+                try:
+                    expected = default_epsilon_max_scan(int(n), t)
+                except TruncationError:
+                    outcomes["raise"] += 1
+                    with pytest.raises(TruncationError):
+                        _default_epsilon_max(int(n), t)
+                else:
+                    outcomes["level"] += 1
+                    assert _default_epsilon_max(int(n), t) == expected, (n, t)
+        assert min(outcomes.values()) > 100, outcomes
 
 
 class TestProjectedWeights:
@@ -227,6 +250,48 @@ class TestExactBreakdown:
         ens = solve_mu_discrete(100, 3.0)
         with pytest.raises(ValueError):
             exact_breakdown(ens, -1.0)
+
+
+def _channels(bd):
+    return (bd.rayleigh, bd.diffraction, bd.bose_0m, bd.bose_mm, bd.total)
+
+
+def _bose_ensemble(emax):
+    """Bose occupations at T = emax / 20, so the tail checks pass at any truncation."""
+    t = emax / 20.0
+    occ = 1.0 / np.expm1((np.arange(emax + 1.0) + 0.1 * t) / t)
+    return DiscreteEnsemble(n_total=100_000, temperature=t, mu_exact=-0.1 * t,
+                            epsilon_max=emax, occupations=occ)
+
+
+class TestPairSums:
+    """exact_breakdown reads one held overlap band per delta, sliced to each truncation."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 600), st.integers(1, 600), st.floats(0.1, 12.0), st.floats(0.1, 12.0))
+    def test_bit_identical_whatever_the_memo_holds(self, m1, m2, delta, other):
+        small, big = _bose_ensemble(min(m1, m2)), _bose_ensemble(max(m1, m2))
+
+        def held():
+            assert len(oracle._PAIR_SUMS) <= 1
+            return next(iter(oracle._PAIR_SUMS.items()))
+
+        def run(*calls):
+            oracle._PAIR_SUMS.clear()
+            got = [_channels(exact_breakdown(ens, d)) for ens, d in calls]
+            key, (size, *arrays) = held()
+            assert key == calls[-1][1] and size >= calls[-1][0].epsilon_max
+            assert not any(a.flags.writeable for a in arrays)
+            return got[-1]
+
+        cold_small, cold_big = run((small, delta)), run((big, delta))
+        assert run((big, delta), (small, delta)) == cold_small  # warm at a larger size
+        assert run((small, delta), (big, delta)) == cold_big  # grown past the held size
+        assert run((big, other), (small, delta)) == cold_small  # right after another delta
+        assert run((small, other), (big, delta)) == cold_big
+        if other != delta:
+            # a new delta builds at exactly the asked truncation
+            assert held()[1][0] == big.epsilon_max
 
 
 class TestFiniteSizeCorrections:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, ConvergenceError, PrecisionLossError, TruncationError
-from .oracle import _MAX_EPSILON, _MAX_N_TOTAL, exact_breakdown, scaling_probe, solve_mu_discrete
+from .oracle import _MAX_EPSILON, _MAX_N_TOTAL, _unwrap, exact_breakdowns, scaling_probe, solve_mu_discrete
 from .scattering import CHANNELS, Kinematics, decompose
 from .thermo import TrapEnsemble, critical_temperature
 
@@ -151,11 +151,11 @@ def _breakdown_cells(breakdown):
             breakdown.bose_mm, breakdown.total]
 
 
-def _channel_cells(config, ensemble, delta, discrete):
+def _channel_cells(config, ensemble, delta, exact):
     """Semiclassical and oracle cells of one row, then its flags field.
 
-    `discrete()` gives the oracle ensemble; an oracle failure, in it or in
-    the breakdown, fills that row's oracle cells with NaN and flags it.
+    `exact` is the row's oracle breakdown or the exception that failed it;
+    a failure fills that row's oracle cells with NaN and flags it.
     """
     cells = []
     flags = "ok"
@@ -163,25 +163,24 @@ def _channel_cells(config, ensemble, delta, discrete):
         breakdown = decompose(ensemble, Kinematics(config.k_incident, delta))
         cells += _breakdown_cells(breakdown)
         flags = _flags_field(breakdown)
-    if config.oracle:
-        try:
-            cells += _breakdown_cells(exact_breakdown(discrete(), delta))
-        except (ConvergenceError, TruncationError, PrecisionLossError, ValueError) as exc:
-            cells += [math.nan] * 5
-            flags = f"oracle:error:{type(exc).__name__}"
+    if isinstance(exact, Exception):
+        cells += [math.nan] * 5
+        flags = f"oracle:error:{type(exact).__name__}"
+    elif config.oracle:
+        cells += _breakdown_cells(exact)
     return cells + [flags]
 
 
 def _sweep(config, lead_columns, points, meta):
-    """Table with one row per (lead cells, ensemble, delta, discrete) point."""
+    """Table with one row per (lead cells, ensemble, delta, oracle breakdown) point."""
     columns = list(lead_columns)
     if config.semiclassical:
         columns += list(CHANNELS) + ["total"]
     if config.oracle:
         columns += [f"{c}_oracle" for c in CHANNELS] + ["total_oracle"]
     columns.append("flags")
-    rows = [lead + _channel_cells(config, ensemble, delta, discrete)
-            for lead, ensemble, delta, discrete in points]
+    rows = [lead + _channel_cells(config, ensemble, delta, exact)
+            for lead, ensemble, delta, exact in points]
     return SweepTable(columns=columns, rows=rows, meta=meta)
 
 
@@ -191,12 +190,12 @@ def sweep_angle(config):
     temperature = config.resolve_temperature()
     grid = config.delta_grid()
     ensemble = TrapEnsemble.solve(config.n_total, temperature)
-    discrete = None
+    exact = [None] * len(grid)
     if config.oracle:
         # one discrete ensemble for every row; failing to solve it fails the sweep
-        solved = solve_mu_discrete(config.n_total, temperature, config.epsilon_max)
-        discrete = lambda: solved
-    points = (([delta, delta / config.k_incident], ensemble, delta, discrete) for delta in grid)
+        discrete = solve_mu_discrete(config.n_total, temperature, config.epsilon_max)
+        exact = exact_breakdowns([discrete], grid)[0]
+    points = (([delta, delta / config.k_incident], ensemble, delta, cell) for delta, cell in zip(grid, exact))
     meta = {"command": "sweep-angle", "config": _config_echo(config),
             "temperature": temperature, "t_critical": ensemble.t_critical}
     return _sweep(config, ["delta", "theta"], points, meta)
@@ -213,18 +212,27 @@ def sweep_temperature(config, delta_fixed=None):
         raise ConfigError("delta", "exceeds the elastic bound 2 k_incident")
     grid = config.temperature_grid()
     tc = critical_temperature(config.n_total)
+    exact = [None] * len(grid)
+    if config.oracle:
+        # solved one row at a time, so a failure is flagged on that row only
+        for i, temperature in enumerate(grid):
+            try:
+                exact[i] = solve_mu_discrete(config.n_total, temperature, config.epsilon_max)
+            except (ConvergenceError, TruncationError, ValueError) as exc:
+                exact[i] = exc
+        solved = [i for i, cell in enumerate(exact) if not isinstance(cell, Exception)]
+        for i, cells in zip(solved, exact_breakdowns([exact[i] for i in solved], [delta_fixed])):
+            exact[i] = cells[0]
 
-    def point(temperature):
+    def point(temperature, cell):
         ensemble = TrapEnsemble.solve(config.n_total, temperature)
         lead = [temperature, temperature / tc, ensemble.mu,
                 ensemble.n_condensate, ensemble.n_excited]
-        # solved inside the row, so a failure is flagged on that row only
-        discrete = lambda: solve_mu_discrete(config.n_total, temperature, config.epsilon_max)
-        return lead, ensemble, delta_fixed, discrete
+        return lead, ensemble, delta_fixed, cell
 
     meta = {"command": "sweep-temp", "config": _config_echo(config),
             "delta": delta_fixed, "t_critical": tc}
-    return _sweep(config, ["t", "t_over_tc", "mu", "n0", "ne"], map(point, grid), meta)
+    return _sweep(config, ["t", "t_over_tc", "mu", "n0", "ne"], map(point, grid, exact), meta)
 
 
 def oracle_compare(config):
@@ -239,10 +247,9 @@ def oracle_compare(config):
 
     deviations = {ch: [] for ch in CHANNELS}
     rows = []
-    for delta in grid:
+    for delta, exact in zip(grid, map(_unwrap, exact_breakdowns([discrete], grid)[0])):
         kin = Kinematics(config.k_incident, delta)
         semi = decompose(ensemble, kin)
-        exact = exact_breakdown(discrete, delta)
         row = {"delta": float(delta)}
         for ch in CHANNELS:
             s = semi.channel(ch)

@@ -19,8 +19,8 @@ and i + k, so summing over mx <= i first,
 
 two running sums down the columns of the squared overlap band.  Row i = 0
 holds exactly the ground<->(m,0,0) pairs of bose_0m and is left out, so
-every term is non-negative and nothing is subtracted.  Each distinct delta
-costs O(epsilon_max^2) up to the cost guard; a fixed-delta sweep shares one band.
+every term is non-negative and nothing is subtracted.  A sweep streams one
+recurrence over all its deltas, storing no band: O(epsilon_max^2 #delta).
 
 The occupation-product form uses <n_i n_f> ~ <n_i><n_f>; the corrections
 are O(1/N) after thermal averaging, so this module is the oracle for the
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oscillator
-from .errors import TruncationError
+from .errors import PrecisionLossError, TruncationError
 from .scattering import RateBreakdown
 from .thermo import _bisect_increasing, critical_temperature
 
@@ -45,13 +45,13 @@ __all__ = [
     "ScalingFit",
     "solve_mu_discrete",
     "exact_breakdown",
+    "exact_breakdowns",
     "scaling_probe",
 ]
 
-# One overlap band costs O(epsilon_max^2) per delta; refuse runaway truncations.
+# One streamed overlap recurrence costs O(epsilon_max^2 #delta); refuse runaway truncations.
 _MAX_N_TOTAL = 100_000
 _MAX_EPSILON = 600
-_PAIR_SUMS = {}  # the one entry of _pair_sums: delta -> (size, signed column 0, C)
 
 
 @dataclass(frozen=True)
@@ -131,21 +131,18 @@ def solve_mu_discrete(n_total, temperature, epsilon_max=None):
     g = (eps + 1.0) * (eps + 2.0) / 2.0
 
     def population(mu):
-        # deep Boltzmann tails overflow expm1 to inf; those states hold 0
-        with np.errstate(over="ignore"):
-            return float(np.sum(g / np.expm1((eps - mu) / t)))
+        return float((g / np.expm1((eps - mu) / t)).sum())
 
-    lo = -60.0 * t
-    if population(lo) > n_total:
-        lo = -5000.0 * t
-    mu = _bisect_increasing(population, n_total, lo, -1e-12 * t, 1e-15 * t, "solve_mu_discrete")
+    # deep Boltzmann tails overflow expm1 to inf; those states hold 0
+    with np.errstate(over="ignore"):
+        lo = -5000.0 * t if population(-60.0 * t) > n_total else -60.0 * t
+        mu = _bisect_increasing(population, n_total, lo, -1e-12 * t, 1e-15 * t, "solve_mu_discrete")
+        occupations = 1.0 / np.expm1((eps - mu) / t)
 
     if _boltzmann_tail(epsilon_max, mu, t) > 1e-6 * n_total:
         raise TruncationError(
             f"occupation tail beyond epsilon_max={epsilon_max} exceeds 1e-6 N"
         )
-    with np.errstate(over="ignore"):
-        occupations = 1.0 / np.expm1((eps - mu) / t)
     return DiscreteEnsemble(
         n_total=int(n_total),
         temperature=t,
@@ -163,24 +160,75 @@ def _projected_weights(occ):
     return rev2 - (mx - 1.0) * rev1
 
 
-def _pair_sums(m_max, delta):
-    """Column 0 of the overlap band and its running sums C, held for one delta.
+def _streamed_sums(ensembles, deltas):
+    """Column 0, squared row 0, bose_mm / 2 and the lowest level n + k out of bounds, per delta.
 
-    Entries with n + k <= m_max do not depend on the size built; callers slice.
-    A larger m_max at the held delta rebuilds at twice the held size (capped
-    by the cost guard); a new delta builds at exactly m_max.
+    c1 and c2 are the running sums of the module docstring (row n of c2 is
+    C[n]), weighted row by row against the zero-padded occupations.
     """
-    held = _PAIR_SUMS.get(delta, (-1,))[0]  # -1: a new delta
-    if held < m_max:
-        _PAIR_SUMS.clear()  # before the build, so two bands are never alive at once
-        size = max(m_max, min(_MAX_EPSILON, 2 * held))
-        band = oscillator.overlap_band(size, delta)
-        column = band[:, 0].copy()
-        # C of the module docstring; its row 0 is the band's squared row 0
-        pair = np.cumsum(np.cumsum(np.square(band, out=band), axis=0, out=band), axis=0, out=band)
-        column.flags.writeable = pair.flags.writeable = False
-        _PAIR_SUMS[delta] = (size, column, pair)
-    return _PAIR_SUMS[delta]
+    m_max = max(ens.epsilon_max for ens in ensembles)
+    occ = np.array([np.concatenate([e.occupations, np.zeros(m_max - e.epsilon_max)]) for e in ensembles])
+    column, c1, c2 = np.zeros((3, len(deltas), m_max + 1))
+    half_mm = np.zeros((len(ensembles), len(deltas)))
+    fail = np.full(len(deltas), m_max + 1)
+    bound = oscillator._AMPLITUDE_BOUND
+    for n, rows in oscillator._overlap_rows(m_max, deltas):
+        w = m_max + 1 - n
+        column[:, n] = rows[:, 0]
+        # comparisons with nan are false, so nan fails too
+        if not (rows.max() <= bound and rows.min() >= -bound):
+            bad = ~(np.abs(rows) <= bound)
+            np.minimum(fail, np.where(bad.any(axis=1), n + bad.argmax(axis=1), fail), out=fail)
+        square = np.square(rows)
+        c1[:, :w] += square
+        c2[:, :w] += c1[:, :w]
+        if n == 0:
+            ground = square
+        else:  # row 0 holds the ground pairs of bose_0m
+            half_mm += occ[:, n:n + 1] * np.einsum("ek,dk->ed", occ[:, n + 1:], c2[:, 1:w])
+    return column, ground, half_mm, fail
+
+
+def exact_breakdowns(ensembles, deltas):
+    """exact_breakdown for every (ensemble, delta) pair: grid[i][j] for ensembles[i], deltas[j].
+
+    One recurrence serves the whole grid.  A cell holds the exception its
+    pair raised instead of a breakdown: a TruncationError for an
+    uncontrolled occupation tail, a PrecisionLossError when an amplitude
+    with n + k <= that ensemble's epsilon_max leaves its bound.
+    """
+    if any(d < 0 for d in deltas) or any(ens.n_total > _MAX_N_TOTAL for ens in ensembles):
+        raise ValueError(f"need delta >= 0 and n_total <= the oracle cost guard {_MAX_N_TOTAL}")
+    moving = [d for d in deltas if d != 0.0]
+    if ensembles and moving:
+        column, ground, half_mm, fail = _streamed_sums(ensembles, moving)
+    grid = []
+    for i, ens in enumerate(ensembles):
+        occ, emax, n = ens.occupations, ens.epsilon_max, float(ens.n_total)
+        truncated = occ[emax] * (emax + 1) * (emax + 2) / 2.0 > 1e-4 * n
+        w = _projected_weights(occ)
+        row, lanes = [], iter(range(len(moving)))
+        for delta in deltas:
+            j = next(lanes) if delta != 0.0 else None
+            if truncated:
+                row.append(TruncationError("occupancy-weighted truncation tail exceeds 1e-4 of the sum"))
+            elif j is None:
+                row.append(RateBreakdown.build(n, float(np.sum(w)) ** 2, 0.0, 0.0))
+            elif fail[j] <= emax:
+                row.append(PrecisionLossError(f"recurrence unstable at level {fail[j]}, delta={delta:g}"))
+            else:
+                diffraction = float(np.dot(column[j, :emax + 1], w)) ** 2
+                bose_0m = 2.0 * float(occ[0]) * float(np.dot(occ[1:], ground[j, 1:emax + 1]))
+                row.append(RateBreakdown.build(n, diffraction, bose_0m, 2.0 * float(half_mm[i, j])))
+        grid.append(row)
+    return grid
+
+
+def _unwrap(cell):
+    """The breakdown in a cell of exact_breakdowns, or its pair's exception raised."""
+    if isinstance(cell, Exception):
+        raise cell
+    return cell
 
 
 def exact_breakdown(ens, delta):
@@ -188,32 +236,7 @@ def exact_breakdown(ens, delta):
 
     delta = 0 degenerates cleanly: diffraction N^2, Bose channels 0.
     """
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
-    if ens.n_total > _MAX_N_TOTAL:
-        raise ValueError(f"n_total={ens.n_total} exceeds the oracle cost guard {_MAX_N_TOTAL}")
-    occ = ens.occupations
-    emax = ens.epsilon_max
-    n = float(ens.n_total)
-
-    if occ[emax] * (emax + 1) * (emax + 2) / 2.0 > 1e-4 * n:
-        raise TruncationError("occupancy-weighted truncation tail exceeds 1e-4 of the sum")
-
-    w = _projected_weights(occ)
-    if delta == 0.0:
-        total_occ = float(np.sum(w))
-        return RateBreakdown.build(n, total_occ**2, 0.0, 0.0)
-
-    _, column, pair = _pair_sums(emax, delta)
-    diffraction = float(np.dot(column[:emax + 1], w)) ** 2
-    n0 = float(occ[0])
-    bose_0m = 2.0 * n0 * float(np.dot(occ[1:], pair[0, 1:emax + 1]))
-
-    # row i = 0 is the ground pairs already in bose_0m; the zero padding drops i + k > emax
-    hankel = np.lib.stride_tricks.sliding_window_view(np.concatenate([occ, np.zeros(emax)]), emax + 1)
-    bose_mm = 2.0 * float(np.einsum("i,ik,ik->", occ[1:], hankel[1:, 1:], pair[1:emax + 1, 1:emax + 1]))
-
-    return RateBreakdown.build(n, diffraction, bose_0m, bose_mm)
+    return _unwrap(exact_breakdowns([ens], [delta])[0][0])
 
 
 @dataclass(frozen=True)
@@ -239,16 +262,12 @@ def scaling_probe(process, n_values, t_over_tc, delta_rule, epsilon_max=None):
         raise ValueError("need at least 3 particle numbers")
     if n_values[-1] < 10 * n_values[0]:
         raise ValueError("particle numbers must span at least one decade")
-    if not callable(delta_rule):
-        fixed = float(delta_rule)
-        delta_rule = lambda temperature: fixed
 
-    rates = []
-    for n in n_values:
-        t = t_over_tc * critical_temperature(n)
-        ens = solve_mu_discrete(n, t, epsilon_max)
-        breakdown = exact_breakdown(ens, delta_rule(t))
-        rates.append(getattr(breakdown, process))
+    ensembles = [solve_mu_discrete(n, t_over_tc * critical_temperature(n), epsilon_max) for n in n_values]
+    deltas = [delta_rule(ens.temperature) if callable(delta_rule) else float(delta_rule) for ens in ensembles]
+    columns = list(dict.fromkeys(deltas))  # a fixed delta runs one lane of the recurrence
+    grid = exact_breakdowns(ensembles, columns)
+    rates = [getattr(_unwrap(row[columns.index(d)]), process) for row, d in zip(grid, deltas)]
 
     log_n = np.log(np.asarray(n_values, dtype=float))
     log_r = np.log(np.asarray(rates))

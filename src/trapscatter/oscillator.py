@@ -153,36 +153,50 @@ def diagonal_amplitude_column(m_max, delta):
     return out
 
 
-def overlap_band(m_max, delta):
-    """Signed amplitudes band[n, k] = A_n(k) for the level pairs (n, n+k), n + k <= m_max.
+def _overlap_rows(m_max, deltas):
+    """Yield (n, rows) with rows[d, k] = A_n(k) at deltas[d], for n + k <= m_max.
 
-    Runs the scaled recurrence for every offset k at once (vectorized over
-    k, sequential in n); row n holds the m_max + 1 - n pairs that start at
-    level n and is 0 beyond them.  Cost is O(m_max^2).
+    Runs the scaled recurrence for every offset k and every delta at once
+    (vectorized over both, sequential in n).  Each (len(deltas), m_max + 1 - n)
+    block is overwritten after the next yield.
     """
-    if m_max < 0:
-        raise ValueError("m_max must be >= 0")
-    x = 0.5 * delta * delta
     size = m_max + 1
-    band = np.zeros((size, size))
-    if x == 0.0:
-        band[:, 0] = 1.0
-        return band
     ks = np.arange(size, dtype=float)
-    band[0] = np.exp(-0.5 * x + 0.5 * ks * math.log(x) - 0.5 * _log_factorials(size))
-    band[0, 0] = math.exp(-0.5 * x)  # so column 0 is diagonal_amplitude_column bit for bit
+    log_factorials = _log_factorials(size)
+    xs = [0.5 * delta * delta for delta in deltas]
+    prev = np.zeros((len(xs), size))  # A_{n-1}; sqrt(n (n + k)) is 0 against it at n = 0
+    cur = np.empty_like(prev)
+    for row, x in zip(cur, xs):
+        # x = 0 starts the identity, which the recurrence keeps exactly
+        row[:] = np.exp(-0.5 * x + 0.5 * ks * math.log(x) - 0.5 * log_factorials) if x else ks == 0
+        row[0] = math.exp(-0.5 * x)  # so column 0 is diagonal_amplitude_column bit for bit
+    yield 0, cur
     levels = np.arange(2.0 * size)
-    lin = levels[1:] - x  # lin[2n + k] = 2n + k + 1 - x
-    # sqrt(n (n + k)) is 0 at n = 0, where band[n - 1] is the still-empty last row
+    lin = levels[1:] - np.array(xs)[:, None]  # lin[d, 2n + k] = 2n + k + 1 - x_d
     root_prev = np.zeros(size)
     for n in range(size - 1):
         w = size - n - 1
         root = np.sqrt((n + 1) * levels[n + 1:n + 1 + w])  # sqrt((n + 1)(n + k + 1))
-        row = band[n + 1, :w]
-        np.multiply(lin[2 * n:2 * n + w], band[n, :w], out=row)
-        row -= root_prev[:w] * band[n - 1, :w]
-        row /= root
+        # A_{n-1} is spent: A_{n+1} takes its buffer
+        rows = np.subtract(lin[:, 2 * n:2 * n + w] * cur[:, :w], root_prev[:w] * prev[:, :w], out=prev[:, :w])
+        rows /= root
         root_prev = root
+        prev, cur = cur, prev
+        yield n + 1, rows
+
+
+def overlap_band(m_max, delta):
+    """Signed amplitudes band[n, k] = A_n(k) for the level pairs (n, n+k), n + k <= m_max.
+
+    The rows of `_overlap_rows` for one delta, collected: row n holds the
+    m_max + 1 - n pairs that start at level n and is 0 beyond them.  Cost is
+    O(m_max^2) time and memory; the oracle streams the rows instead.
+    """
+    if m_max < 0:
+        raise ValueError("m_max must be >= 0")
+    band = np.zeros((m_max + 1, m_max + 1))
+    for n, rows in _overlap_rows(m_max, [delta]):
+        band[n, :m_max + 1 - n] = rows[0]
     # comparisons with nan are false, so nan fails too
     if not (band.max() <= _AMPLITUDE_BOUND and band.min() >= -_AMPLITUDE_BOUND):
         raise PrecisionLossError(

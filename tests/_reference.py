@@ -5,8 +5,10 @@ the differential rate they integrate; the shape-function references are the
 double series, a 25-digit mpmath quadrature and the harmonic series of its
 angle integral.  They are slow and exist only to validate the program.  The
 dense overlap recurrence at the end is the earlier form of the band
-recurrence, kept to pin the band's bits, and the level-by-level truncation
-scan is the reference for the oracle's bisected default epsilon_max.
+recurrence, kept to pin the band's bits, the level-by-level truncation
+scan is the reference for the oracle's bisected default epsilon_max, and
+the stored-band breakdown is the per-pair reference for the oracle's
+streamed grid.
 """
 
 import math
@@ -16,9 +18,16 @@ import mpmath
 import numpy as np
 from scipy import integrate
 
-from trapscatter import ConvergenceError, TruncationError, bose_0m_differential, excited_pair_shape, p_kernel
-from trapscatter.oracle import _MAX_EPSILON, _boltzmann_tail
-from trapscatter.oscillator import _log_factorials
+from trapscatter import (
+    ConvergenceError,
+    RateBreakdown,
+    TruncationError,
+    bose_0m_differential,
+    excited_pair_shape,
+    p_kernel,
+)
+from trapscatter.oracle import _MAX_EPSILON, _boltzmann_tail, _projected_weights
+from trapscatter.oscillator import _log_factorials, overlap_band
 
 
 @dataclass(frozen=True)
@@ -256,3 +265,31 @@ def default_epsilon_max_scan(n_total, temperature):
         if _boltzmann_tail(emax, 0.0, temperature) < 1e-6 * n_total:
             return emax
     raise TruncationError(f"no truncation below {_MAX_EPSILON} for N={n_total}, T={temperature:g}")
+
+
+def exact_breakdown_band(ens, delta):
+    """The oracle breakdown of one (ensemble, delta) pair from a stored overlap band.
+
+    The band is built at the ensemble's own epsilon_max.  Diffraction reads
+    its column 0, bose_0m its squared row 0, and bose_mm the double running
+    sums C down its squared columns against a zero-padded Hankel view of the
+    occupations: the form `exact_breakdown` had before the oracle streamed
+    the recurrence.  bose_mm is the exactly rounded sum of those products
+    (the former einsum was itself up to 7e-15 off it).
+    """
+    occ = ens.occupations
+    emax = ens.epsilon_max
+    n = float(ens.n_total)
+    if occ[emax] * (emax + 1) * (emax + 2) / 2.0 > 1e-4 * n:
+        raise TruncationError("occupancy-weighted truncation tail exceeds 1e-4 of the sum")
+    w = _projected_weights(occ)
+    if delta == 0.0:
+        return RateBreakdown.build(n, float(np.sum(w)) ** 2, 0.0, 0.0)
+    band = overlap_band(emax, delta)
+    column = band[:, 0].copy()
+    pair = np.cumsum(np.cumsum(np.square(band), axis=0), axis=0)
+    diffraction = float(np.dot(column, w)) ** 2
+    bose_0m = 2.0 * float(occ[0]) * float(np.dot(occ[1:], pair[0, 1:]))
+    hankel = np.lib.stride_tricks.sliding_window_view(np.concatenate([occ, np.zeros(emax)]), emax + 1)
+    bose_mm = 2.0 * math.fsum((occ[1:, None] * hankel[1:, 1:] * pair[1:, 1:]).ravel())
+    return RateBreakdown.build(n, diffraction, bose_0m, bose_mm)

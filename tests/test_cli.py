@@ -220,14 +220,13 @@ class TestSweepAngle:
         import trapscatter.cli as cli
         from trapscatter.errors import PrecisionLossError
 
-        real_breakdown = cli.exact_breakdown
+        real_breakdowns = cli.exact_breakdowns
 
-        def breakdown(ens, delta):
-            if delta == 2.5:
-                raise PrecisionLossError("synthetic")
-            return real_breakdown(ens, delta)
+        def breakdowns(ensembles, deltas):
+            return [[PrecisionLossError("synthetic") if delta == 2.5 else cell
+                     for delta, cell in zip(deltas, row)] for row in real_breakdowns(ensembles, deltas)]
 
-        monkeypatch.setattr(cli, "exact_breakdown", breakdown)
+        monkeypatch.setattr(cli, "exact_breakdowns", breakdowns)
         out = tmp_path / f"rows.{fmt}"
         code = run_main([
             "sweep-angle", "--n", "300", "--t-over-tc", "0.6", "--method", "oracle",
@@ -424,25 +423,24 @@ class TestRowFunction:
             assert [rows_a[0][c] for c in channels] == [temp_row[c] for c in channels]
 
 
-class TestOracleBandReuse:
-    """The oracle builds its overlap band once per delta, not once per row."""
+class TestOracleStream:
+    """A sweep runs one overlap recurrence for all its rows, not one per row or per delta."""
 
     @pytest.fixture
-    def band_calls(self, monkeypatch):
-        from trapscatter import oracle, oscillator
+    def recurrences(self, monkeypatch):
+        from trapscatter import oscillator
 
         calls = []
-        real = oscillator.overlap_band
+        real = oscillator._overlap_rows
 
-        def counted(m_max, delta):
-            calls.append((m_max, delta))
-            return real(m_max, delta)
+        def counted(m_max, deltas):
+            calls.append((m_max, list(deltas)))
+            return real(m_max, deltas)
 
-        monkeypatch.setattr(oscillator, "overlap_band", counted)
-        monkeypatch.setattr(oracle, "_PAIR_SUMS", {})
+        monkeypatch.setattr(oscillator, "_overlap_rows", counted)
         return calls
 
-    def test_temperature_sweep_shares_one_band(self, tmp_path, band_calls):
+    def test_temperature_sweep_runs_one_recurrence(self, tmp_path, recurrences):
         out = tmp_path / "temp.csv"
         assert run_main([
             "sweep-temp", "--n", "10000", "--t-over-tc-lo", "0.2", "--t-over-tc-hi", "1.4",
@@ -450,10 +448,12 @@ class TestOracleBandReuse:
             "--out", str(out),
         ]) == 0
         assert len(read_rows(out)[1]) == 60
-        # the truncation rises with T; doubling the held band keeps the builds few
-        assert 1 <= len(band_calls) <= 6, band_calls
+        assert len(recurrences) == 1 and recurrences[0][1] == [1.0]
+        # streamed to the largest truncation, the hottest row's
+        hottest = trapscatter.solve_mu_discrete(10_000, 1.4 * trapscatter.critical_temperature(10_000))
+        assert recurrences[0][0] == hottest.epsilon_max
 
-    def test_angle_sweep_builds_one_band_per_delta(self, tmp_path, band_calls):
+    def test_angle_sweep_runs_one_recurrence(self, tmp_path, recurrences):
         out = tmp_path / "angle.csv"
         assert run_main([
             "sweep-angle", "--n", "3000", "--t-over-tc", "0.7", "--k-incident", "100",
@@ -461,8 +461,7 @@ class TestOracleBandReuse:
             "--out", str(out),
         ]) == 0
         assert len(read_rows(out)[1]) == 20
-        assert len({d for _, d in band_calls}) == len(band_calls) == 20
-        assert len({m for m, _ in band_calls}) == 1  # every band at the ensemble's own truncation
+        assert len(recurrences) == 1 and len(recurrences[0][1]) == 20
 
 
 def test_cli_runs_without_scipy(tmp_path):

@@ -2,22 +2,23 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from _reference import default_epsilon_max_scan
+from _reference import default_epsilon_max_scan, exact_breakdown_band
 from trapscatter import (
     DiscreteEnsemble,
+    PrecisionLossError,
     TruncationError,
     condensate_count,
     critical_temperature,
     exact_breakdown,
-    oracle,
     scaling_probe,
     solve_mu_discrete,
 )
-from trapscatter.oracle import _boltzmann_tail, _default_epsilon_max, _projected_weights
+from trapscatter import oscillator
+from trapscatter.oracle import _boltzmann_tail, _default_epsilon_max, _projected_weights, exact_breakdowns
 from trapscatter.oscillator import diagonal_amplitude_column, overlap_matrix
 from trapscatter.thermo import degeneracy, occupation
 
@@ -264,34 +265,65 @@ def _bose_ensemble(emax):
                             epsilon_max=emax, occupations=occ)
 
 
-class TestPairSums:
-    """exact_breakdown reads one held overlap band per delta, sliced to each truncation."""
+def _cell(ens, delta):
+    """The stored-band reference for one pair, or the exception it raises."""
+    try:
+        return exact_breakdown_band(ens, delta)
+    except (TruncationError, PrecisionLossError) as exc:
+        return exc
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 600), st.integers(1, 600), st.floats(0.1, 12.0), st.floats(0.1, 12.0))
-    def test_bit_identical_whatever_the_memo_holds(self, m1, m2, delta, other):
-        small, big = _bose_ensemble(min(m1, m2)), _bose_ensemble(max(m1, m2))
 
-        def held():
-            assert len(oracle._PAIR_SUMS) <= 1
-            return next(iter(oracle._PAIR_SUMS.items()))
+class TestExactBreakdowns:
+    """One streamed recurrence serves every (ensemble, delta) pair of a grid."""
 
-        def run(*calls):
-            oracle._PAIR_SUMS.clear()
-            got = [_channels(exact_breakdown(ens, d)) for ens, d in calls]
-            key, (size, *arrays) = held()
-            assert key == calls[-1][1] and size >= calls[-1][0].epsilon_max
-            assert not any(a.flags.writeable for a in arrays)
-            return got[-1]
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(1, 600), min_size=1, max_size=4),
+           st.lists(st.just(0.0) | st.floats(0.1, 12.0), min_size=1, max_size=5))
+    def test_grid_matches_per_pair_reference(self, emaxes, deltas):
+        ensembles = [_bose_ensemble(emax) for emax in emaxes]
+        grid = exact_breakdowns(ensembles, deltas)
+        assert len(grid) == len(ensembles) and all(len(row) == len(deltas) for row in grid)
+        for ens, row in zip(ensembles, grid):
+            for delta, got in zip(deltas, row):
+                want = exact_breakdown_band(ens, delta)
+                assert (got.rayleigh, got.diffraction, got.bose_0m) == (
+                    want.rayleigh, want.diffraction, want.bose_0m)
+                assert_allclose(got.bose_mm, want.bose_mm, rtol=1e-14, atol=0.0)
 
-        cold_small, cold_big = run((small, delta)), run((big, delta))
-        assert run((big, delta), (small, delta)) == cold_small  # warm at a larger size
-        assert run((small, delta), (big, delta)) == cold_big  # grown past the held size
-        assert run((big, other), (small, delta)) == cold_small  # right after another delta
-        assert run((small, other), (big, delta)) == cold_big
-        if other != delta:
-            # a new delta builds at exactly the asked truncation
-            assert held()[1][0] == big.epsilon_max
+    @settings(max_examples=25, deadline=None)
+    @example(bound=0.2, emaxes=[5, 20, 50, 100], deltas=[0.0, 8.0, 10.0, 12.0])
+    @given(st.floats(0.1, 0.35), st.lists(st.integers(1, 120), min_size=1, max_size=4),
+           st.lists(st.just(0.0) | st.floats(3.0, 12.0), min_size=1, max_size=5))
+    def test_precision_loss_per_pair(self, bound, emaxes, deltas):
+        # a lowered bound fails low levels first: each pair raises iff the band
+        # at its own truncation does, and every other cell keeps its value
+        ensembles = [_bose_ensemble(emax) for emax in emaxes]
+        clean = exact_breakdowns(ensembles, deltas)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oscillator, "_AMPLITUDE_BOUND", bound)
+            grid = exact_breakdowns(ensembles, deltas)
+            want = [[_cell(ens, delta) for delta in deltas] for ens in ensembles]
+        for clean_row, row, want_row in zip(clean, grid, want):
+            for before, got, ref in zip(clean_row, row, want_row):
+                if isinstance(ref, PrecisionLossError):
+                    assert isinstance(got, PrecisionLossError)
+                else:
+                    assert _channels(got) == _channels(before)
+
+    def test_mixed_verdicts_in_one_grid(self, monkeypatch):
+        # at bound 0.2 delta = 10 first breaches at level 39: one ensemble
+        # below it, one above, and a starved tail fails its whole row
+        starved = DiscreteEnsemble(n_total=1, temperature=30.0, mu_exact=-0.01,
+                                   epsilon_max=360, occupations=np.full(361, 1e-3))
+        monkeypatch.setattr(oscillator, "_AMPLITUDE_BOUND", 0.2)
+        grid = exact_breakdowns([_bose_ensemble(30), _bose_ensemble(60), starved], [0.0, 10.0])
+        kinds = [[type(cell).__name__ for cell in row] for row in grid]
+        assert kinds == [["RateBreakdown"] * 2, ["RateBreakdown", "PrecisionLossError"],
+                         ["TruncationError"] * 2]
+        with pytest.raises(PrecisionLossError):
+            exact_breakdown(_bose_ensemble(60), 10.0)
+        with pytest.raises(TruncationError):
+            exact_breakdown(starved, 0.0)
 
 
 class TestFiniteSizeCorrections:

@@ -61,6 +61,10 @@ class SweepConfig:
     t_ratio_hi: float = None
 
     def validate_common(self):
+        for key, (field_name, cast) in _CONFIG_FIELDS.items():
+            value = getattr(self, field_name)
+            if cast is float and value is not None and not math.isfinite(value):
+                raise ConfigError(key.replace("_", "-"), "must be finite")
         if self.n_total < 1:
             raise ConfigError("n", "must be >= 1")
         if self.k_incident <= 0:

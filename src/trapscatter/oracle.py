@@ -38,7 +38,7 @@ import numpy as np
 from . import oscillator
 from .errors import PrecisionLossError, TruncationError
 from .scattering import RateBreakdown
-from .thermo import _bisect_increasing, critical_temperature
+from .thermo import _solve_number_equation, critical_temperature
 
 __all__ = [
     "DiscreteEnsemble",
@@ -106,15 +106,15 @@ def _boltzmann_tail(epsilon_max, mu, temperature):
 
 
 def solve_mu_discrete(n_total, temperature, epsilon_max=None):
-    """Chemical potential from the full discrete occupation sum, by bisection.
+    """Chemical potential from the full discrete occupation sum, by Newton on ln N.
 
-    Reproduces the exact ground-state relation e^{-mu/T} = 1 + 1/N0 by
-    construction.  Raises TruncationError when the truncation cannot
-    control the Boltzmann tail to 1e-6 N.
+    Each occupation is log-convex in mu, as `thermo.chemical_potential` needs.
+    Reproduces e^{-mu/T} = 1 + 1/N0 by construction; raises TruncationError when
+    the truncation cannot control the Boltzmann tail to 1e-6 N.
     """
     if n_total < 1:
         raise ValueError("n_total must be >= 1")
-    if temperature <= 0:
+    if not temperature > 0:
         raise ValueError("temperature must be positive")
     t = float(temperature)
     if epsilon_max is None:
@@ -131,12 +131,13 @@ def solve_mu_discrete(n_total, temperature, epsilon_max=None):
     g = (eps + 1.0) * (eps + 2.0) / 2.0
 
     def population(mu):
-        return float((g / np.expm1((eps - mu) / t)).sum())
+        occ = 1.0 / np.expm1((eps - mu) / t)
+        level = g * occ
+        return float(level.sum()), float((level * (occ + 1.0)).sum()) / t
 
     # deep Boltzmann tails overflow expm1 to inf; those states hold 0
     with np.errstate(over="ignore"):
-        lo = -5000.0 * t if population(-60.0 * t) > n_total else -60.0 * t
-        mu = _bisect_increasing(population, n_total, lo, -1e-12 * t, 1e-15 * t, "solve_mu_discrete")
+        mu = _solve_number_equation(population, n_total, t, "solve_mu_discrete")
         occupations = 1.0 / np.expm1((eps - mu) / t)
 
     if _boltzmann_tail(epsilon_max, mu, t) > 1e-6 * n_total:

@@ -1,7 +1,7 @@
 """Special functions and quadrature kernels.
 
-Provides the trilogarithm used by the trap thermodynamics, the thermal
-two-occupation kernel
+Provides the trilogarithm and dilogarithm of the trap thermodynamics'
+number equation and its slope, the thermal two-occupation kernel
 
     P(a, b) = int_0^inf z dz / ((e^{z+a} - 1)(e^{z+b} - 1)),
 
@@ -27,6 +27,7 @@ import numpy as np
 
 __all__ = [
     "polylog3",
+    "polylog2",
     "p_kernel",
     "g_kernel",
     "diffraction_z_integral",
@@ -46,9 +47,11 @@ _NEG_ZETA = (
     3617.0 / 8160.0, 0.0, -43867.0 / 14364.0, 0.0, 174611.0 / 6600.0,
 )
 
-_FACTORIALS = [1.0]
-for _j in range(1, 15):
-    _FACTORIALS.append(_FACTORIALS[-1] * _j)
+_FACTORIALS = [float(math.factorial(j)) for j in range(16)]
+
+_K = np.arange(1, 120)
+_K_CUBED = _K**3
+_K_SQUARED = _K**2
 
 
 def _leggauss(n):
@@ -67,11 +70,8 @@ def polylog3(x):
     x = float(x)
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"polylog3 requires 0 <= x <= 1, got {x}")
-    if x == 0.0:
-        return 0.0
     if x <= 0.5:
-        k = np.arange(1, 120)
-        return float(np.sum(x**k / k**3))
+        return float(np.sum(x**_K / _K_CUBED))
     y = -np.log(x)
     if y == 0.0:
         return ZETA3
@@ -79,6 +79,22 @@ def polylog3(x):
     for j in range(3, 15):
         s += _NEG_ZETA[j - 3] * (-y) ** j / _FACTORIALS[j]
     return float(s)
+
+
+def polylog2(x):
+    """Dilogarithm Li2(x) for x in [0, 1]: the branches of `polylog3`, differentiated."""
+    x = float(x)
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"polylog2 requires 0 <= x <= 1, got {x}")
+    if x <= 0.5:
+        return float(np.sum(x**_K / _K_SQUARED))
+    if x == 1.0:
+        return ZETA2
+    y = -math.log(x)
+    s = ZETA2 - y * (1.0 - math.log(y))
+    for j in range(2, 16):
+        s += _NEG_ZETA[j - 2] * (-y) ** j / _FACTORIALS[j]
+    return s
 
 
 # Below this z = e^{-a} the dilogarithm forms lose digits to cancellation

@@ -19,6 +19,12 @@ kept discrete and the excited states in the continuum approximation,
 which is smooth in T across T_c and reproduces both limiting formulas:
 below T_c it is exactly mu = -T ln(1 + 1/N0) for the solved ground-state
 occupation, above T_c the ground term is O(1) and drops out.
+
+Newton's method on ln N(mu) solves this equation and the oracle's level
+sum.  Each term, g/(e^{(eps-mu)/T} - 1) or T^3 Li3(e^{mu/T}) =
+T^3 sum_k e^{k mu/T}/k^3, is a positive sum of exponentials in mu, so
+ln N is increasing and convex: from mu0 = -T ln(1 + 1/N), where the ground
+term alone is N, Newton falls onto the root without overshooting.
 """
 
 import math
@@ -43,7 +49,7 @@ ZETA3 = quad.ZETA3
 # Linearized slope of mu/T just above Tc: mu/T = -MU_SLOPE * (T - Tc)/Tc.
 MU_SLOPE = 18.0 * ZETA3 / math.pi**2
 
-_BISECT_ITERATIONS = 200
+_NEWTON_ITERATIONS = 100
 
 
 def critical_temperature(n_total):
@@ -91,54 +97,47 @@ def degeneracy(energy_level):
     return (e + 1) * (e + 2) // 2
 
 
-def _population(mu, n_total, temperature):
-    # Discrete ground state plus continuum excited states.
-    return 1.0 / math.expm1(-mu / temperature) + temperature**3 * quad.polylog3(
-        math.exp(mu / temperature)
-    )
+def _population(mu, t):
+    """N(mu) and dN/dmu: discrete ground state plus continuum excited states."""
+    n0 = 1.0 / math.expm1(-mu / t)
+    z = math.exp(mu / t)
+    return n0 + t**3 * quad.polylog3(z), n0 * (n0 + 1.0) / t + t * t * quad.polylog2(z)
 
 
-def _bisect_increasing(fn, target, lo, hi, tol, context):
-    """Root of fn(x) = target for an fn increasing on [lo, hi], by bisection.
+def _solve_number_equation(population, n_total, t, context):
+    """Root mu < 0 of N(mu) = n_total by Newton's method on ln N(mu).
 
-    The caller chooses the bracket (and any expansion of it); only the
-    upper end is checked, so fn(lo) <= target is the caller's promise.
-    Stops once the bracket is narrower than `tol`, or once no float lies
-    strictly inside it (a `tol` below one ulp of the root), and returns its
-    midpoint.
+    `population(mu)` returns N(mu) and dN/dmu, ln N increasing and convex
+    (module docstring).  Starts at mu0 = -T ln(1 + 1/N) and stops once a
+    step is below 1e-15 T or no longer lowers the iterate.
     """
-    if not fn(hi) >= target:
-        raise ConvergenceError(f"{context}: bracket does not contain the root")
-    for _ in range(_BISECT_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return mid
-        if fn(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol:
-            return 0.5 * (lo + hi)
-    raise ConvergenceError(f"{context}: bisection budget exhausted")
+    mu = -t * math.log1p(1.0 / n_total)
+    for iteration in range(_NEWTON_ITERATIONS):
+        value, slope = population(mu)
+        if not (0.0 < value < math.inf and 0.0 < slope < math.inf):
+            raise ConvergenceError(f"{context}: population {value} with slope {slope} at mu={mu}")
+        # rounding can leave the ground term at mu0 up to 2 ulps short of N
+        if iteration == 0 and value < n_total * (1.0 - 1e-14):
+            raise ConvergenceError(f"{context}: the start point lies below the root")
+        step = math.log(value / n_total) * value / slope
+        if step < 1e-15 * t or not mu - step < mu:
+            return min(mu, mu - step)
+        mu -= step
+    raise ConvergenceError(f"{context}: Newton budget exhausted")
 
 
 def chemical_potential(n_total, temperature):
-    """Chemical potential from the combined number equation, by bisection.
+    """Chemical potential from the combined number equation, by Newton on ln N.
 
-    The population is strictly increasing in mu with limits 0 and
-    +infinity on mu in (-inf, 0), so the bracket [-50 T, -1e-12 T] always
-    contains the root for any n_total down to a single particle.
+    ln N is convex and rises from -infinity to +infinity on mu in (-inf, 0),
+    so the solve converges for any n_total down to a single particle.
     """
-    if temperature <= 0:
+    if not temperature > 0:
         raise ValueError("temperature must be positive")
     if n_total < 1:
         raise ValueError("n_total must be >= 1")
     t = float(temperature)
-    lo = -50.0 * t
-    if _population(lo, n_total, t) > n_total:
-        lo = -5000.0 * t
-    return _bisect_increasing(lambda mu: _population(mu, n_total, t), n_total,
-                              lo, -1e-12 * t, 1e-15 * t, "chemical_potential")
+    return _solve_number_equation(lambda mu: _population(mu, t), n_total, t, "chemical_potential")
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,10 @@ double series, a 25-digit mpmath quadrature and the harmonic series of its
 angle integral.  They are slow and exist only to validate the program.  The
 dense overlap recurrence at the end is the earlier form of the band
 recurrence, kept to pin the band's bits, the level-by-level truncation
-scan is the reference for the oracle's bisected default epsilon_max, and
-the stored-band breakdown is the per-pair reference for the oracle's
-streamed grid.
+scan is the reference for the oracle's bisected default epsilon_max, the
+stored-band breakdown is the per-pair reference for the oracle's streamed
+grid, and the bisection at the very end, the program's earlier root finder,
+is the reference for both Newton solves of the number equation.
 """
 
 import math
@@ -25,6 +26,7 @@ from trapscatter import (
     bose_0m_differential,
     excited_pair_shape,
     p_kernel,
+    polylog3,
 )
 from trapscatter.oracle import _MAX_EPSILON, _boltzmann_tail, _projected_weights
 from trapscatter.oscillator import _log_factorials, overlap_band
@@ -293,3 +295,49 @@ def exact_breakdown_band(ens, delta):
     hankel = np.lib.stride_tricks.sliding_window_view(np.concatenate([occ, np.zeros(emax)]), emax + 1)
     bose_mm = 2.0 * math.fsum((occ[1:, None] * hankel[1:, 1:] * pair[1:, 1:]).ravel())
     return RateBreakdown.build(n, diffraction, bose_0m, bose_mm)
+
+
+def bisect_increasing(fn, target, lo, hi, tol):
+    """Root of fn(x) = target for an fn increasing on [lo, hi], by bisection.
+
+    fn(lo) <= target is the caller's promise; only the upper end is checked.
+    Stops once the bracket is narrower than `tol`, or once no float lies
+    strictly inside it (a `tol` below one ulp of the root), and returns its
+    midpoint.
+    """
+    if not fn(hi) >= target:
+        raise ConvergenceError("bracket does not contain the root")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        if fn(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < tol:
+            return 0.5 * (lo + hi)
+    raise ConvergenceError("bisection budget exhausted")
+
+
+def continuum_population(mu, t):
+    """1/(e^{-mu/T} - 1) + T^3 Li3(e^{mu/T}): discrete ground state, continuum excited states."""
+    return 1.0 / math.expm1(-mu / t) + t**3 * polylog3(math.exp(mu / t))
+
+
+def discrete_population(mu, t, epsilon_max):
+    """sum_eps g(eps)/(e^{(eps - mu)/T} - 1) over the levels 0..epsilon_max."""
+    eps = np.arange(epsilon_max + 1.0)
+    with np.errstate(over="ignore"):
+        return float(((eps + 1.0) * (eps + 2.0) / 2.0 / np.expm1((eps - mu) / t)).sum())
+
+
+def chemical_potential_bisection(n_total, temperature, population):
+    """mu of population(mu) = n_total by bisection to 1e-15 T.
+
+    The bracket [-60 T, -1e-12 T], widened to -5000 T when the population
+    at -60 T already exceeds n_total, contains the root.
+    """
+    t = temperature
+    lo = -5000.0 * t if population(-60.0 * t) > n_total else -60.0 * t
+    return bisect_increasing(population, n_total, lo, -1e-12 * t, 1e-15 * t)

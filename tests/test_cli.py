@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trapscatter
 from trapscatter.cli import (
@@ -28,6 +33,20 @@ def read_rows(path):
     header = lines[0].split(",")
     rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
     return header, rows
+
+
+# (subcommand, a valid base command line, the float flags it reads)
+_NON_FINITE_CASES = [
+    ("sweep-angle", ["--n", "200", "--t-over-tc", "0.7", "--delta-lo", "0.5", "--delta-hi", "2",
+                     "--points", "2", "--method", "both"],
+     ["t-over-tc", "t", "k-incident", "delta-lo", "delta-hi"]),
+    ("sweep-temp", ["--n", "200", "--delta", "1", "--t-over-tc-lo", "0.5", "--t-over-tc-hi", "1.2",
+                    "--points", "2", "--method", "both"],
+     ["delta", "t-over-tc-lo", "t-over-tc-hi", "t-lo", "t-hi", "k-incident"]),
+    ("oracle-compare", ["--n", "200", "--t-over-tc", "0.7", "--delta-lo", "0.5", "--delta-hi", "2",
+                        "--points", "2", "--format", "json"],
+     ["t-over-tc", "k-incident", "delta-lo", "delta-hi"]),
+]
 
 
 class TestConfigPlumbing:
@@ -106,6 +125,33 @@ class TestConfigPlumbing:
         err = capsys.readouterr().err
         assert err.startswith("config-invalid: ") and "epsilon-max" in err
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_non_finite_fields_exit_2(self, data):
+        # any float field set to nan or +-inf, by flag or config file, is a
+        # config error: exit 2, one stderr line, no table and no traceback
+        subcommand, base, fields = data.draw(st.sampled_from(_NON_FINITE_CASES))
+        chosen = data.draw(st.lists(st.sampled_from(fields), min_size=1, max_size=3, unique=True))
+        values = data.draw(st.lists(st.sampled_from(["nan", "inf", "-inf"]), min_size=len(chosen),
+                                    max_size=len(chosen)))
+        args = [subcommand] + base + [f"--{flag}={value}" for flag, value in zip(chosen, values)]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(args)
+        assert code == 2, args
+        assert stdout.getvalue() == ""
+        assert stderr.getvalue().startswith("config-invalid: ") and stderr.getvalue().count("\n") == 1
+
+    def test_non_finite_config_file_value(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("delta-lo = nan\n")
+        out = tmp_path / "none.csv"
+        code = run_main(["sweep-angle", "--config", str(cfg), "--n", "200", "--t-over-tc", "0.7",
+                         "--delta-hi", "5", "--points", "3", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "config-invalid: delta-lo: must be finite\n"
         assert not out.exists()
 
     def test_temperature_exclusivity(self):
@@ -462,6 +508,24 @@ class TestOracleStream:
         ]) == 0
         assert len(read_rows(out)[1]) == 20
         assert len(recurrences) == 1 and len(recurrences[0][1]) == 20
+
+
+@pytest.mark.parametrize("args", [
+    # cold rows overflow the discrete solve's expm1; rows across Tc and the
+    # classical end exercise both slopes of the number equation
+    ["sweep-temp", "--n", "20", "--t-over-tc-lo", "0.01", "--t-over-tc-hi", "1.4",
+     "--points", "30", "--delta", "1.0", "--method", "both"],
+    ["sweep-temp", "--n", "1", "--t-over-tc-lo", "0.05", "--t-over-tc-hi", "100",
+     "--points", "12", "--log", "--delta", "1.0", "--method", "semiclassical"],
+    ["sweep-angle", "--n", "3000", "--t-over-tc", "0.7", "--delta-lo", "0.1", "--delta-hi", "8",
+     "--points", "8", "--method", "oracle"],
+])
+def test_no_runtime_warnings(tmp_path, args):
+    out = tmp_path / "table.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_main(args + ["--k-incident", "100", "--out", str(out)]) == 0
+    assert out.exists()
 
 
 def test_cli_runs_without_scipy(tmp_path):

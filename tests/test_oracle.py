@@ -6,7 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from _reference import default_epsilon_max_scan, exact_breakdown_band
+from _reference import (
+    chemical_potential_bisection,
+    default_epsilon_max_scan,
+    discrete_population,
+    exact_breakdown_band,
+)
 from trapscatter import (
     DiscreteEnsemble,
     PrecisionLossError,
@@ -17,7 +22,7 @@ from trapscatter import (
     scaling_probe,
     solve_mu_discrete,
 )
-from trapscatter import oscillator
+from trapscatter import oracle, oscillator
 from trapscatter.oracle import _boltzmann_tail, _default_epsilon_max, _projected_weights, exact_breakdowns
 from trapscatter.oscillator import diagonal_amplitude_column, overlap_matrix
 from trapscatter.thermo import degeneracy, occupation
@@ -104,6 +109,45 @@ class TestSolveMuDiscrete:
             solve_mu_discrete(0, 1.0)
         with pytest.raises(ValueError):
             solve_mu_discrete(10, -1.0)
+        with pytest.raises(ValueError):
+            solve_mu_discrete(10, math.nan, epsilon_max=40)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 100_000), st.floats(math.log(0.05), math.log(1.4)))
+    @example(1, math.log(0.05))
+    @example(100_000, math.log(0.05))
+    @example(11_800, math.log(1.4))
+    def test_newton_matches_bisection_reference(self, n, log_ratio):
+        # T/Tc up to 1.4, capped at T = 28, where the default truncation
+        # controls the tail for every N up to 1e5
+        t = min(math.exp(log_ratio) * critical_temperature(n), 28.0)
+        solve = oracle._solve_number_equation
+        evaluations = []
+
+        def counting(population, *args):
+            def counted(mu):
+                evaluations.append(mu)
+                return population(mu)
+
+            return solve(counted, *args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_solve_number_equation", counting)
+            ens = solve_mu_discrete(n, t)
+        assert len(evaluations) <= 30
+        reference = chemical_potential_bisection(n, t, lambda mu: discrete_population(mu, t, ens.epsilon_max))
+        assert_allclose(ens.mu_exact, reference, rtol=1e-10, atol=0)
+        assert_allclose(discrete_population(ens.mu_exact, t, ens.epsilon_max), n, rtol=1e-13)
+
+    @pytest.mark.parametrize("n", [23, 49, 93])
+    def test_cold_start_rounding_short_of_n(self, n):
+        # at these N the ground term at mu0 = -T ln(1 + 1/N) rounds below N,
+        # and at T = 0.027 the excited levels add less than one ulp of it
+        t = 0.027
+        ens = solve_mu_discrete(n, t, epsilon_max=40)
+        assert_allclose(ens.mu_exact, -t * math.log1p(1.0 / n), rtol=1e-15)
+        reference = chemical_potential_bisection(n, t, lambda mu: discrete_population(mu, t, 40))
+        assert_allclose(ens.mu_exact, reference, rtol=1e-10)
 
 
 class TestDefaultEpsilonMax:

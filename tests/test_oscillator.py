@@ -12,6 +12,7 @@ from _reference import overlap_matrix_dense, sqrt_singular_integral
 from trapscatter import PrecisionLossError, oscillator, overlap_exact, overlap_ground_exact, overlap_wkb
 from trapscatter.oscillator import (
     _amplitude,
+    _overlap_rows,
     diagonal_amplitude_column,
     ground_overlap_column,
     overlap_band,
@@ -185,6 +186,28 @@ class TestOverlapMatrix:
                     forbidden_checked += 1
         assert forbidden_checked > 100
 
+    @pytest.mark.parametrize("delta", [0.1, 0.3, 1.0])
+    def test_level_2500_against_mpmath_laguerre(self, delta):
+        # past both cost guards, where the upward recurrence has run longest:
+        # streamed rows on a grid of (n, k) plus points about the upper
+        # turning offset, against 60-digit signed amplitudes
+        m_max = 2500
+        x = 0.5 * delta * delta
+        grid = (0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597,
+                2000, 2400, 2496, 2499, 2500)
+        worst = 0.0
+        with mpmath.workdps(60):
+            xm = mpmath.mpf(delta) ** 2 / 2
+            for n, rows in _overlap_rows(m_max, [delta]):
+                if n not in grid:
+                    continue
+                edge = x + 2.0 * math.sqrt(n * x)
+                ks = {k for k in grid if n + k <= m_max}
+                ks |= {round(f * edge) for f in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0) if n + round(f * edge) <= m_max}
+                for k in ks:
+                    worst = max(worst, abs(rows[0, k] - float(_mpmath_amplitude(n, k, xm))))
+        assert worst < 5e-11, worst
+
 
 class TestOverlapBand:
     @settings(max_examples=60, deadline=None)
@@ -216,6 +239,23 @@ class TestOverlapBand:
         for n in range(top + 1):
             k = np.arange(1, n + 1)
             assert abs(sq[n].sum() + sq[n - k, k].sum() - 1.0) < 1e-10, n
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.floats(0.1, 8.0))
+    def test_row_unitarity_at_level_2500(self, delta):
+        # every streamed row n whose padded partners (as above) stay inside
+        # m_max = 2500: row n pairs with n - k through row n - k's entry k
+        m_max = 2500
+        x = 0.5 * delta * delta
+        top = m_max - math.ceil(2.0 * (x + 2.0 * math.sqrt(m_max * x)) + 40.0)
+        total = np.zeros(top + 1)
+        for n, rows in _overlap_rows(m_max, [delta]):
+            if n > top:
+                break
+            sq = rows[0] ** 2
+            total[n] += sq.sum()
+            total[n + 1:] += sq[1:top + 1 - n]
+        assert np.abs(total - 1.0).max() < 1e-10
 
     @pytest.mark.parametrize("delta", [0.3, 0.5])
     def test_level_600_against_mpmath_laguerre(self, delta):

@@ -14,6 +14,7 @@ from trapscatter import (
     polylog3,
 )
 from trapscatter.quad import (
+    ZETA2,
     _HALF_NEAR,
     _SERIES_Z,
     _ZETA_HALF,
@@ -21,6 +22,7 @@ from trapscatter.quad import (
     _li2_excess,
     _li52_excess,
     g_kernel,
+    polylog2,
 )
 
 
@@ -44,6 +46,37 @@ class TestPolylog3:
     def test_domain(self, x):
         with pytest.raises(ValueError):
             polylog3(x)
+
+    def test_series_branch_bits(self):
+        # the hoisted powers leave the x <= 1/2 branch's sum unchanged, bit for bit
+        k = np.arange(1, 120)
+        for x in np.linspace(0.0, 0.5, 101):
+            assert polylog3(x) == float(np.sum(x**k / k**3))
+
+
+class TestPolylog2:
+    def test_against_mpmath(self):
+        # both branches and the switch at x = 1/2, from either side, to x = 1
+        x = np.concatenate([
+            np.linspace(0.0, 1.0, 1001), [1e-300, 1e-8, 0.5, np.nextafter(0.5, 1.0)],
+            1.0 - np.geomspace(1e-15, 1e-3, 13),
+        ])
+        with mpmath.workdps(30):
+            reference = np.array([float(mpmath.polylog(2, mpmath.mpf(xi))) for xi in x])
+        assert_allclose(np.array([polylog2(xi) for xi in x]), reference, rtol=5e-14, atol=0)
+        assert polylog2(1.0) == ZETA2 and polylog2(0.0) == 0.0
+
+    def test_is_derivative_of_polylog3(self):
+        # x d/dx Li3(x) = Li2(x), by a central difference in ln x
+        for x in (0.1, 0.45, 0.55, 0.9):
+            h = 1e-5
+            slope = (polylog3(x * math.exp(h)) - polylog3(x * math.exp(-h))) / (2.0 * h)
+            assert_allclose(slope, polylog2(x), rtol=1e-9)
+
+    @pytest.mark.parametrize("x", [-0.1, 1.1, math.nan])
+    def test_domain(self, x):
+        with pytest.raises(ValueError):
+            polylog2(x)
 
 
 class TestLi2Excess:

@@ -3,10 +3,14 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate
 
+from _reference import chemical_potential_bisection, continuum_population
 from trapscatter import (
+    ConvergenceError,
     TrapEnsemble,
     ZETA3,
     chemical_potential,
@@ -16,6 +20,7 @@ from trapscatter import (
     excited_count,
     occupation,
 )
+from trapscatter import quad, thermo
 from trapscatter.thermo import MU_SLOPE
 
 
@@ -109,12 +114,12 @@ class TestChemicalPotential:
             t = ratio * critical_temperature(n)
             mu = chemical_potential(n, t)
             population = occupation(0.0, mu, t) + excited_count(t, mu)
-            assert_allclose(population, n, rtol=1e-9)
+            assert_allclose(population, n, rtol=1e-13)
 
     @pytest.mark.parametrize("ratio", [5.0, 10.0, 30.0, 100.0])
     def test_number_equation_in_classical_regime(self, ratio):
         # |mu|/T above 4.5: the 1e-15 T tolerance is below one ulp of mu,
-        # so the bisection must stop on an unsplittable bracket
+        # so the solve must stop on a step that no longer lowers mu
         n = 10_000
         t = ratio * critical_temperature(n)
         mu = chemical_potential(n, t)
@@ -157,7 +162,56 @@ class TestChemicalPotential:
         with pytest.raises(ValueError):
             chemical_potential(10, 0.0)
         with pytest.raises(ValueError):
+            chemical_potential(10, math.nan)
+        with pytest.raises(ValueError):
             chemical_potential(0, 1.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 100_000), st.floats(math.log(0.05), math.log(100.0)))
+    @example(1, math.log(0.05))
+    @example(100_000, math.log(0.05))
+    @example(100_000, 0.0)
+    @example(100_000, math.log(1.4))
+    @example(100_000, math.log(100.0))
+    def test_newton_matches_bisection_reference(self, n, log_ratio):
+        # mu to 1e-10 of the bisection (whose own error is up to 5e-16 T,
+        # 5e-11 of mu = -T/N0 at N0 = 1e5), the number equation to 1e-13,
+        # and at most 30 population evaluations, one polylog3 call each
+        t = math.exp(log_ratio) * critical_temperature(n)
+        polylog3 = quad.polylog3
+        evaluations = []
+
+        def counted(x):
+            evaluations.append(x)
+            return polylog3(x)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(quad, "polylog3", counted)
+            mu = chemical_potential(n, t)
+        assert len(evaluations) <= 30
+        reference = chemical_potential_bisection(n, t, lambda m: continuum_population(m, t))
+        assert_allclose(mu, reference, rtol=1e-10, atol=0)
+        assert_allclose(continuum_population(mu, t), n, rtol=1e-13)
+
+    def test_solver_raises_on_nan_temperature(self):
+        # NaN compares false everywhere: the solver must raise, not return NaN
+        t = math.nan
+
+        def ground(mu):
+            n0 = 1.0 / math.expm1(-mu / t)
+            return n0, n0 * (n0 + 1.0) / t
+
+        with pytest.raises(ConvergenceError):
+            thermo._solve_number_equation(ground, 100, t, "test")
+
+    def test_solver_raises_when_start_is_below_root(self):
+        with pytest.raises(ConvergenceError, match="below the root"):
+            thermo._solve_number_equation(lambda mu: (0.5, 1.0), 100, 1.0, "test")
+
+    def test_solver_budget(self, monkeypatch):
+        monkeypatch.setattr(thermo, "_NEWTON_ITERATIONS", 2)
+        with pytest.raises(ConvergenceError, match="budget"):
+            chemical_potential(100_000, 1.4 * critical_temperature(100_000))
 
 
 class TestOccupation:

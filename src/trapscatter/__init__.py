@@ -7,72 +7,32 @@ of the one-particle cross section, together with an exact discrete-
 spectrum oracle for desk-scale particle numbers.
 """
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .errors import ConfigError, ConvergenceError, PrecisionLossError, TruncationError
-from .oscillator import overlap_exact, overlap_ground_exact, overlap_wkb
-from .quad import diffraction_z_integral, p_kernel, polylog3
-from .scattering import (
-    CHANNELS,
-    Kinematics,
-    RateBreakdown,
-    bose_0m_differential,
-    bose_0m_total,
-    bose_mm_differential,
-    bose_mm_total,
-    decompose,
-    diffraction_differential,
-    diffraction_total,
-    excited_pair_shape,
-    rayleigh,
-)
-from .oracle import DiscreteEnsemble, ScalingFit, exact_breakdown, scaling_probe, solve_mu_discrete
-from .thermo import (
-    ZETA3,
-    TrapEnsemble,
-    chemical_potential,
-    condensate_count,
-    critical_temperature,
-    degeneracy,
-    excited_count,
-    occupation,
-)
+# Public names by defining submodule.  They are imported on first access
+# (PEP 562), so `import trapscatter` itself loads the standard library only.
+_EXPORTS = {
+    "errors": ("ConfigError", "ConvergenceError", "PrecisionLossError", "TruncationError"),
+    "thermo": ("ZETA3", "TrapEnsemble", "critical_temperature", "condensate_count",
+               "excited_count", "chemical_potential", "occupation", "degeneracy"),
+    "quad": ("polylog3", "diffraction_z_integral"),
+    "scattering": ("CHANNELS", "Kinematics", "RateBreakdown", "rayleigh",
+                   "diffraction_differential", "diffraction_total", "bose_0m_differential",
+                   "bose_0m_total", "bose_mm_differential", "bose_mm_total",
+                   "excited_pair_shape", "decompose"),
+    "oracle": ("DiscreteEnsemble", "ScalingFit", "solve_mu_discrete", "exact_breakdown",
+               "scaling_probe"),
+}
+_SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "CHANNELS",
-    "ZETA3",
-    "TrapEnsemble",
-    "DiscreteEnsemble",
-    "Kinematics",
-    "RateBreakdown",
-    "ScalingFit",
-    "ConfigError",
-    "ConvergenceError",
-    "PrecisionLossError",
-    "TruncationError",
-    "critical_temperature",
-    "condensate_count",
-    "excited_count",
-    "chemical_potential",
-    "occupation",
-    "degeneracy",
-    "polylog3",
-    "p_kernel",
-    "diffraction_z_integral",
-    "overlap_ground_exact",
-    "overlap_exact",
-    "overlap_wkb",
-    "rayleigh",
-    "diffraction_differential",
-    "diffraction_total",
-    "bose_0m_differential",
-    "bose_0m_total",
-    "bose_mm_differential",
-    "bose_mm_total",
-    "excited_pair_shape",
-    "decompose",
-    "solve_mu_discrete",
-    "exact_breakdown",
-    "scaling_probe",
-]
+__all__ = ["__version__", *_SUBMODULE]
+
+
+def __getattr__(name):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SUBMODULE[name]}", __name__), name)
+    globals()[name] = value
+    return value

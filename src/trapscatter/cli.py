@@ -20,9 +20,12 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, asdict
 
+# Every BLAS call the program makes is below OpenBLAS's threading thresholds.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import __version__

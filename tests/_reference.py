@@ -25,11 +25,11 @@ from trapscatter import (
     TruncationError,
     bose_0m_differential,
     excited_pair_shape,
-    p_kernel,
     polylog3,
 )
 from trapscatter.oracle import _MAX_EPSILON, _boltzmann_tail, _projected_weights
 from trapscatter.oscillator import _log_factorials, overlap_band
+from trapscatter.quad import p_kernel
 
 
 @dataclass(frozen=True)

@@ -27,13 +27,12 @@ from trapscatter import (
     diffraction_z_integral,
     excited_pair_shape,
     exact_breakdown,
-    overlap_ground_exact,
     scaling_probe,
     solve_mu_discrete,
 )
 from trapscatter.cli import main as cli_main
 from trapscatter.oracle import _projected_weights
-from trapscatter.oscillator import diagonal_amplitude_column, overlap_matrix
+from trapscatter.oscillator import diagonal_amplitude_column, overlap_ground_exact, overlap_matrix
 from trapscatter.thermo import MU_SLOPE
 
 

@@ -548,12 +548,70 @@ codes = [
 print(codes)
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
+    codes, loaded = _run_fresh("-c", script).splitlines()[-2:]
+    assert codes == "[0, 0, 0]"
+    assert loaded == "[]"
+
+
+def _run_fresh(*args, openblas_threads=None):
+    """stdout of a fresh interpreter run with `args`, importing the package from this tree.
+
+    OPENBLAS_NUM_THREADS is the caller's value or unset: once this process has
+    imported `trapscatter.cli` its own environment holds the CLI's default,
+    which a child inheriting it would report back whatever the code did.
+    """
     src = str(Path(trapscatter.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=300)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=300)
     assert done.returncode == 0, done.stderr
-    codes, loaded = done.stdout.splitlines()[-2:]
-    assert codes == "[0, 0, 0]"
-    assert loaded == "[]"
+    return done.stdout
+
+
+def test_package_root_is_lazy():
+    script = """
+import json, sys
+import trapscatter
+before = "numpy" in sys.modules
+trapscatter.TrapEnsemble
+touched = "numpy" in sys.modules
+namespace = {}
+exec("from trapscatter import *", namespace)
+try:
+    trapscatter.no_such_name
+    unknown = "resolved"
+except AttributeError:
+    unknown = "AttributeError"
+print(json.dumps({"before": before, "touched": touched, "unknown": unknown,
+                  "unresolved": [n for n in trapscatter.__all__ if n not in namespace]}))
+"""
+    report = json.loads(_run_fresh("-c", script).splitlines()[-1])
+    assert report["before"] is False
+    assert report["touched"] is True
+    assert report["unknown"] == "AttributeError"
+    assert report["unresolved"] == []
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="threads counted from /proc")
+@pytest.mark.parametrize("caller_value, threads", [(None, 1), ("2", 2)])
+def test_cli_runs_blas_single_threaded_by_default(caller_value, threads):
+    if caller_value is not None and len(os.sched_getaffinity(0)) < int(caller_value):
+        pytest.skip("OpenBLAS starts no more threads than there are usable CPUs")
+    script = "import os, trapscatter.cli; print(len(os.listdir('/proc/self/task')))"
+    assert _run_fresh("-c", script, openblas_threads=caller_value).split() == [str(threads)]
+
+
+def test_perfbench_tracer_runs_on_the_lazy_root(tmp_path):
+    # the tracer swaps wrappers into every loaded trapscatter module's dict,
+    # and the package root's dict fills only as its names are first read
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "trace_child.py"
+    spans_path = tmp_path / "spans.json"
+    _run_fresh(str(tracer), str(spans_path), "sweep-angle", "--n", "500", "--t-over-tc", "0.7",
+               "--k-incident", "100", "--delta-lo", "0.5", "--delta-hi", "8", "--points", "3",
+               "--out", str(tmp_path / "a.csv"))
+    names = {span[0] for span in json.loads(spans_path.read_text())["spans"]}
+    assert {"cli.sweep", "scattering.decompose", "quad.polylog3"} <= names

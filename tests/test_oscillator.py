@@ -9,7 +9,8 @@ from numpy.testing import assert_allclose
 from scipy.special import gammaln
 
 from _reference import overlap_matrix_dense, sqrt_singular_integral
-from trapscatter import PrecisionLossError, oscillator, overlap_exact, overlap_ground_exact, overlap_wkb
+from trapscatter import PrecisionLossError, oscillator
+from trapscatter.oscillator import overlap_exact, overlap_ground_exact, overlap_wkb
 from trapscatter.oscillator import (
     _amplitude,
     _overlap_rows,

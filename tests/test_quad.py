@@ -10,7 +10,6 @@ from _reference import QuadSpec, p_reference, sqrt_singular_integral, z_referenc
 from trapscatter import (
     ConvergenceError,
     diffraction_z_integral,
-    p_kernel,
     polylog3,
 )
 from trapscatter.quad import (
@@ -22,6 +21,7 @@ from trapscatter.quad import (
     _li2_excess,
     _li52_excess,
     g_kernel,
+    p_kernel,
     polylog2,
 )
 

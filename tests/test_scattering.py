@@ -538,3 +538,27 @@ class TestDecomposeProperties:
         near, far = bose_0m_differential(ens, lo), bose_0m_differential(ens, hi)
         # strict wherever the farther rate has not underflowed to 0
         assert near > far if far > 0.0 else near >= far
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(10, 1_000_000), st.floats(1.0, 30.0), st.floats(1e-3, 1e-1))
+    def test_channels_continuous_across_tc(self, n, delta, scale):
+        # Each channel's distance from its value at Tc, at T = Tc (1 +- eps),
+        # relative to the row total there (bose_0m and the condensate part of
+        # diffraction vanish at Tc, so their own values give no scale).  A
+        # jump at Tc would survive eps -> eps/10; a continuous channel's
+        # distance shrinks tenfold, up to curvature.  eps stays below 1/N,
+        # where N0 ~ 3 eps N is below one atom and the condensate terms,
+        # growing as N0 and N0^2, are still linear in eps.
+        eps = scale / n
+        kin = Kinematics(1000.0, delta)
+        at, near_lo, near_hi, far_lo, far_hi = (
+            decompose(TrapEnsemble.at_ratio(n, ratio), kin)
+            for ratio in (1.0, 1.0 - eps / 10, 1.0 + eps / 10, 1.0 - eps, 1.0 + eps)
+        )
+        for bd in (at, near_lo, near_hi, far_lo, far_hi):
+            assert all(bd.valid.values()) and bd.errors == {}
+        for c in CHANNELS:
+            x0 = at.channel(c)
+            near = max(abs(near_lo.channel(c) - x0), abs(near_hi.channel(c) - x0)) / at.total
+            far = max(abs(far_lo.channel(c) - x0), abs(far_hi.channel(c) - x0)) / at.total
+            assert near <= 0.2 * far + 1e-12, (c, near, far)

@@ -70,6 +70,8 @@ class SweepConfig:
                 raise ConfigError(key.replace("_", "-"), "must be finite")
         if self.n_total < 1:
             raise ConfigError("n", "must be >= 1")
+        if self.n_total > sys.float_info.max:
+            raise ConfigError("n", "too large for a float")
         if self.k_incident <= 0:
             raise ConfigError("k-incident", "must be positive")
         if self.points < 2:
@@ -208,11 +210,10 @@ def sweep_angle(config):
     return _sweep(config, ["delta", "theta"], points, meta)
 
 
-def sweep_temperature(config, delta_fixed=None):
+def sweep_temperature(config):
     """Channel table over a temperature grid at fixed delta."""
     config.validate_common()
-    if delta_fixed is None:
-        delta_fixed = config.delta_fixed
+    delta_fixed = config.delta_fixed
     if delta_fixed is None or delta_fixed <= 0:
         raise ConfigError("delta", "sweep-temp needs a positive fixed --delta")
     if delta_fixed > 2.0 * config.k_incident:

@@ -21,11 +21,10 @@ with the starting value in log space:
 
 Unitarity bounds every A_n by 1, so the recurrence cannot overflow and its
 absolute error stays near machine precision (validated against direct
-quadrature of Hermite-function overlaps in the test suite).
-
-The semiclassical element for two highly excited states is the stationary
-phase result; it tracks the oscillating exact element's envelope and has an
-integrable inverse-square-root singularity on its support boundary.
+quadrature of Hermite-function overlaps in the test suite).  Every element
+comes from this one recurrence, streamed by `_overlap_rows`:
+`ground_overlap_column` is its start row n = 0, squared, and
+`diagonal_amplitude_column` its column k = 0.
 """
 
 import math
@@ -35,9 +34,6 @@ import numpy as np
 from .errors import PrecisionLossError
 
 __all__ = [
-    "overlap_ground_exact",
-    "overlap_exact",
-    "overlap_wkb",
     "ground_overlap_column",
     "diagonal_amplitude_column",
     "overlap_band",
@@ -48,81 +44,10 @@ __all__ = [
 # recurrence has left its stability envelope.
 _AMPLITUDE_BOUND = 1.0 + 1e-9
 
-# Guard for the integrable boundary singularity of the stationary-phase form.
-_WKB_RADICAND_FLOOR = 1e-12
-
 
 def _log_factorials(size):
     """ln k! for k = 0..size-1, one math.lgamma per element."""
     return np.array([math.lgamma(k + 1.0) for k in range(size)])
-
-
-def _amplitude(n, k, x):
-    """Scaled amplitude A_n for one (n, k, x); scalar recurrence."""
-    if x == 0.0:
-        return 1.0 if k == 0 else 0.0
-    a_prev = 0.0
-    a = math.exp(-0.5 * x + 0.5 * k * math.log(x) - 0.5 * math.lgamma(k + 1))
-    peak = abs(a)
-    for j in range(n):
-        a_next = ((2 * j + k + 1 - x) * a - math.sqrt(j * (j + k)) * a_prev) / math.sqrt(
-            (j + 1) * (j + k + 1)
-        )
-        a_prev, a = a, a_next
-        peak = max(peak, abs(a))
-    if peak > _AMPLITUDE_BOUND or not math.isfinite(a):
-        raise PrecisionLossError(
-            f"overlap recurrence unstable at n={n}, k={k}, x={x:g}: use the WKB form"
-        )
-    return a
-
-
-def overlap_ground_exact(m, delta):
-    """|<0|e^{i delta x}|m>|^2 = e^{-x} x^m / m! with x = delta^2/2 (Poisson in m)."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
-    x = 0.5 * delta * delta
-    if x == 0.0:
-        return 1.0 if m == 0 else 0.0
-    return math.exp(-x + m * math.log(x) - math.lgamma(m + 1))
-
-
-def overlap_exact(m, m_prime, delta):
-    """Exact |<m|e^{i delta x}|m'>|^2; symmetric in (m, m')."""
-    if m < 0 or m_prime < 0:
-        raise ValueError("levels must be >= 0")
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
-    n = min(m, m_prime)
-    k = abs(m - m_prime)
-    a = _amplitude(n, k, 0.5 * delta * delta)
-    return a * a
-
-
-def overlap_wkb(m, m_prime, delta):
-    """Stationary-phase squared element between two excited states.
-
-    With M = max(m, m'), M' = min(m, m'):
-
-        (1/2pi) [2 M' delta^2 - (M - M' - delta^2/2)^2]^(-1/2)
-
-    inside the classically allowed band, 0 outside.  The boundary
-    singularity is integrable; evaluation there is floored.  Note this is
-    the single-stationary-point result: the exact element oscillates about
-    twice this value (see the envelope tests).
-    """
-    if m < 1 or m_prime < 1:
-        raise ValueError("levels must be >= 1 for the semiclassical form")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    hi, lo = max(m, m_prime), min(m, m_prime)
-    radicand = 2.0 * lo * delta * delta - (hi - lo - 0.5 * delta * delta) ** 2
-    if radicand <= 0.0:
-        return 0.0
-    radicand = max(radicand, _WKB_RADICAND_FLOOR)
-    return 1.0 / (2.0 * math.pi * math.sqrt(radicand))
 
 
 def ground_overlap_column(m_max, delta):

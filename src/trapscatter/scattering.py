@@ -66,7 +66,6 @@ __all__ = [
     "diffraction_total_excited",
     "bose_0m_differential",
     "bose_0m_total",
-    "bose_0m_total_numeric",
     "bose_mm_differential",
     "bose_mm_total",
     "excited_pair_shape",
@@ -193,17 +192,10 @@ def bose_0m_differential(ensemble, delta):
 
 
 def bose_0m_total(ensemble, kin):
-    """Leading-log estimate of the ground<->excited total: (4 pi N0 T / k_i^2) ln(2T)."""
-    t = ensemble.temperature
-    if t <= 1.0:
-        raise ValueError("bose_0m_total estimate requires T > 1 (log turns negative)")
-    return 4.0 * math.pi * ensemble.n_condensate * t / kin.k_incident**2 * math.log(2.0 * t)
-
-
-def bose_0m_total_numeric(ensemble, kin):
     """Angular integral of bose_0m_differential from delta = 1, in closed form.
 
-    With u = delta^2/2T the integral is -(4 pi N0 T / k_i^2) ln(1 - e^{-1/2T}).
+    With u = delta^2/2T the integral is -(4 pi N0 T / k_i^2) ln(1 - e^{-1/2T}),
+    whose large-T asymptote is the leading log (4 pi N0 T / k_i^2) ln(2T).
     """
     t = ensemble.temperature
     return (4.0 * math.pi * ensemble.n_condensate * t / kin.k_incident**2
@@ -343,15 +335,14 @@ def channel_validity(ensemble, delta):
     }
 
 
-def decompose(ensemble, kin, delta=None):
+def decompose(ensemble, kin):
     """All four differential channels at one momentum transfer.
 
     Channels outside their validity window are reported as 0 with
     valid=False.  A channel that fails numerically is reported as 0 with
     its error recorded; the other channels still run.
     """
-    if delta is None:
-        delta = kin.delta
+    delta = kin.delta
     if delta <= 0:
         raise ValueError("delta must be positive")
     valid = channel_validity(ensemble, delta)

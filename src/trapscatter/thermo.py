@@ -109,11 +109,15 @@ def _solve_number_equation(population, n_total, t, context):
 
     `population(mu)` returns N(mu) and dN/dmu, ln N increasing and convex
     (module docstring).  Starts at mu0 = -T ln(1 + 1/N) and stops once a
-    step is below 1e-15 T or no longer lowers the iterate.
+    step is below 1e-15 T or no longer lowers the iterate.  A population
+    that overflows, or leaves (0, inf), is a ConvergenceError.
     """
     mu = -t * math.log1p(1.0 / n_total)
     for iteration in range(_NEWTON_ITERATIONS):
-        value, slope = population(mu)
+        try:
+            value, slope = population(mu)
+        except OverflowError:
+            raise ConvergenceError(f"{context}: population overflows at mu={mu}") from None
         if not (0.0 < value < math.inf and 0.0 < slope < math.inf):
             raise ConvergenceError(f"{context}: population {value} with slope {slope} at mu={mu}")
         # rounding can leave the ground term at mu0 up to 2 ulps short of N

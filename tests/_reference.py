@@ -10,6 +10,11 @@ scan is the reference for the oracle's bisected default epsilon_max, the
 stored-band breakdown is the per-pair reference for the oracle's streamed
 grid, and the bisection at the very end, the program's earlier root finder,
 is the reference for both Newton solves of the number equation.
+
+The semiclassical element for two highly excited states, `overlap_wkb`, is
+the stationary phase result; it tracks the oscillating exact element's
+envelope and has an integrable inverse-square-root singularity on its
+support boundary.
 """
 
 import math
@@ -204,7 +209,35 @@ def bose_0m_total_quadrature(ensemble, kin):
     def integrand(d):
         return bose_0m_differential(ensemble, d) * 2.0 * math.pi * d / k**2
 
-    return quad_or_raise(integrand, 1.0, np.inf, DEFAULT_SPEC, "bose_0m_total_numeric")
+    return quad_or_raise(integrand, 1.0, np.inf, DEFAULT_SPEC, "bose_0m_total")
+
+
+# Guard for the integrable boundary singularity of the stationary-phase form.
+_WKB_RADICAND_FLOOR = 1e-12
+
+
+def overlap_wkb(m, m_prime, delta):
+    """Stationary-phase squared element between two excited states.
+
+    With M = max(m, m'), M' = min(m, m'):
+
+        (1/2pi) [2 M' delta^2 - (M - M' - delta^2/2)^2]^(-1/2)
+
+    inside the classically allowed band, 0 outside.  The boundary
+    singularity is integrable; evaluation there is floored.  Note this is
+    the single-stationary-point result: the exact element oscillates about
+    twice this value (see the envelope tests).
+    """
+    if m < 1 or m_prime < 1:
+        raise ValueError("levels must be >= 1 for the semiclassical form")
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    hi, lo = max(m, m_prime), min(m, m_prime)
+    radicand = 2.0 * lo * delta * delta - (hi - lo - 0.5 * delta * delta) ** 2
+    if radicand <= 0.0:
+        return 0.0
+    radicand = max(radicand, _WKB_RADICAND_FLOOR)
+    return 1.0 / (2.0 * math.pi * math.sqrt(radicand))
 
 
 def p_reference(a, b):

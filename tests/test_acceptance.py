@@ -32,7 +32,7 @@ from trapscatter import (
 )
 from trapscatter.cli import main as cli_main
 from trapscatter.oracle import _projected_weights
-from trapscatter.oscillator import diagonal_amplitude_column, overlap_ground_exact, overlap_matrix
+from trapscatter.oscillator import diagonal_amplitude_column, ground_overlap_column, overlap_matrix
 from trapscatter.thermo import MU_SLOPE
 
 
@@ -47,7 +47,7 @@ def test_criterion_1_completeness_unitarity():
     for delta in (0.5, 1.0, 2.0, 4.0):
         g = overlap_matrix(240, delta)
         worst_row = max(worst_row, float(np.max(np.abs(g[:41].sum(axis=1) - 1.0))))
-    poisson = abs(sum(overlap_ground_exact(m, 3.0) for m in range(61)) - 1.0)
+    poisson = abs(float(ground_overlap_column(60, 3.0).sum()) - 1.0)
     elapsed = time.perf_counter() - start
     ok = worst_row <= 1e-10 and poisson <= 1e-12 and elapsed < 1.0
     assert report(

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import warnings
@@ -46,6 +47,17 @@ _NON_FINITE_CASES = [
     ("oracle-compare", ["--n", "200", "--t-over-tc", "0.7", "--delta-lo", "0.5", "--delta-hi", "2",
                         "--points", "2", "--format", "json"],
      ["t-over-tc", "k-incident", "delta-lo", "delta-hi"]),
+]
+
+# Huge finite inputs and their exit codes: a temperature whose T^3 overflows
+# (T above about 5.6e102) fails numerically, an N no float holds is invalid.
+_HUGE_FINITE_CASES = [
+    (["sweep-angle", "--n", "1000", "--t", "1e103", "--points", "3"], 3),
+    (["sweep-angle", "--n", "1000", "--t-over-tc", "1e102", "--points", "3"], 3),
+    (["oracle-compare", "--n", "200", "--t", "1e200", "--points", "2", "--format", "json"], 3),
+    (["sweep-temp", "--n", "200", "--delta", "1", "--t-over-tc-lo", "0.5", "--t-over-tc-hi", "1e200",
+      "--points", "2", "--method", "both"], 3),
+    (["sweep-angle", "--n", str(10**400), "--t", "5", "--points", "3"], 2),
 ]
 
 
@@ -127,22 +139,28 @@ class TestConfigPlumbing:
         assert err.count("\n") == 1
         assert not out.exists()
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=160, deadline=None)
     @given(st.data())
     def test_non_finite_fields_exit_2(self, data):
         # any float field set to nan or +-inf, by flag or config file, is a
-        # config error: exit 2, one stderr line, no table and no traceback
-        subcommand, base, fields = data.draw(st.sampled_from(_NON_FINITE_CASES))
-        chosen = data.draw(st.lists(st.sampled_from(fields), min_size=1, max_size=3, unique=True))
-        values = data.draw(st.lists(st.sampled_from(["nan", "inf", "-inf"]), min_size=len(chosen),
-                                    max_size=len(chosen)))
-        args = [subcommand] + base + [f"--{flag}={value}" for flag, value in zip(chosen, values)]
+        # config error: exit 2, one stderr line, no table and no traceback;
+        # a huge finite input exits 2 or 3 the same way
+        if data.draw(st.booleans()):
+            args, expected = data.draw(st.sampled_from(_HUGE_FINITE_CASES))
+        else:
+            subcommand, base, fields = data.draw(st.sampled_from(_NON_FINITE_CASES))
+            chosen = data.draw(st.lists(st.sampled_from(fields), min_size=1, max_size=3, unique=True))
+            values = data.draw(st.lists(st.sampled_from(["nan", "inf", "-inf"]), min_size=len(chosen),
+                                        max_size=len(chosen)))
+            args = [subcommand] + base + [f"--{flag}={value}" for flag, value in zip(chosen, values)]
+            expected = 2
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main(args)
-        assert code == 2, args
+        assert code == expected, args
         assert stdout.getvalue() == ""
-        assert stderr.getvalue().startswith("config-invalid: ") and stderr.getvalue().count("\n") == 1
+        prefix = "config-invalid: " if expected == 2 else "numerical-failure: "
+        assert stderr.getvalue().startswith(prefix) and stderr.getvalue().count("\n") == 1
 
     def test_non_finite_config_file_value(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
@@ -594,6 +612,17 @@ print(json.dumps({"before": before, "touched": touched, "unknown": unknown,
     assert report["touched"] is True
     assert report["unknown"] == "AttributeError"
     assert report["unresolved"] == []
+
+
+def test_every_submodule_all_resolves():
+    # a name deleted from a module but left in its __all__ breaks `import *`
+    modules = [info.name for info in pkgutil.iter_modules(trapscatter.__path__)]
+    assert {"cli", "oracle", "oscillator", "quad", "scattering", "thermo"} <= set(modules)
+    for module in modules:
+        namespace = {}
+        exec(f"from trapscatter.{module} import *", namespace)
+        exported = getattr(sys.modules[f"trapscatter.{module}"], "__all__", ())
+        assert [name for name in exported if name not in namespace] == [], module
 
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="threads counted from /proc")

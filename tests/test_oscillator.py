@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import gammaln
 
-from _reference import overlap_matrix_dense, sqrt_singular_integral
+from _reference import overlap_matrix_dense, overlap_wkb, sqrt_singular_integral
 from trapscatter import PrecisionLossError, oscillator
-from trapscatter.oscillator import overlap_exact, overlap_ground_exact, overlap_wkb
 from trapscatter.oscillator import (
-    _amplitude,
     _overlap_rows,
     diagonal_amplitude_column,
     ground_overlap_column,
@@ -29,93 +27,91 @@ def _mpmath_amplitude(n, k, xm):
 
 class TestGroundOverlap:
     def test_identity_operator(self):
-        assert overlap_ground_exact(0, 0.0) == 1.0
-        assert overlap_ground_exact(5, 0.0) == 0.0
+        assert np.array_equal(ground_overlap_column(5, 0.0), [1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 
     def test_closed_form_value(self):
-        got = overlap_ground_exact(3, 2.0)
-        assert type(got) is float
+        got = ground_overlap_column(3, 2.0)[3]
         assert_allclose(got, math.exp(-2.0) * 2.0**3 / 6.0, rtol=1e-13)
         assert_allclose(got, 0.18044704431548347, rtol=1e-12)
 
     def test_poisson_normalization(self):
-        total = sum(overlap_ground_exact(m, 3.0) for m in range(61))
-        assert_allclose(total, 1.0, atol=1e-12)
+        assert_allclose(ground_overlap_column(60, 3.0).sum(), 1.0, atol=1e-12)
 
     def test_mode_location(self):
         # Poisson mode at floor(delta^2/2); integer delta^2/2 ties two bins
-        values = np.array([overlap_ground_exact(m, 4.0) for m in range(40)])
+        values = ground_overlap_column(39, 4.0)
         assert_allclose(values[7], values[8], rtol=1e-12)
         assert int(np.argmax(values)) in (7, 8)
-        values = np.array([overlap_ground_exact(m, 4.1) for m in range(40)])
+        values = ground_overlap_column(39, 4.1)
         assert int(np.argmax(values)) == 8  # floor(8.405)
 
     def test_column_matches_scalar(self):
+        # each element against 40-digit e^{-x} x^m / m!
         col = ground_overlap_column(30, 2.5)
-        for m in (0, 1, 7, 30):
-            assert_allclose(col[m], overlap_ground_exact(m, 2.5), rtol=5e-14)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            overlap_ground_exact(-1, 1.0)
-        with pytest.raises(ValueError):
-            overlap_ground_exact(1, -1.0)
+        with mpmath.workdps(40):
+            xm = mpmath.mpf(2.5) ** 2 / 2
+            for m in (0, 1, 7, 30):
+                assert_allclose(col[m], float(mpmath.exp(-xm) * xm**m / mpmath.factorial(m)), rtol=5e-14)
 
 
 class TestOverlapExact:
     def test_laguerre_zero(self):
         # L_1(x) = 1 - x vanishes at x = delta^2/2 = 1; float sqrt(2)**2
         # misses 2 by one ulp, so the zero is hit to rounding only
-        assert overlap_exact(1, 1, math.sqrt(2.0)) < 1e-30
+        assert overlap_matrix(1, math.sqrt(2.0))[1, 1] < 1e-30
 
     def test_orthonormality_at_zero_transfer(self):
+        g = overlap_matrix(17, 0.0)
         for m in (0, 3, 17):
-            assert overlap_exact(m, m, 0.0) == 1.0
-        assert overlap_exact(3, 5, 0.0) == 0.0
+            assert g[m, m] == 1.0
+        assert g[3, 5] == 0.0
 
     def test_symmetry_exact(self):
         for m, mp, d in [(10, 7, 1.5), (33, 50, 2.0), (0, 4, 0.7)]:
-            assert overlap_exact(m, mp, d) == overlap_exact(mp, m, d)
+            g = overlap_matrix(max(m, mp), d)
+            assert g[m, mp] == g[mp, m]
 
     def test_against_quadrature_oracle(self, hermite_oracle):
         reference = hermite_oracle(30, 1.5)
+        g = overlap_matrix(30, 1.5)
         for m, mp in [(10, 7), (0, 12), (25, 25), (30, 1), (18, 21)]:
-            assert_allclose(overlap_exact(m, mp, 1.5), reference[m, mp], atol=1e-10)
+            assert_allclose(g[m, mp], reference[m, mp], atol=1e-10)
 
     @pytest.mark.parametrize("delta", [0.5, 1.0, 2.0, 4.0])
     @pytest.mark.parametrize("m", [0, 7, 25, 40])
     def test_unitarity(self, m, delta):
-        total = sum(overlap_exact(m, mp, delta) for mp in range(m + 200))
+        total = overlap_matrix(m + 199, delta)[m].sum()
         assert_allclose(total, 1.0, atol=1e-10)
 
     def test_ground_row_reduces_to_poisson(self):
+        row = overlap_matrix(11, 2.2)[0]
+        col = ground_overlap_column(11, 2.2)
         for m in (0, 4, 11):
-            assert_allclose(
-                overlap_exact(0, m, 2.2),
-                overlap_ground_exact(m, 2.2),
-                rtol=1e-13,
-            )
+            assert_allclose(row[m], col[m], rtol=1e-13)
 
 
 class TestDiagonalAmplitude:
     def test_square_matches_exact(self):
-        for m, d in [(0, 1.0), (5, 2.0), (50, 1.0), (120, 3.0)]:
-            assert_allclose(
-                diagonal_amplitude_column(m, d)[m] ** 2,
-                overlap_exact(m, m, d),
-                rtol=1e-12,
-                atol=1e-300,
-            )
+        with mpmath.workdps(40):
+            for m, d in [(0, 1.0), (5, 2.0), (50, 1.0), (120, 3.0)]:
+                assert_allclose(
+                    diagonal_amplitude_column(m, d)[m] ** 2,
+                    float(_mpmath_amplitude(m, 0, mpmath.mpf(d) ** 2 / 2) ** 2),
+                    rtol=1e-12,
+                    atol=1e-300,
+                )
 
     def test_signed(self):
         # e^{-1/4} L_50(1/2) is negative (oscillatory region)
         assert diagonal_amplitude_column(50, 1.0)[50] < 0.0
 
     def test_column_matches_scalar(self):
-        # the k = 0 column recurrence against the general scalar one
+        # the k = 0 column recurrence against 40-digit signed amplitudes
         col = diagonal_amplitude_column(60, 1.7)
-        for m in (0, 1, 33, 60):
-            assert_allclose(col[m], _amplitude(m, 0, 0.5 * 1.7**2), rtol=1e-12, atol=1e-300)
+        with mpmath.workdps(40):
+            xm = mpmath.mpf(1.7) ** 2 / 2
+            for m in (0, 1, 33, 60):
+                assert_allclose(col[m], float(_mpmath_amplitude(m, 0, xm)), rtol=1e-12, atol=1e-300)
 
 
 class TestLogFactorials:
@@ -145,9 +141,13 @@ class TestLogFactorials:
 
 class TestOverlapMatrix:
     def test_matches_scalar_path(self):
+        # against 40-digit squared amplitudes, element by element
         g = overlap_matrix(45, 2.1)
-        for m, mp in [(0, 0), (45, 0), (13, 44), (30, 31), (22, 22)]:
-            assert_allclose(g[m, mp], overlap_exact(m, mp, 2.1), rtol=1e-12, atol=1e-300)
+        with mpmath.workdps(40):
+            xm = mpmath.mpf(2.1) ** 2 / 2
+            for m, mp in [(0, 0), (45, 0), (13, 44), (30, 31), (22, 22)]:
+                exact = float(_mpmath_amplitude(min(m, mp), abs(m - mp), xm) ** 2)
+                assert_allclose(g[m, mp], exact, rtol=1e-12, atol=1e-300)
 
     def test_identity_at_zero_transfer(self):
         assert_allclose(overlap_matrix(10, 0.0), np.eye(11), atol=0)
@@ -290,12 +290,11 @@ class TestGroundTransitionWeight:
     distribution in m with mean delta^2/2 and unit total weight."""
 
     def test_peak_matches_exact_mode(self):
-        values = [overlap_ground_exact(m, 4.1) for m in range(40)]
+        values = ground_overlap_column(39, 4.1)
         assert int(np.argmax(values)) == math.floor(0.5 * 4.1**2)
 
     def test_unit_normalization_is_poisson_sum(self):
-        total = sum(overlap_ground_exact(m, 3.0) for m in range(80))
-        assert_allclose(total, 1.0, atol=1e-12)
+        assert_allclose(ground_overlap_column(79, 3.0).sum(), 1.0, atol=1e-12)
 
 
 class TestOverlapWkb:
@@ -342,7 +341,7 @@ class TestOverlapWkb:
         # boundary with a +-2 window mean.
         cases = [(50, 45, 2.0), (40, 35, 1.5), (70, 55, 2.5), (80, 60, 3.0), (64, 48, 2.0)]
         for m, mp, delta in cases:
-            window = [overlap_exact(m, q, delta) for q in range(mp - 2, mp + 3)]
+            window = overlap_matrix(max(m, mp + 2), delta)[m, mp - 2:mp + 3]
             mean = float(np.mean(window))
             ratio = mean / (2.0 * overlap_wkb(m, mp, delta))
             assert 0.7 < ratio < 1.3, (m, mp, delta, ratio)

@@ -11,8 +11,8 @@ and the diffraction z-integral
 
 The kernel and the z-integral are closed forms (dilogarithm and Bessel K),
 evaluated with numpy alone: the dilogarithm by series, K2 by an
-exponentially convergent trapezoid rule; no scipy is imported.  The
-kernel of the shape function of `scattering`,
+exponentially convergent trapezoid rule.  The kernel of the shape
+function of `scattering`,
 
     G(a, b) = sum_{n, m >= 1} e^{-n a - m b} / (n + m)^{5/2},
 
@@ -359,5 +359,7 @@ def diffraction_z_integral(delta, mu):
     beta = -delta * delta * mu / 2.0
     if beta < 1e-16:
         return 1.0
+    if beta == math.inf:
+        return 0.0  # ~ beta^{3/4} e^{-2 sqrt(beta)}, zero in double from beta ~ 1.4e5
     x = 2.0 * math.sqrt(beta)
     return 2.0 * beta * _k2_scaled(x) * math.exp(-x)

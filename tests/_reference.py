@@ -2,14 +2,15 @@
 
 The adaptive quadratures reuse only the program's scalar pair kernel and
 the differential rate they integrate; the shape-function references are the
-double series, a 25-digit mpmath quadrature and the harmonic series of its
-angle integral.  They are slow and exist only to validate the program.  The
-dense overlap recurrence at the end is the earlier form of the band
-recurrence, kept to pin the band's bits, the level-by-level truncation
-scan is the reference for the oracle's bisected default epsilon_max, the
-stored-band breakdown is the per-pair reference for the oracle's streamed
-grid, and the bisection at the very end, the program's earlier root finder,
-is the reference for both Newton solves of the number equation.
+double series and a 25-digit mpmath quadrature, and those of its angle
+integral the harmonic series and a 30-digit mpmath quadrature.  They are
+slow and exist only to validate the program.  The dense overlap recurrence
+at the end is the earlier form of the band recurrence, kept to pin the
+band's bits, the level-by-level truncation scan is the reference for the
+oracle's bisected default epsilon_max, the stored-band breakdown is the
+per-pair reference for the oracle's streamed grid, and the bisection at the
+very end, the program's earlier root finder, is the reference for both
+Newton solves of the number equation.
 
 The semiclassical element for two highly excited states, `overlap_wkb`, is
 the stationary phase result; it tracks the oscillating exact element's
@@ -29,6 +30,7 @@ from trapscatter import (
     RateBreakdown,
     TruncationError,
     bose_0m_differential,
+    bose_mm_differential,
     excited_pair_shape,
     polylog3,
 )
@@ -184,6 +186,15 @@ def shape_integral_series(nu):
     return math.fsum(harmonic * np.exp(-big_n * nu) / big_n**3)
 
 
+def shape_integral_mpmath(nu, dps=30):
+    """int_0^inf f(a, nu) da as (1/2) int_0^inf z ln^2(1 - e^{-z-nu}) dz, by dps-digit mpmath."""
+    with mpmath.workdps(dps):
+        nu = mpmath.mpf(nu)
+        value = mpmath.quad(lambda z: z * mpmath.log(-mpmath.expm1(-z - nu)) ** 2,
+                            [0, 1, 5, 20, 80, mpmath.inf])
+        return float(value / 2)
+
+
 def shape_integral_adaptive(nu):
     """int_0^inf excited_pair_shape(a, nu) da by adaptive quadrature, split at a = 1."""
     spec = QuadSpec(rel_tol=1e-13, abs_tol=1e-15)
@@ -210,6 +221,19 @@ def bose_0m_total_quadrature(ensemble, kin):
         return bose_0m_differential(ensemble, d) * 2.0 * math.pi * d / k**2
 
     return quad_or_raise(integrand, 1.0, np.inf, DEFAULT_SPEC, "bose_0m_total")
+
+
+def bose_mm_total_quadrature(ensemble, kin):
+    """Solid-angle integral of bose_mm_differential over all delta, split at a = 1."""
+    k = kin.k_incident
+    spec = QuadSpec(rel_tol=1e-12, abs_tol=1e-300)
+
+    def integrand(d):
+        return bose_mm_differential(ensemble, d) * 2.0 * math.pi * d / k**2
+
+    split = math.sqrt(2.0 * ensemble.temperature)
+    head = quad_or_raise(integrand, 0.0, split, spec, "bose_mm_total head")
+    return head + quad_or_raise(integrand, split, np.inf, spec, "bose_mm_total tail")
 
 
 # Guard for the integrable boundary singularity of the stationary-phase form.

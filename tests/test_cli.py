@@ -346,6 +346,23 @@ class TestSweepAngle:
         assert via_module.read_bytes() == via_main.read_bytes()
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(1e100, 1e308), st.floats(1.0, 10.0), st.floats(0.0, 1.0), st.floats(0.5, 2.0))
+    def test_huge_delta_rates_underflow(self, k_incident, delta_lo, fraction, ratio):
+        # delta^2 and delta^4 leave the float range: every rate that depends
+        # on delta is 0 in double there, a valid cell, and nothing warns
+        delta_hi = max(fraction * 2.0 * k_incident, 2.0 * delta_lo)
+        stdout = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout):
+            warnings.simplefilter("error")
+            code = main(["sweep-angle", "--n", "1000", "--t-over-tc", repr(ratio),
+                         "--k-incident", repr(k_incident), "--delta-lo", repr(delta_lo),
+                         "--delta-hi", repr(delta_hi), "--points", "3", "--out", "-"])
+        assert code == 0
+        for line in stdout.getvalue().splitlines()[1:]:
+            *cells, flags = line.split(",")
+            assert flags == "ok" and all(math.isfinite(float(c)) for c in cells), line
+
     def test_classical_regime(self, tmp_path):
         out = tmp_path / "hot.csv"
         assert run_main([
@@ -416,6 +433,22 @@ class TestSweepTemperature:
         assert [row[flags] for row in failed] == ["oracle:error:TruncationError"] * 3
         assert all(row[i] is None for row in failed for i in oracle)
 
+    def test_oracle_beyond_level_guard_fails_rows(self, tmp_path):
+        # at N = 1e6 the default truncation passes the level guard below Tc:
+        # those rows are flagged, the cold row and the semiclassical cells stay
+        out = tmp_path / "temp.csv"
+        code = run_main([
+            "sweep-temp", "--n", "1000000", "--t-over-tc-lo", "0.2", "--t-over-tc-hi", "1.2",
+            "--points", "3", "--delta", "1", "--k-incident", "1000", "--method", "both",
+            "--out", str(out),
+        ])
+        assert code == 3
+        _, rows = read_rows(out)
+        assert [row["flags"] for row in rows] == ["ok"] + ["oracle:error:TruncationError"] * 2
+        assert all(math.isfinite(float(row["total"])) for row in rows)
+        assert math.isfinite(float(rows[0]["total_oracle"]))
+        assert all(row["total_oracle"] == "nan" for row in rows[1:])
+
     def test_requires_delta(self):
         config = SweepConfig(n_total=300, t_ratio_lo=0.3, t_ratio_hi=0.9, points=3)
         with pytest.raises(ConfigError) as err:
@@ -462,10 +495,18 @@ class TestOracleCompare:
         assert code == 2
         assert "config-invalid" in capsys.readouterr().err
 
-    def test_oracle_guard(self):
-        config = SweepConfig(n_total=200_000, t_over_tc=0.6, method="oracle")
-        with pytest.raises(ConfigError):
-            config.validate_common()
+    def test_large_n_runs(self, tmp_path):
+        # the oracle's cost depends on N only through its truncation level,
+        # which the level guard bounds; a cold N = 2e5 ensemble needs few levels
+        out = tmp_path / "cmp.json"
+        assert run_main([
+            "oracle-compare", "--n", "200000", "--t-over-tc", "0.2", "--k-incident", "1000",
+            "--delta-lo", "1", "--delta-hi", "4", "--points", "3", "--format", "json",
+            "--out", str(out),
+        ]) == 0
+        report = json.loads(out.read_text())
+        assert len(report["rows"]) == 3
+        assert report["scaling_fits"]["rayleigh"]["n_values"][-1] == 200_000
 
 
 class TestRowFunction:
@@ -547,10 +588,11 @@ def test_no_runtime_warnings(tmp_path, args):
 
 
 def test_cli_runs_without_scipy(tmp_path):
-    # a fresh interpreter runs one command of each kind in-process, then
-    # reports every scipy module it loaded
+    # a fresh interpreter runs one command of each kind in-process and the
+    # angle-integrated bose_mm, then reports every scipy module it loaded
     script = f"""
 import sys
+from trapscatter import Kinematics, TrapEnsemble, bose_mm_total, decompose
 from trapscatter.cli import main
 out = {str(tmp_path)!r}
 codes = [
@@ -563,6 +605,9 @@ codes = [
           "--delta-lo", "1", "--delta-hi", "4", "--points", "3", "--format", "json",
           "--out", out + "/c.json"]),
 ]
+ens = TrapEnsemble.at_ratio(1000, 0.7)
+assert bose_mm_total(ens, Kinematics(100.0)) > 0.0
+assert decompose(ens, Kinematics(100.0, 2.0)).errors == {{}}
 print(codes)
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """

@@ -8,11 +8,13 @@ from numpy.testing import assert_allclose
 
 from _reference import (
     bose_0m_total_quadrature,
+    bose_mm_total_quadrature,
     diffraction_total_excited_quadrature,
     pair_shape_adaptive,
     pair_shape_mpmath,
     pair_shape_series,
     shape_integral_adaptive,
+    shape_integral_mpmath,
     shape_integral_series,
 )
 from trapscatter import (
@@ -35,8 +37,9 @@ from trapscatter import (
 from trapscatter import quad
 from trapscatter.scattering import (
     _SHAPE_FLOOR,
+    _SHAPE_SWITCH,
+    _shape_integral,
     _shape_nodes,
-    _shape_table,
     channel_validity,
     diffraction_total_excited,
 )
@@ -280,11 +283,6 @@ class TestExcitedPairShape:
         # the adaptive nest runs at rel_tol 1e-6 and is 2.1e-6 off at a = 8
         assert_allclose(excited_pair_shape(a), pair_shape_adaptive(a), rtol=1e-5)
 
-    def test_grid_interpolation_quality(self):
-        table = _shape_table()
-        for a in (0.00173, 0.37, 5.3, 22.0):
-            assert_allclose(table(a), excited_pair_shape(a), rtol=5e-3)
-
     def test_chemical_shift_suppresses(self):
         assert excited_pair_shape(1.0, nu=0.5) < excited_pair_shape(1.0)
 
@@ -293,6 +291,30 @@ class TestExcitedPairShape:
             excited_pair_shape(0.0)
         with pytest.raises(ValueError):
             excited_pair_shape(1.0, nu=-0.1)
+
+
+class TestShapeIntegral:
+    """S(nu) = int_0^inf f(a, nu) da, the closed form behind bose_mm_total."""
+
+    @pytest.mark.parametrize("nu", [0.0, 1e-9, 1e-6, 1e-3, 0.1, 0.3, 1.0, 5.0])
+    def test_against_mpmath(self, nu):
+        assert_allclose(_shape_integral(nu), shape_integral_mpmath(nu), rtol=1e-14)
+
+    def test_branches_agree_at_switch(self):
+        # the expansion about nu = 0 at the switch, the series one ulp beyond
+        above = math.nextafter(_SHAPE_SWITCH, math.inf)
+        assert_allclose(_shape_integral(_SHAPE_SWITCH), _shape_integral(above), rtol=1e-15)
+
+    @pytest.mark.parametrize("nu", [1e-4, 1e-3, 0.01, 0.05, 0.1, 0.3, 1.0, 5.0, 30.0])
+    def test_against_harmonic_series(self, nu):
+        assert_allclose(_shape_integral(nu), shape_integral_series(nu), rtol=1e-14)
+
+    def test_closed_value_at_zero(self):
+        assert _shape_integral(0.0) == math.pi**4 / 360.0
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            _shape_integral(-1e-3)
 
 
 def _rule_state(a, nu, switch):
@@ -398,21 +420,31 @@ class TestBoseMm:
         assert bose_mm_differential(hot, 2.0) < bose_mm_differential(cold, 2.0)
 
     def test_total_scaling_exponent(self):
-        # (2 pi T^4/k^2) int f: doubling Ne (T -> 2^{1/3} T) scales by 2^{4/3}
+        # (2 pi T^4/k^2) S(nu): doubling Ne (T -> 2^{1/3} T) at fixed nu
+        # scales by 2^{4/3}
         kin = Kinematics(100.0)
         t = 9.0
+        scale = 2.0 ** (1.0 / 3.0)
         base = bose_mm_total(synthetic_ensemble(5000, t, 2000.0, mu=-1e-9), kin)
         doubled = bose_mm_total(
-            synthetic_ensemble(5000, 2.0 ** (1.0 / 3.0) * t, 2000.0, mu=-1e-9), kin
+            synthetic_ensemble(5000, scale * t, 2000.0, mu=-1e-9 * scale), kin
         )
         assert_allclose(doubled / base, 2.0 ** (4.0 / 3.0), rtol=1e-12)
 
     def test_total_formula(self):
+        # S(nu) = pi^4/360 - zeta(3) nu + O(nu^2 ln^2 nu)
         kin = Kinematics(100.0)
         t = 9.0
         ens = synthetic_ensemble(5000, t, 2000.0, mu=-1e-9)
-        expected = 2.0 * math.pi * t**4 / 1e4 * _shape_table().integral
-        assert_allclose(bose_mm_total(ens, kin), expected, rtol=1e-12)
+        expected = 2.0 * math.pi * t**4 / 1e4 * (math.pi**4 / 360.0 - ZETA3 * 1e-9 / t)
+        assert_allclose(bose_mm_total(ens, kin), expected, rtol=1e-15)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(10, 1_000_000), st.floats(0.1, 3.0))
+    def test_total_is_angle_integral_of_differential(self, n, ratio):
+        ens = TrapEnsemble.at_ratio(n, ratio)
+        kin = Kinematics(1000.0)
+        assert_allclose(bose_mm_total(ens, kin), bose_mm_total_quadrature(ens, kin), rtol=1e-9)
 
     def test_cold_limit(self):
         ens = synthetic_ensemble(1000, 0.05, 1000.0)
@@ -501,6 +533,14 @@ class TestDecompose:
         ens = TrapEnsemble.at_ratio(1000, 0.7)
         with pytest.raises(ValueError):
             decompose(ens, Kinematics(100.0, 0.0))
+
+    @pytest.mark.parametrize("delta", [1e150, 1e300])
+    def test_huge_delta_rates_underflow(self, delta):
+        # delta^4 (and from 1e154 also delta^2) is beyond the float range;
+        # every delta-dependent rate is 0 in double there, and valid
+        bd = decompose(TrapEnsemble.solve(1000, 5.0), Kinematics(1e300, delta))
+        assert (bd.diffraction, bd.bose_0m, bd.bose_mm, bd.total) == (0.0, 0.0, 0.0, 1000.0)
+        assert all(bd.valid.values()) and bd.errors == {}
 
 
 class TestDecomposeProperties:

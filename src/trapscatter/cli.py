@@ -6,9 +6,10 @@ sweep-angle     one row per momentum transfer delta
 sweep-temp      one row per temperature at fixed delta
 oracle-compare  per-channel deviation statistics plus scaling-exponent fits
 
-Output is CSV (fixed '%.10e' formatting, comma separator, '\n' line ends)
-or JSON with a config echo, where non-finite cells are null; identical
-configs produce byte-identical files.  Run as `trapscatter ...` or
+Output is CSV ('%.10e' cells, in full where that would round a finite value
+past the largest float; comma separator, '\n' line ends) or JSON with a
+config echo, where non-finite cells are null; identical configs produce
+byte-identical files.  Run as `trapscatter ...` or
 `python -m trapscatter.cli ...`.
 
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure: in at
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, ConvergenceError, PrecisionLossError, TruncationError
-from .oracle import _MAX_EPSILON, _unwrap, exact_breakdowns, scaling_probe, solve_mu_discrete
+from .oracle import _unwrap, exact_breakdowns, scaling_probe, solve_mu_discrete
 from .scattering import CHANNELS, Kinematics, decompose
 from .thermo import TrapEnsemble, critical_temperature
 
@@ -53,7 +54,6 @@ class SweepConfig:
     points: int = 50
     log_spacing: bool = False
     method: str = "semiclassical"
-    epsilon_max: int = None
     out: str = "-"
     fmt: str = "csv"
     # sweep-temp only
@@ -80,8 +80,6 @@ class SweepConfig:
             raise ConfigError("method", f"must be one of {_METHODS}")
         if self.fmt not in _FORMATS:
             raise ConfigError("format", f"must be one of {_FORMATS}")
-        if self.epsilon_max is not None and self.epsilon_max > _MAX_EPSILON:
-            raise ConfigError("epsilon-max", f"oracle truncation limited to <= {_MAX_EPSILON}")
 
     @property
     def semiclassical(self):
@@ -200,7 +198,7 @@ def sweep_angle(config):
     exact = [None] * len(grid)
     if config.oracle:
         # one discrete ensemble for every row; failing to solve it fails the sweep
-        discrete = solve_mu_discrete(config.n_total, temperature, config.epsilon_max)
+        discrete = solve_mu_discrete(config.n_total, temperature)
         exact = exact_breakdowns([discrete], grid)[0]
     points = (([delta, delta / config.k_incident], ensemble, delta, cell) for delta, cell in zip(grid, exact))
     meta = {"command": "sweep-angle", "config": _config_echo(config),
@@ -223,7 +221,7 @@ def sweep_temperature(config):
         # solved one row at a time, so a failure is flagged on that row only
         for i, temperature in enumerate(grid):
             try:
-                exact[i] = solve_mu_discrete(config.n_total, temperature, config.epsilon_max)
+                exact[i] = solve_mu_discrete(config.n_total, temperature)
             except (ConvergenceError, TruncationError, ValueError) as exc:
                 exact[i] = exc
         solved = [i for i, cell in enumerate(exact) if not isinstance(cell, Exception)]
@@ -247,7 +245,7 @@ def oracle_compare(config):
     temperature = config.resolve_temperature()
     grid = config.delta_grid()
     ensemble = TrapEnsemble.solve(config.n_total, temperature)
-    discrete = solve_mu_discrete(config.n_total, temperature, config.epsilon_max)
+    discrete = solve_mu_discrete(config.n_total, temperature)
 
     deviations = {ch: [] for ch in CHANNELS}
     rows = []
@@ -282,7 +280,7 @@ def oracle_compare(config):
     if len(ladder) >= 3 and ladder[-1] >= 10 * ladder[0]:
         probes = {"rayleigh": 1.0, "diffraction": 0.5, "bose_0m": 1.0}
         for ch, delta_probe in probes.items():
-            fit = scaling_probe(ch, ladder, ratio, delta_probe, config.epsilon_max)
+            fit = scaling_probe(ch, ladder, ratio, delta_probe)
             fits[ch] = {"exponent": fit.exponent, "residual": fit.residual,
                         "n_values": list(fit.n_values)}
 
@@ -317,7 +315,9 @@ def _json_cell(value):
 def _format_cell(value):
     if isinstance(value, str):
         return value
-    return "%.10e" % value
+    text = "%.10e" % value
+    # a finite value within 11 digits of the largest float rounds past it: keep every digit
+    return repr(float(value)) if math.isinf(float(text)) and math.isfinite(value) else text
 
 
 def write_csv(table, stream):
@@ -390,7 +390,6 @@ _CONFIG_FIELDS = {
     "points": ("points", int),
     "log": ("log_spacing", _parse_bool),
     "method": ("method", str),
-    "epsilon_max": ("epsilon_max", int),
     "out": ("out", str),
     "format": ("fmt", str),
     "delta": ("delta_fixed", float),
@@ -428,8 +427,6 @@ def _add_common_flags(parser):
     parser.add_argument("--k-incident", dest="k_incident", type=float, default=None,
                         help="incident photon momentum in trap units")
     parser.add_argument("--method", choices=_METHODS, default=None)
-    parser.add_argument("--epsilon-max", dest="epsilon_max", type=int, default=None,
-                        help="oracle truncation level override")
     parser.add_argument("--out", default=None, help="output path ('-' for stdout)")
     parser.add_argument("--format", dest="format", choices=_FORMATS, default=None)
     parser.add_argument("--config", default=None, help="key=value config file")

@@ -20,7 +20,8 @@ and i + k, so summing over mx <= i first,
 two running sums down the columns of the squared overlap band.  Row i = 0
 holds exactly the ground<->(m,0,0) pairs of bose_0m and is left out, so
 every term is non-negative and nothing is subtracted.  A sweep streams one
-recurrence over all its deltas, storing no band: O(epsilon_max^2 #delta).
+recurrence over all its deltas, storing no band: O(epsilon_max^2 #delta),
+where the truncation epsilon_max is derived from (N, T), never set.
 
 The occupation-product form uses <n_i n_f> ~ <n_i><n_f>; the corrections
 are O(1/N) after thermal averaging, so this module is the oracle for the
@@ -77,7 +78,7 @@ def _default_epsilon_max(n_total, temperature):
     multiple of T cannot satisfy the bound for every N.
     """
     levels = range(max(30, math.ceil(12.0 * temperature)), _MAX_EPSILON + 1)
-    at = bisect.bisect_left(levels, True, key=lambda e: _boltzmann_tail(e, 0.0, temperature) < 1e-6 * n_total)
+    at = bisect.bisect_left(levels, True, key=lambda e: _boltzmann_tail(e, temperature) < 1e-6 * n_total)
     if at < len(levels):
         return levels[at]
     raise TruncationError(
@@ -86,45 +87,37 @@ def _default_epsilon_max(n_total, temperature):
     )
 
 
-def _boltzmann_tail(epsilon_max, mu, temperature):
-    """Upper bound on the occupation sum beyond the truncation level.
+def _boltzmann_tail(epsilon_max, temperature):
+    """Upper bound on the occupation sum beyond the truncation level at mu = 0.
 
     Above epsilon_max the occupation is deep in the Boltzmann tail, so
-    sum_{eps > emax} g(eps) e^{-(eps-mu)/T} bounds it; the integral form
-    of the polynomial-times-exponential has a closed expression.
+    sum_{eps > emax} g(eps) e^{-eps/T} bounds it; the integral form of the
+    polynomial-times-exponential has a closed expression.  A solved mu < 0
+    scales the tail by e^{mu/T} < 1, so the bound holds for every ensemble.
     """
     t = temperature
-    e0 = epsilon_max + 1.0
-    # integral_{e0-1}^inf (e+1)(e+2)/2 e^{-e/T} de, expanded about u = e - (e0-1)
-    a = e0 - 1.0
-    c2 = 0.5
+    # integral_a^inf (e+1)(e+2)/2 e^{-e/T} de, expanded about u = e - a
+    a = float(epsilon_max)
     c1 = 0.5 * (2.0 * a + 3.0)
     c0 = 0.5 * (a + 1.0) * (a + 2.0)
-    integral = math.exp(-a / t) * (c0 * t + c1 * t * t + 2.0 * c2 * t**3)
-    return math.exp(mu / t) * integral
+    return math.exp(-a / t) * (c0 * t + c1 * t * t + t**3)
 
 
-def solve_mu_discrete(n_total, temperature, epsilon_max=None):
+def solve_mu_discrete(n_total, temperature):
     """Chemical potential from the full discrete occupation sum, by Newton on ln N.
 
-    Each occupation is log-convex in mu, as `thermo.chemical_potential` needs.
-    Reproduces e^{-mu/T} = 1 + 1/N0 by construction; raises TruncationError when
-    the truncation cannot control the Boltzmann tail to 1e-6 N.
+    The levels run to epsilon_max, the smallest level >= max(30, 12 T)
+    whose occupation tail is below 1e-6 N; a TruncationError when no level
+    up to 600 reaches that.  Each occupation is log-convex in mu, as
+    `thermo.chemical_potential` needs.  Reproduces e^{-mu/T} = 1 + 1/N0 by
+    construction.
     """
     if n_total < 1:
         raise ValueError("n_total must be >= 1")
     if not temperature > 0:
         raise ValueError("temperature must be positive")
     t = float(temperature)
-    if epsilon_max is None:
-        epsilon_max = _default_epsilon_max(n_total, t)
-    epsilon_max = int(epsilon_max)
-    if epsilon_max < 10.0 * t:
-        raise TruncationError(
-            f"epsilon_max={epsilon_max} below the 10 T = {10 * t:.1f} tail-control floor"
-        )
-    if epsilon_max > _MAX_EPSILON:
-        raise ValueError(f"epsilon_max={epsilon_max} exceeds the cost guard {_MAX_EPSILON}")
+    epsilon_max = _default_epsilon_max(n_total, t)
 
     eps = np.arange(0, epsilon_max + 1, dtype=float)
     g = (eps + 1.0) * (eps + 2.0) / 2.0
@@ -138,11 +131,6 @@ def solve_mu_discrete(n_total, temperature, epsilon_max=None):
     with np.errstate(over="ignore"):
         mu = _solve_number_equation(population, n_total, t, "solve_mu_discrete")
         occupations = 1.0 / np.expm1((eps - mu) / t)
-
-    if _boltzmann_tail(epsilon_max, mu, t) > 1e-6 * n_total:
-        raise TruncationError(
-            f"occupation tail beyond epsilon_max={epsilon_max} exceeds 1e-6 N"
-        )
     return DiscreteEnsemble(
         n_total=int(n_total),
         temperature=t,
@@ -249,7 +237,7 @@ class ScalingFit:
     rates: tuple
 
 
-def scaling_probe(process, n_values, t_over_tc, delta_rule, epsilon_max=None):
+def scaling_probe(process, n_values, t_over_tc, delta_rule):
     """Fit the large-N growth exponent of one channel at fixed T/Tc.
 
     delta_rule maps the temperature of each ensemble to the probed
@@ -263,7 +251,7 @@ def scaling_probe(process, n_values, t_over_tc, delta_rule, epsilon_max=None):
     if n_values[-1] < 10 * n_values[0]:
         raise ValueError("particle numbers must span at least one decade")
 
-    ensembles = [solve_mu_discrete(n, t_over_tc * critical_temperature(n), epsilon_max) for n in n_values]
+    ensembles = [solve_mu_discrete(n, t_over_tc * critical_temperature(n)) for n in n_values]
     deltas = [delta_rule(ens.temperature) if callable(delta_rule) else float(delta_rule) for ens in ensembles]
     columns = list(dict.fromkeys(deltas))  # a fixed delta runs one lane of the recurrence
     grid = exact_breakdowns(ensembles, columns)

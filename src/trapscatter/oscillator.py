@@ -28,6 +28,7 @@ comes from this one recurrence, streamed by `_overlap_rows`:
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -88,7 +89,8 @@ def _overlap_rows(m_max, deltas):
     size = m_max + 1
     ks = np.arange(size, dtype=float)
     log_factorials = _log_factorials(size)
-    xs = [0.5 * delta * delta for delta in deltas]
+    # past the float range every amplitude is 0, as it already is at the largest float
+    xs = [min(0.5 * delta * delta, sys.float_info.max) for delta in deltas]
     prev = np.zeros((len(xs), size))  # A_{n-1}; sqrt(n (n + k)) is 0 against it at n = 0
     cur = np.empty_like(prev)
     for row, x in zip(cur, xs):

@@ -321,7 +321,7 @@ def overlap_matrix_dense(m_max, delta):
 def default_epsilon_max_scan(n_total, temperature):
     """First level from max(30, 12 T) up whose mu = 0 tail bound is below 1e-6 N, one level at a time."""
     for emax in range(max(30, math.ceil(12.0 * temperature)), _MAX_EPSILON + 1):
-        if _boltzmann_tail(emax, 0.0, temperature) < 1e-6 * n_total:
+        if _boltzmann_tail(emax, temperature) < 1e-6 * n_total:
             return emax
     raise TruncationError(f"no truncation below {_MAX_EPSILON} for N={n_total}, T={temperature:g}")
 

@@ -10,7 +10,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trapscatter
@@ -124,19 +124,18 @@ class TestConfigPlumbing:
         assert build_config(parser.parse_args(base + ["--no-log"])).log_spacing is False
         assert build_config(parser.parse_args([subcommand, "--log"])).log_spacing is True
 
-    @pytest.mark.parametrize("subcommand,grid", [
-        ("sweep-angle", ["--t", "5", "--delta-lo", "1", "--delta-hi", "2"]),
-        ("sweep-temp", ["--t-lo", "5", "--t-hi", "6", "--delta", "1"]),
-        ("oracle-compare", ["--t", "5", "--delta-lo", "1", "--delta-hi", "2", "--format", "json"]),
-    ])
-    def test_epsilon_max_above_cost_guard(self, tmp_path, capsys, subcommand, grid):
-        out = tmp_path / "none.out"
-        code = run_main([subcommand, "--n", "1000", "--method", "oracle", "--points", "2",
-                         "--epsilon-max", "700", "--out", str(out)] + grid)
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config-invalid: ") and "epsilon-max" in err
-        assert err.count("\n") == 1
+    def test_truncation_level_not_settable(self, tmp_path, capsys):
+        # the oracle derives its truncation from (N, T): neither a flag nor a key sets it
+        base = ["sweep-angle", "--n", "1000", "--t", "5", "--method", "oracle", "--points", "2"]
+        with pytest.raises(SystemExit) as exit_info:
+            run_main(base + ["--epsilon-max", "40"])
+        assert exit_info.value.code == 2
+        capsys.readouterr()
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("epsilon_max = 40\n")
+        out = tmp_path / "none.csv"
+        assert run_main(base + ["--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config-invalid: config: unknown key 'epsilon_max'\n"
         assert not out.exists()
 
     @settings(max_examples=160, deadline=None)
@@ -315,15 +314,16 @@ class TestSweepAngle:
         assert all(math.isfinite(c) for row in (cells[0], cells[2]) for c in row)
 
     def test_failure_before_rows_exit_code(self, tmp_path, capsys):
-        # epsilon_max below 10 T: the shared discrete ensemble cannot be solved
+        # no truncation up to 600 controls the tail at N = 1e5, T = 0.9 Tc:
+        # the shared discrete ensemble cannot be solved
         out = tmp_path / "none.csv"
         code = run_main([
-            "sweep-angle", "--n", "1000", "--t", "5", "--method", "oracle",
-            "--epsilon-max", "20", "--out", str(out),
+            "sweep-angle", "--n", "100000", "--t-over-tc", "0.9", "--method", "oracle",
+            "--out", str(out),
         ])
         assert code == 3
         err = capsys.readouterr().err
-        assert err.startswith("numerical-failure: TruncationError: epsilon_max=20")
+        assert err.startswith("numerical-failure: TruncationError: no truncation below 600 ")
         assert err.count("\n") == 1
         assert not out.exists()
 
@@ -347,17 +347,22 @@ class TestSweepAngle:
 
 
     @settings(max_examples=40, deadline=None)
-    @given(st.floats(1e100, 1e308), st.floats(1.0, 10.0), st.floats(0.0, 1.0), st.floats(0.5, 2.0))
-    def test_huge_delta_rates_underflow(self, k_incident, delta_lo, fraction, ratio):
+    @given(st.floats(1e100, 1e308), st.floats(1.0, 10.0), st.floats(0.0, 1.0), st.floats(0.5, 2.0),
+           st.sampled_from(["semiclassical", "both"]))
+    # a delta within 11 digits of the largest float must not print as inf
+    @example(k_incident=8.988465674250001e+307, delta_lo=1.0, fraction=1.0, ratio=1.0, method="both")
+    # 2 k_incident overflows: the grid still ends at the largest float
+    @example(k_incident=8.98846567431158e+307, delta_lo=1.0, fraction=1.0, ratio=1.0, method="both")
+    def test_huge_delta_rates_underflow(self, k_incident, delta_lo, fraction, ratio, method):
         # delta^2 and delta^4 leave the float range: every rate that depends
         # on delta is 0 in double there, a valid cell, and nothing warns
-        delta_hi = max(fraction * 2.0 * k_incident, 2.0 * delta_lo)
+        delta_hi = max(min(fraction * 2.0 * k_incident, sys.float_info.max), 2.0 * delta_lo)
         stdout = io.StringIO()
         with warnings.catch_warnings(), contextlib.redirect_stdout(stdout):
             warnings.simplefilter("error")
             code = main(["sweep-angle", "--n", "1000", "--t-over-tc", repr(ratio),
                          "--k-incident", repr(k_incident), "--delta-lo", repr(delta_lo),
-                         "--delta-hi", repr(delta_hi), "--points", "3", "--out", "-"])
+                         "--delta-hi", repr(delta_hi), "--points", "3", "--method", method, "--out", "-"])
         assert code == 0
         for line in stdout.getvalue().splitlines()[1:]:
             *cells, flags = line.split(",")
@@ -411,12 +416,13 @@ class TestSweepTemperature:
             assert float(row["bose_mm"]) == 0.0
 
     def test_json_failed_rows_are_null(self, tmp_path):
-        # epsilon_max 100 cannot control the oracle tail above Tc
+        # at N = 1000 no truncation up to 600 controls the oracle tail from
+        # T = 3 Tc up: the rows at 3, 5.5 and 8 Tc fail
         out = tmp_path / "temp.json"
         code = run_main([
-            "sweep-temp", "--n", "1000", "--t-over-tc-lo", "0.5", "--t-over-tc-hi", "3",
+            "sweep-temp", "--n", "1000", "--t-over-tc-lo", "0.5", "--t-over-tc-hi", "8",
             "--points", "4", "--delta", "1", "--method", "oracle",
-            "--epsilon-max", "100", "--format", "json", "--out", str(out),
+            "--format", "json", "--out", str(out),
         ])
         assert code == 3
 
@@ -479,11 +485,11 @@ class TestOracleCompare:
     def test_failure_before_rows_exit_code(self, tmp_path, capsys):
         out = tmp_path / "cmp.json"
         code = run_main([
-            "oracle-compare", "--n", "1000", "--t", "5", "--method", "oracle",
-            "--epsilon-max", "20", "--format", "json", "--out", str(out),
+            "oracle-compare", "--n", "100000", "--t-over-tc", "0.9",
+            "--format", "json", "--out", str(out),
         ])
         assert code == 3
-        assert capsys.readouterr().err.startswith("numerical-failure: TruncationError")
+        assert capsys.readouterr().err.startswith("numerical-failure: TruncationError: no truncation below 600 ")
         assert not out.exists()
 
     def test_csv_rejected(self, capsys):

@@ -63,7 +63,7 @@ class TestSolveMuDiscrete:
         # one particle nearly frozen out: occupation(0) = 1 forces
         # e^{-mu/T} = 2, i.e. mu = -T ln 2
         t = 0.01
-        ens = solve_mu_discrete(1, t, epsilon_max=40)
+        ens = solve_mu_discrete(1, t)
         assert_allclose(ens.mu_exact, -t * math.log(2.0), rtol=1e-10)
         assert_allclose(ens.n0_exact, 1.0, rtol=1e-8)
 
@@ -93,17 +93,13 @@ class TestSolveMuDiscrete:
             )
 
     def test_tail_bound_honored(self):
-        ens = solve_mu_discrete(500, 0.7 * critical_temperature(500))
-        tail = _boltzmann_tail(ens.epsilon_max, ens.mu_exact, ens.temperature)
-        assert tail < 1e-6 * 500
-
-    def test_truncation_floor(self):
-        with pytest.raises(TruncationError):
-            solve_mu_discrete(500, 10.0, epsilon_max=50)  # below 10 T
-
-    def test_cost_guard(self):
-        with pytest.raises(ValueError):
-            solve_mu_discrete(500, 10.0, epsilon_max=1200)
+        # the mu = 0 bound that picks the level also bounds the Bose tail of
+        # the solved mu < 0, summed here over the levels the ensemble drops
+        for n, ratio in ((500, 0.7), (100_000, 0.2), (100_000, 0.7), (1000, 2.0), (2000, 0.05)):
+            ens = solve_mu_discrete(n, ratio * critical_temperature(n))
+            eps = np.arange(ens.epsilon_max + 1.0, ens.epsilon_max + 100.0 * ens.temperature)
+            tail = math.fsum((eps + 1.0) * (eps + 2.0) / 2.0 / np.expm1((eps - ens.mu_exact) / ens.temperature))
+            assert 0.0 < tail <= _boltzmann_tail(ens.epsilon_max, ens.temperature) < 1e-6 * n, (n, ratio)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -111,7 +107,7 @@ class TestSolveMuDiscrete:
         with pytest.raises(ValueError):
             solve_mu_discrete(10, -1.0)
         with pytest.raises(ValueError):
-            solve_mu_discrete(10, math.nan, epsilon_max=40)
+            solve_mu_discrete(10, math.nan)
 
     @settings(max_examples=120, deadline=None)
     @given(st.integers(1, 100_000), st.floats(math.log(0.05), math.log(1.4)))
@@ -145,9 +141,10 @@ class TestSolveMuDiscrete:
         # at these N the ground term at mu0 = -T ln(1 + 1/N) rounds below N,
         # and at T = 0.027 the excited levels add less than one ulp of it
         t = 0.027
-        ens = solve_mu_discrete(n, t, epsilon_max=40)
+        ens = solve_mu_discrete(n, t)
+        assert ens.epsilon_max == 30
         assert_allclose(ens.mu_exact, -t * math.log1p(1.0 / n), rtol=1e-15)
-        reference = chemical_potential_bisection(n, t, lambda mu: discrete_population(mu, t, 40))
+        reference = chemical_potential_bisection(n, t, lambda mu: discrete_population(mu, t, 30))
         assert_allclose(ens.mu_exact, reference, rtol=1e-10)
 
 

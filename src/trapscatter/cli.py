@@ -64,7 +64,7 @@ class SweepConfig:
     t_ratio_hi: float = None
 
     def validate_common(self):
-        for key, (field_name, cast) in _CONFIG_FIELDS.items():
+        for key, (field_name, cast, *_) in _CONFIG_FIELDS.items():
             value = getattr(self, field_name)
             if cast is float and value is not None and not math.isfinite(value):
                 raise ConfigError(key.replace("_", "-"), "must be finite")
@@ -327,33 +327,27 @@ def write_csv(table, stream):
         writer.writerow([_format_cell(v) for v in row])
 
 
-def write_json(table, stream):
-    payload = {
-        "version": __version__,
-        "meta": table.meta,
-        "columns": table.columns,
-        "rows": [[_json_cell(v) for v in row] for row in table.rows],
-    }
-    json.dump(payload, stream, indent=2, sort_keys=True)
+def write_json(result, stream):
+    """A SweepTable as {version, meta, columns, rows}, or a report dict as it is."""
+    if isinstance(result, SweepTable):
+        result = {
+            "version": __version__,
+            "meta": result.meta,
+            "columns": result.columns,
+            "rows": [[_json_cell(v) for v in row] for row in result.rows],
+        }
+    json.dump(result, stream, indent=2, sort_keys=True)
     stream.write("\n")
 
 
-def _open_out(path):
-    if path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
-
-
-def _emit_table(table, config):
-    stream, close = _open_out(config.out)
-    try:
-        if config.fmt == "csv":
-            write_csv(table, stream)
-        else:
-            write_json(table, stream)
-    finally:
-        if close:
-            stream.close()
+def _emit_table(result, config):
+    """Write a SweepTable or the oracle-compare report to config.out ('-' for stdout)."""
+    write = write_csv if config.fmt == "csv" else write_json
+    if config.out == "-":
+        write(result, sys.stdout)
+        return
+    with open(config.out, "w", encoding="utf-8", newline="") as stream:
+        write(result, stream)
 
 
 def parse_config_file(path):
@@ -380,24 +374,36 @@ def _parse_bool(text):
     raise ConfigError("log", f"not a boolean: {text!r}")
 
 
-_CONFIG_FIELDS = {
-    "n": ("n_total", int),
-    "t": ("t", float),
-    "t_over_tc": ("t_over_tc", float),
-    "k_incident": ("k_incident", float),
-    "delta_lo": ("delta_lo", float),
-    "delta_hi": ("delta_hi", float),
-    "points": ("points", int),
-    "log": ("log_spacing", _parse_bool),
-    "method": ("method", str),
-    "out": ("out", str),
-    "format": ("fmt", str),
-    "delta": ("delta_fixed", float),
-    "t_lo": ("t_lo", float),
-    "t_hi": ("t_hi", float),
-    "t_over_tc_lo": ("t_ratio_lo", float),
-    "t_over_tc_hi": ("t_ratio_hi", float),
+_SUBCOMMANDS = {
+    "sweep-angle": "table over momentum transfer",
+    "sweep-temp": "table over temperature at fixed delta",
+    "oracle-compare": "semiclassical vs oracle report",
 }
+_ALL = tuple(_SUBCOMMANDS)
+_GRID = ("sweep-angle", "oracle-compare")
+_TEMP = ("sweep-temp",)
+
+# config key -> (SweepConfig field, cast, subcommands taking --key, help); the
+# flag is the key with '_' as '-', listed in --help in this order
+_CONFIG_FIELDS = {
+    "n": ("n_total", int, _ALL, "particle number N"),
+    "t": ("t", float, _ALL, "temperature in trap units"),
+    "t_over_tc": ("t_over_tc", float, _ALL, "temperature as a fraction of Tc"),
+    "k_incident": ("k_incident", float, _ALL, "incident photon momentum in trap units"),
+    "method": ("method", str, _ALL, None),
+    "out": ("out", str, _ALL, "output path ('-' for stdout)"),
+    "format": ("fmt", str, _ALL, None),
+    "delta_lo": ("delta_lo", float, _GRID, None),
+    "delta_hi": ("delta_hi", float, _GRID, None),
+    "delta": ("delta_fixed", float, _TEMP, "fixed momentum transfer"),
+    "t_lo": ("t_lo", float, _TEMP, None),
+    "t_hi": ("t_hi", float, _TEMP, None),
+    "t_over_tc_lo": ("t_ratio_lo", float, _TEMP, None),
+    "t_over_tc_hi": ("t_ratio_hi", float, _TEMP, None),
+    "points": ("points", int, _ALL, None),
+    "log": ("log_spacing", _parse_bool, _ALL, "log-spaced grid"),
+}
+_CHOICES = {"method": _METHODS, "format": _FORMATS}
 
 
 def build_config(args):
@@ -407,37 +413,16 @@ def build_config(args):
         for key, text in parse_config_file(args.config).items():
             if key not in _CONFIG_FIELDS:
                 raise ConfigError("config", f"unknown key {key!r}")
-            field_name, cast = _CONFIG_FIELDS[key]
+            field_name, cast, *_ = _CONFIG_FIELDS[key]
             try:
                 setattr(config, field_name, cast(text))
             except ValueError as exc:
                 raise ConfigError(key, str(exc)) from exc
-    for key, (field_name, _) in _CONFIG_FIELDS.items():
+    for key, (field_name, *_) in _CONFIG_FIELDS.items():
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             setattr(config, field_name, flag_value)
     return config
-
-
-def _add_common_flags(parser):
-    parser.add_argument("--n", type=int, default=None, help="particle number N")
-    parser.add_argument("--t", type=float, default=None, help="temperature in trap units")
-    parser.add_argument("--t-over-tc", dest="t_over_tc", type=float, default=None,
-                        help="temperature as a fraction of Tc")
-    parser.add_argument("--k-incident", dest="k_incident", type=float, default=None,
-                        help="incident photon momentum in trap units")
-    parser.add_argument("--method", choices=_METHODS, default=None)
-    parser.add_argument("--out", default=None, help="output path ('-' for stdout)")
-    parser.add_argument("--format", dest="format", choices=_FORMATS, default=None)
-    parser.add_argument("--config", default=None, help="key=value config file")
-
-
-def _add_grid_flags(parser):
-    parser.add_argument("--delta-lo", dest="delta_lo", type=float, default=None)
-    parser.add_argument("--delta-hi", dest="delta_hi", type=float, default=None)
-    parser.add_argument("--points", type=int, default=None)
-    parser.add_argument("--log", action=argparse.BooleanOptionalAction, default=None,
-                        help="log-spaced grid")
 
 
 def build_parser():
@@ -446,54 +431,34 @@ def build_parser():
         description="Photon scattering channels off a harmonically trapped Bose gas",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p_angle = sub.add_parser("sweep-angle", help="table over momentum transfer")
-    _add_common_flags(p_angle)
-    _add_grid_flags(p_angle)
-
-    p_temp = sub.add_parser("sweep-temp", help="table over temperature at fixed delta")
-    _add_common_flags(p_temp)
-    p_temp.add_argument("--delta", type=float, default=None, help="fixed momentum transfer")
-    p_temp.add_argument("--t-lo", dest="t_lo", type=float, default=None)
-    p_temp.add_argument("--t-hi", dest="t_hi", type=float, default=None)
-    p_temp.add_argument("--t-over-tc-lo", dest="t_over_tc_lo", type=float, default=None)
-    p_temp.add_argument("--t-over-tc-hi", dest="t_over_tc_hi", type=float, default=None)
-    p_temp.add_argument("--points", type=int, default=None)
-    p_temp.add_argument("--log", action=argparse.BooleanOptionalAction, default=None,
-                        help="log-spaced grid")
-
-    p_cmp = sub.add_parser("oracle-compare", help="semiclassical vs oracle report")
-    _add_common_flags(p_cmp)
-    _add_grid_flags(p_cmp)
+    commands = {}
+    for name, text in _SUBCOMMANDS.items():
+        commands[name] = sub.add_parser(name, help=text)
+        commands[name].add_argument("--config", default=None, help="key=value config file")
+    for key, (_, cast, names, text) in _CONFIG_FIELDS.items():
+        if cast is _parse_bool:
+            kind = {"action": argparse.BooleanOptionalAction}
+        else:
+            kind = {"type": cast, "choices": _CHOICES.get(key)}
+        for name in names:
+            commands[name].add_argument("--" + key.replace("_", "-"), dest=key, default=None, help=text, **kind)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = build_config(args)
         if args.subcommand == "sweep-angle":
-            table = sweep_angle(config)
-            _emit_table(table, config)
-            return 3 if table.failures else 0
-        if args.subcommand == "sweep-temp":
-            table = sweep_temperature(config)
-            _emit_table(table, config)
-            return 3 if table.failures else 0
-        if args.subcommand == "oracle-compare":
+            result = sweep_angle(config)
+        elif args.subcommand == "sweep-temp":
+            result = sweep_temperature(config)
+        else:
             if config.fmt == "csv":
                 raise ConfigError("format", "oracle-compare emits a JSON report")
-            report = oracle_compare(config)
-            stream, close = _open_out(config.out)
-            try:
-                json.dump(report, stream, indent=2, sort_keys=True)
-                stream.write("\n")
-            finally:
-                if close:
-                    stream.close()
-            return 0
-        raise ConfigError("subcommand", f"unknown {args.subcommand!r}")
+            result = oracle_compare(config)
+        _emit_table(result, config)
+        return 3 if isinstance(result, SweepTable) and result.failures else 0
     except ConfigError as exc:
         print(f"config-invalid: {exc}", file=sys.stderr)
         return 2

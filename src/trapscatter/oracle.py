@@ -237,12 +237,8 @@ class ScalingFit:
     rates: tuple
 
 
-def scaling_probe(process, n_values, t_over_tc, delta_rule):
-    """Fit the large-N growth exponent of one channel at fixed T/Tc.
-
-    delta_rule maps the temperature of each ensemble to the probed
-    momentum transfer; a bare number means a fixed delta.
-    """
+def scaling_probe(process, n_values, t_over_tc, delta):
+    """Fit the large-N growth exponent of one channel at fixed T/Tc and momentum transfer."""
     if process not in ("rayleigh", "diffraction", "bose_0m", "bose_mm", "total"):
         raise ValueError(f"unknown process {process!r}")
     n_values = sorted(int(n) for n in n_values)
@@ -252,10 +248,7 @@ def scaling_probe(process, n_values, t_over_tc, delta_rule):
         raise ValueError("particle numbers must span at least one decade")
 
     ensembles = [solve_mu_discrete(n, t_over_tc * critical_temperature(n)) for n in n_values]
-    deltas = [delta_rule(ens.temperature) if callable(delta_rule) else float(delta_rule) for ens in ensembles]
-    columns = list(dict.fromkeys(deltas))  # a fixed delta runs one lane of the recurrence
-    grid = exact_breakdowns(ensembles, columns)
-    rates = [getattr(_unwrap(row[columns.index(d)]), process) for row, d in zip(grid, deltas)]
+    rates = [getattr(_unwrap(row[0]), process) for row in exact_breakdowns(ensembles, [float(delta)])]
 
     log_n = np.log(np.asarray(n_values, dtype=float))
     log_r = np.log(np.asarray(rates))

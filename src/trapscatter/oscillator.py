@@ -51,34 +51,6 @@ def _log_factorials(size):
     return np.array([math.lgamma(k + 1.0) for k in range(size)])
 
 
-def ground_overlap_column(m_max, delta):
-    """Array of |<0|e^{i delta x}|m>|^2 for m = 0..m_max."""
-    x = 0.5 * delta * delta
-    if x == 0.0:
-        out = np.zeros(m_max + 1)
-        out[0] = 1.0
-        return out
-    m = np.arange(m_max + 1)
-    return np.exp(-x + m * math.log(x) - _log_factorials(m_max + 1))
-
-
-def diagonal_amplitude_column(m_max, delta):
-    """Signed diagonal amplitudes for m = 0..m_max (k = 0 recurrence)."""
-    x = 0.5 * delta * delta
-    out = np.zeros(m_max + 1)
-    if x == 0.0:
-        out[:] = 1.0
-        return out
-    a_prev = 0.0
-    a = math.exp(-0.5 * x)
-    out[0] = a
-    for j in range(m_max):
-        a_next = ((2 * j + 1 - x) * a - j * a_prev) / (j + 1.0)
-        a_prev, a = a, a_next
-        out[j + 1] = a
-    return out
-
-
 def _overlap_rows(m_max, deltas):
     """Yield (n, rows) with rows[d, k] = A_n(k) at deltas[d], for n + k <= m_max.
 
@@ -89,14 +61,15 @@ def _overlap_rows(m_max, deltas):
     size = m_max + 1
     ks = np.arange(size, dtype=float)
     log_factorials = _log_factorials(size)
-    # past the float range every amplitude is 0, as it already is at the largest float
-    xs = [min(0.5 * delta * delta, sys.float_info.max) for delta in deltas]
+    # past the float range every amplitude is 0, as it already is at the largest float;
+    # a Python float squares to inf there where a numpy float would warn
+    xs = [min(0.5 * d * d, sys.float_info.max) for d in map(float, deltas)]
     prev = np.zeros((len(xs), size))  # A_{n-1}; sqrt(n (n + k)) is 0 against it at n = 0
     cur = np.empty_like(prev)
     for row, x in zip(cur, xs):
         # x = 0 starts the identity, which the recurrence keeps exactly
         row[:] = np.exp(-0.5 * x + 0.5 * ks * math.log(x) - 0.5 * log_factorials) if x else ks == 0
-        row[0] = math.exp(-0.5 * x)  # so column 0 is diagonal_amplitude_column bit for bit
+        row[0] = math.exp(-0.5 * x)
     yield 0, cur
     levels = np.arange(2.0 * size)
     lin = levels[1:] - np.array(xs)[:, None]  # lin[d, 2n + k] = 2n + k + 1 - x_d
@@ -130,6 +103,16 @@ def overlap_band(m_max, delta):
             f"overlap recurrence unstable at m_max={m_max}, delta={delta:g}"
         )
     return band
+
+
+def ground_overlap_column(m_max, delta):
+    """Array of |<0|e^{i delta x}|m>|^2 for m = 0..m_max: the band's row 0, squared."""
+    return overlap_band(m_max, delta)[0] ** 2
+
+
+def diagonal_amplitude_column(m_max, delta):
+    """Signed diagonal amplitudes A_m(0) for m = 0..m_max: the band's column 0."""
+    return overlap_band(m_max, delta)[:, 0]
 
 
 def overlap_matrix(m_max, delta):

@@ -62,7 +62,6 @@ __all__ = [
     "rayleigh",
     "diffraction_differential",
     "diffraction_total",
-    "diffraction_total_excited",
     "bose_0m_differential",
     "bose_0m_total",
     "bose_mm_differential",
@@ -163,16 +162,6 @@ def diffraction_differential(ensemble, delta):
 def diffraction_total(ensemble, kin):
     """Angle-integrated diffraction, dominated by the condensate: 2 pi N0^2 / k_i^2."""
     return 2.0 * math.pi * ensemble.n_condensate**2 / kin.k_incident**2
-
-
-def diffraction_total_excited(ensemble, kin):
-    """Excited-cloud part of the diffraction total, cut off at delta = T^{-1/2}.
-
-    The solid-angle integral of (4T/delta^4)^2 from the smallest momentum
-    transfer the discrete spectrum supports, 16 pi T^5 / (3 k_i^2); scales
-    as Ne^{5/3}/k_i^2.
-    """
-    return 16.0 * math.pi * ensemble.temperature**5 / (3.0 * kin.k_incident**2)
 
 
 def bose_0m_differential(ensemble, delta):

@@ -202,17 +202,6 @@ def shape_integral_adaptive(nu):
     return head + quad_or_raise(lambda a: excited_pair_shape(a, nu), 1.0, np.inf, spec, "shape integral tail")
 
 
-def diffraction_total_excited_quadrature(ensemble, kin):
-    """Solid-angle integral of (4T/delta^4)^2 from delta = T^{-1/2}."""
-    t = ensemble.temperature
-    k = kin.k_incident
-
-    def integrand(d):
-        return (4.0 * t / d**4) ** 2 * 2.0 * math.pi * d / k**2
-
-    return quad_or_raise(integrand, t**-0.5, np.inf, DEFAULT_SPEC, "diffraction_total_excited")
-
-
 def bose_0m_total_quadrature(ensemble, kin):
     """Solid-angle integral of bose_0m_differential from delta = 1."""
     k = kin.k_incident

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import trapscatter
 from trapscatter.cli import (
+    _CONFIG_FIELDS,
     SweepConfig,
     build_config,
     build_parser,
@@ -60,6 +61,30 @@ _HUGE_FINITE_CASES = [
     (["sweep-angle", "--n", str(10**400), "--t", "5", "--points", "3"], 2),
 ]
 
+
+_ALL = ("sweep-angle", "sweep-temp", "oracle-compare")
+_GRID = ("sweep-angle", "oracle-compare")
+
+# config key -> (its flag arguments, its config-file value, the SweepConfig
+# field both set, the value they set it to, the subcommands taking the flag)
+_OPTIONS = {
+    "n": (["--n", "400"], "400", "n_total", 400, _ALL),
+    "t": (["--t", "5.5"], "5.5", "t", 5.5, _ALL),
+    "t_over_tc": (["--t-over-tc", "0.5"], "0.5", "t_over_tc", 0.5, _ALL),
+    "k_incident": (["--k-incident", "50"], "50", "k_incident", 50.0, _ALL),
+    "method": (["--method", "both"], "both", "method", "both", _ALL),
+    "out": (["--out", "x.csv"], "x.csv", "out", "x.csv", _ALL),
+    "format": (["--format", "json"], "json", "fmt", "json", _ALL),
+    "delta_lo": (["--delta-lo", "0.5"], "0.5", "delta_lo", 0.5, _GRID),
+    "delta_hi": (["--delta-hi", "4"], "4", "delta_hi", 4.0, _GRID),
+    "delta": (["--delta", "2"], "2", "delta_fixed", 2.0, ("sweep-temp",)),
+    "t_lo": (["--t-lo", "1.5"], "1.5", "t_lo", 1.5, ("sweep-temp",)),
+    "t_hi": (["--t-hi", "9"], "9", "t_hi", 9.0, ("sweep-temp",)),
+    "t_over_tc_lo": (["--t-over-tc-lo", "0.2"], "0.2", "t_ratio_lo", 0.2, ("sweep-temp",)),
+    "t_over_tc_hi": (["--t-over-tc-hi", "1.4"], "1.4", "t_ratio_hi", 1.4, ("sweep-temp",)),
+    "points": (["--points", "7"], "7", "points", 7, _ALL),
+    "log": (["--log"], "on", "log_spacing", True, _ALL),
+}
 
 class TestConfigPlumbing:
     def test_config_file_and_flag_override(self, tmp_path):
@@ -123,6 +148,27 @@ class TestConfigPlumbing:
         assert build_config(parser.parse_args(base)).log_spacing is True
         assert build_config(parser.parse_args(base + ["--no-log"])).log_spacing is False
         assert build_config(parser.parse_args([subcommand, "--log"])).log_spacing is True
+
+    @pytest.mark.parametrize("subcommand", _ALL)
+    @pytest.mark.parametrize("key", list(_CONFIG_FIELDS))
+    def test_flag_and_config_key_agree(self, tmp_path, capsys, key, subcommand):
+        # a subcommand that takes the flag gets from it what the config key
+        # gives; any other subcommand rejects the flag as a usage error
+        flag_args, text, field, value, takers = _OPTIONS[key]
+        parser = build_parser()
+        if subcommand not in takers:
+            with pytest.raises(SystemExit) as exit_info:
+                parser.parse_args([subcommand] + flag_args)
+            assert exit_info.value.code == 2
+            assert ": error: " in capsys.readouterr().err
+            return
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"{key} = {text}\n")
+        by_flag = build_config(parser.parse_args([subcommand] + flag_args))
+        by_file = build_config(parser.parse_args([subcommand, "--config", str(cfg)]))
+        assert by_flag == by_file
+        got = getattr(by_flag, field)
+        assert got == value != getattr(SweepConfig(), field) and type(got) is type(value)
 
     def test_truncation_level_not_settable(self, tmp_path, capsys):
         # the oracle derives its truncation from (N, T): neither a flag nor a key sets it

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -274,6 +275,15 @@ class TestOverlapBand:
                 for k in range(min(m_max - n, math.ceil(2.0 * edge) + 3) + 1):
                     worst = max(worst, abs(band[n, k] - float(_mpmath_amplitude(n, k, xm))))
         assert worst < 1e-12, worst
+
+    def test_huge_delta_underflows_to_zero(self):
+        # x = delta^2 / 2 past the float range: every amplitude, and so both
+        # columns, is 0 without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            columns = ground_overlap_column(3, 1e200), diagonal_amplitude_column(3, 1e200)
+            assert not overlap_band(3, 1e200).any()
+        assert all(np.array_equal(col, np.zeros(4)) for col in columns)
 
     def test_validation(self, monkeypatch):
         with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from _reference import (
     bose_0m_total_quadrature,
     bose_mm_total_quadrature,
-    diffraction_total_excited_quadrature,
     pair_shape_adaptive,
     pair_shape_mpmath,
     pair_shape_series,
@@ -41,7 +40,6 @@ from trapscatter.scattering import (
     _shape_integral,
     _shape_nodes,
     channel_validity,
-    diffraction_total_excited,
 )
 
 
@@ -130,17 +128,6 @@ class TestDiffraction:
         empty = synthetic_ensemble(2000, 5.0, 0.0)
         assert diffraction_total(empty, kin) == 0.0
 
-    def test_total_excited_scaling(self):
-        # closed form 16 pi T^5 / (3 k^2); doubling Ne means T -> 2^{1/3} T
-        kin = Kinematics(100.0)
-        t = 10.0
-        base = diffraction_total_excited(synthetic_ensemble(5000, t, 0.0), kin)
-        assert_allclose(base, 16.0 * math.pi * t**5 / (3.0 * 1e4), rtol=1e-8)
-        doubled = diffraction_total_excited(
-            synthetic_ensemble(5000, 2.0 ** (1.0 / 3.0) * t, 0.0), kin
-        )
-        assert_allclose(doubled / base, 2.0 ** (5.0 / 3.0), rtol=1e-8)
-
     def test_validation(self):
         ens = synthetic_ensemble(1000, 10.0, 500.0)
         with pytest.raises(ValueError):
@@ -209,8 +196,6 @@ class TestClosedFormTotals:
     def test_against_quadrature(self, n, ratio):
         ens = TrapEnsemble.at_ratio(n, ratio)
         kin = Kinematics(1000.0)
-        assert_allclose(diffraction_total_excited(ens, kin),
-                        diffraction_total_excited_quadrature(ens, kin), rtol=1e-13)
         assert_allclose(bose_0m_total(ens, kin), bose_0m_total_quadrature(ens, kin), rtol=1e-13)
 
 

@@ -4,7 +4,11 @@ Subcommands
 -----------
 sweep-angle     one row per momentum transfer delta
 sweep-temp      one row per temperature at fixed delta
-oracle-compare  per-channel deviation statistics plus scaling-exponent fits
+oracle-compare  per-channel deviation statistics plus scaling-exponent fits,
+                over the rows sweep-angle prints with --method both
+
+A --config file holds key=value lines, each key a flag without its '--'; it
+may hold only the keys whose flags the subcommand takes.
 
 Output is CSV ('%.10e' cells, in full where that would round a finite value
 past the largest float; comma separator, '\n' line ends) or JSON with a
@@ -23,7 +27,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 
 # Every BLAS call the program makes is below OpenBLAS's threading thresholds.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -152,58 +156,72 @@ class SweepTable:
 
 
 def _breakdown_cells(breakdown):
-    return [breakdown.rayleigh, breakdown.diffraction, breakdown.bose_0m,
-            breakdown.bose_mm, breakdown.total]
+    return [getattr(breakdown, name) for name in (*CHANNELS, "total")]
 
 
-def _channel_cells(config, ensemble, delta, exact):
-    """Semiclassical and oracle cells of one row, then its flags field.
+def _rows(config, ensembles, deltas, discretes):
+    """Each row's semiclassical RateBreakdown (None without that method) and oracle cell.
 
-    `exact` is the row's oracle breakdown or the exception that failed it;
-    a failure fills that row's oracle cells with NaN and flags it.
+    The arguments hold one entry per row.  A discrete entry is the row's
+    discrete ensemble, the exception that failed to solve it (the row's cell
+    then), or None without the oracle.  All other cells come from one
+    exact_breakdowns grid over the distinct solved ensembles and deltas, so
+    a cell is a breakdown or the exception that failed its pair.
     """
-    cells = []
-    flags = "ok"
-    if config.semiclassical:
-        breakdown = decompose(ensemble, Kinematics(config.k_incident, delta))
-        cells += _breakdown_cells(breakdown)
-        flags = _flags_field(breakdown)
-    if isinstance(exact, Exception):
-        cells += [math.nan] * 5
-        flags = f"oracle:error:{type(exact).__name__}"
-    elif config.oracle:
-        cells += _breakdown_cells(exact)
-    return cells + [flags]
+    solved = {id(d): d for d in discretes if d is not None and not isinstance(d, Exception)}
+    lanes = {delta: j for j, delta in enumerate(dict.fromkeys(deltas))}
+    grid = dict(zip(solved, exact_breakdowns(list(solved.values()), list(lanes))))
+    for ensemble, delta, discrete in zip(ensembles, deltas, discretes):
+        semi = decompose(ensemble, Kinematics(config.k_incident, delta)) if config.semiclassical else None
+        yield semi, grid[id(discrete)][lanes[delta]] if id(discrete) in grid else discrete
 
 
-def _sweep(config, lead_columns, points, meta):
-    """Table with one row per (lead cells, ensemble, delta, oracle breakdown) point."""
+def _table(config, lead_columns, leads, rows, meta):
+    """Table of each row's lead cells, then its channel cells and flags field."""
     columns = list(lead_columns)
     if config.semiclassical:
         columns += list(CHANNELS) + ["total"]
     if config.oracle:
         columns += [f"{c}_oracle" for c in CHANNELS] + ["total_oracle"]
     columns.append("flags")
-    rows = [lead + _channel_cells(config, ensemble, delta, exact)
-            for lead, ensemble, delta, exact in points]
-    return SweepTable(columns=columns, rows=rows, meta=meta)
+    table = []
+    for lead, (semi, exact) in zip(leads, rows):
+        cells, flags = [], "ok"
+        if semi is not None:
+            cells, flags = _breakdown_cells(semi), _flags_field(semi)
+        if isinstance(exact, Exception):
+            cells += [math.nan] * 5
+            flags = f"oracle:error:{type(exact).__name__}"
+        elif exact is not None:
+            cells += _breakdown_cells(exact)
+        table.append(lead + cells + [flags])
+    return SweepTable(columns=columns, rows=table, meta=meta)
 
 
-def sweep_angle(config):
-    """Channel table over a delta grid at fixed (N, T)."""
+def _angle_rows(config):
+    """sweep-angle's temperature, semiclassical ensemble, delta grid and rows."""
     config.validate_common()
     temperature = config.resolve_temperature()
     grid = config.delta_grid()
     ensemble = TrapEnsemble.solve(config.n_total, temperature)
-    exact = [None] * len(grid)
-    if config.oracle:
-        # one discrete ensemble for every row; failing to solve it fails the sweep
-        discrete = solve_mu_discrete(config.n_total, temperature)
-        exact = exact_breakdowns([discrete], grid)[0]
-    points = (([delta, delta / config.k_incident], ensemble, delta, cell) for delta, cell in zip(grid, exact))
+    # one discrete ensemble for every row; failing to solve it fails the sweep
+    discrete = solve_mu_discrete(config.n_total, temperature) if config.oracle else None
+    return temperature, ensemble, grid, _rows(config, [ensemble] * len(grid), grid, [discrete] * len(grid))
+
+
+def sweep_angle(config):
+    """Channel table over a delta grid at fixed (N, T)."""
+    temperature, ensemble, grid, rows = _angle_rows(config)
     meta = {"command": "sweep-angle", "config": _config_echo(config),
             "temperature": temperature, "t_critical": ensemble.t_critical}
-    return _sweep(config, ["delta", "theta"], points, meta)
+    return _table(config, ["delta", "theta"], ([d, d / config.k_incident] for d in grid), rows, meta)
+
+
+def _discrete_or_error(n_total, temperature):
+    try:
+        return solve_mu_discrete(n_total, temperature)
+    except (ConvergenceError, TruncationError, ValueError) as exc:
+        return exc
 
 
 def sweep_temperature(config):
@@ -216,62 +234,38 @@ def sweep_temperature(config):
         raise ConfigError("delta", "exceeds the elastic bound 2 k_incident")
     grid = config.temperature_grid()
     tc = critical_temperature(config.n_total)
-    exact = [None] * len(grid)
-    if config.oracle:
-        # solved one row at a time, so a failure is flagged on that row only
-        for i, temperature in enumerate(grid):
-            try:
-                exact[i] = solve_mu_discrete(config.n_total, temperature)
-            except (ConvergenceError, TruncationError, ValueError) as exc:
-                exact[i] = exc
-        solved = [i for i, cell in enumerate(exact) if not isinstance(cell, Exception)]
-        for i, cells in zip(solved, exact_breakdowns([exact[i] for i in solved], [delta_fixed])):
-            exact[i] = cells[0]
-
-    def point(temperature, cell):
-        ensemble = TrapEnsemble.solve(config.n_total, temperature)
-        lead = [temperature, temperature / tc, ensemble.mu,
-                ensemble.n_condensate, ensemble.n_excited]
-        return lead, ensemble, delta_fixed, cell
-
+    ensembles = [TrapEnsemble.solve(config.n_total, t) for t in grid]
+    # solved one row at a time, so a failure is flagged on that row only
+    discretes = [_discrete_or_error(config.n_total, t) if config.oracle else None for t in grid]
+    leads = ([t, t / tc, e.mu, e.n_condensate, e.n_excited] for t, e in zip(grid, ensembles))
     meta = {"command": "sweep-temp", "config": _config_echo(config),
             "delta": delta_fixed, "t_critical": tc}
-    return _sweep(config, ["t", "t_over_tc", "mu", "n0", "ne"], map(point, grid, exact), meta)
+    rows = _rows(config, ensembles, [delta_fixed] * len(grid), discretes)
+    return _table(config, ["t", "t_over_tc", "mu", "n0", "ne"], leads, rows, meta)
 
 
 def oracle_compare(config):
-    """Semiclassical-vs-oracle deviation statistics and scaling fits."""
+    """Deviation statistics of sweep-angle's --method both rows, and scaling fits."""
     config.validate_common()
-    temperature = config.resolve_temperature()
-    grid = config.delta_grid()
-    ensemble = TrapEnsemble.solve(config.n_total, temperature)
-    discrete = solve_mu_discrete(config.n_total, temperature)
+    temperature, _, grid, pairs = _angle_rows(replace(config, method="both"))
 
     deviations = {ch: [] for ch in CHANNELS}
     rows = []
-    for delta, exact in zip(grid, map(_unwrap, exact_breakdowns([discrete], grid)[0])):
-        kin = Kinematics(config.k_incident, delta)
-        semi = decompose(ensemble, kin)
+    for delta, (semi, cell) in zip(grid, pairs):
+        exact = _unwrap(cell)
         row = {"delta": float(delta)}
         for ch in CHANNELS:
-            s = semi.channel(ch)
-            o = exact.channel(ch)
-            row[ch] = s
-            row[f"{ch}_oracle"] = o
+            s, o = semi.channel(ch), exact.channel(ch)
+            row[ch], row[f"{ch}_oracle"] = s, o
             if semi.valid.get(ch, False):
                 dev = abs(o - s) / max(abs(o), 1e-300)
                 deviations[ch].append(dev)
                 row[f"{ch}_rel_dev"] = dev
         rows.append(row)
 
-    stats = {}
-    for ch in CHANNELS:
-        devs = deviations[ch]
-        stats[ch] = {
-            "points": len(devs),
-            "max_rel_dev": max(devs) if devs else None,
-            "median_rel_dev": float(np.median(devs)) if devs else None,
-        }
+    stats = {ch: {"points": len(devs), "max_rel_dev": max(devs) if devs else None,
+                  "median_rel_dev": float(np.median(devs)) if devs else None}
+             for ch, devs in deviations.items()}
 
     ratio = temperature / critical_temperature(config.n_total)
     ladder = sorted({max(100, config.n_total // 27), max(150, config.n_total // 9),
@@ -413,7 +407,9 @@ def build_config(args):
         for key, text in parse_config_file(args.config).items():
             if key not in _CONFIG_FIELDS:
                 raise ConfigError("config", f"unknown key {key!r}")
-            field_name, cast, *_ = _CONFIG_FIELDS[key]
+            field_name, cast, takers, _ = _CONFIG_FIELDS[key]
+            if args.subcommand not in takers:
+                raise ConfigError("config", f"{args.subcommand} takes no key {key!r}")
             try:
                 setattr(config, field_name, cast(text))
             except ValueError as exc:

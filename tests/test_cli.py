@@ -153,17 +153,22 @@ class TestConfigPlumbing:
     @pytest.mark.parametrize("key", list(_CONFIG_FIELDS))
     def test_flag_and_config_key_agree(self, tmp_path, capsys, key, subcommand):
         # a subcommand that takes the flag gets from it what the config key
-        # gives; any other subcommand rejects the flag as a usage error
+        # gives; any other subcommand rejects the flag as a usage error and
+        # the key in a config file as an invalid configuration
         flag_args, text, field, value, takers = _OPTIONS[key]
         parser = build_parser()
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"{key} = {text}\n")
         if subcommand not in takers:
             with pytest.raises(SystemExit) as exit_info:
                 parser.parse_args([subcommand] + flag_args)
             assert exit_info.value.code == 2
             assert ": error: " in capsys.readouterr().err
+            out = tmp_path / "none.out"
+            assert run_main([subcommand, "--config", str(cfg), "--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"config-invalid: config: {subcommand} takes no key {key!r}\n"
+            assert not out.exists()
             return
-        cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(f"{key} = {text}\n")
         by_flag = build_config(parser.parse_args([subcommand] + flag_args))
         by_file = build_config(parser.parse_args([subcommand, "--config", str(cfg)]))
         assert by_flag == by_file
@@ -216,6 +221,38 @@ class TestConfigPlumbing:
         assert code == 2
         assert capsys.readouterr().err == "config-invalid: delta-lo: must be finite\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("args,config_text,field", [
+        (["sweep-angle", "--t", "5", "--k-incident", "0"], None, "k-incident"),
+        (["sweep-angle", "--t", "5"], "format = xml", "format"),
+        (["sweep-angle", "--t", "0"], None, "t"),
+        (["sweep-angle", "--t-over-tc", "0"], None, "t-over-tc"),
+        (["sweep-temp", "--delta", "1", "--t-lo", "1", "--t-over-tc-hi", "1.2"], None, "t-lo"),
+        (["sweep-temp", "--delta", "1", "--t-lo", "0", "--t-hi", "5"], None, "t-lo"),
+        (["sweep-temp", "--delta", "1", "--t-lo", "5", "--t-hi", "5"], None, "t-hi"),
+        (["sweep-temp", "--delta", "300", "--k-incident", "100", "--t-lo", "1", "--t-hi", "5"],
+         None, "delta"),
+        (["sweep-angle", "--t", "5"], "log = maybe", "log"),
+        (["sweep-angle", "--t", "5"], "n = abc", "n"),
+    ])
+    def test_invalid_value_names_its_field(self, tmp_path, capsys, args, config_text, field):
+        out = tmp_path / "none.out"
+        if config_text is not None:
+            cfg = tmp_path / "sweep.cfg"
+            cfg.write_text(config_text + "\n")
+            args = args + ["--config", str(cfg)]
+        assert run_main(args + ["--points", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config-invalid: {field}: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_log_off_in_config_file_gives_linear_grid(self, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("log = off\n")
+        out = tmp_path / "grid.csv"
+        assert run_main(["sweep-angle", "--config", str(cfg), "--n", "200", "--t", "5",
+                         "--delta-lo", "1", "--delta-hi", "3", "--points", "3", "--out", str(out)]) == 0
+        assert [float(row["delta"]) for row in read_rows(out)[1]] == [1.0, 2.0, 3.0]
 
     def test_temperature_exclusivity(self):
         with pytest.raises(ConfigError):
@@ -501,6 +538,17 @@ class TestSweepTemperature:
         assert math.isfinite(float(rows[0]["total_oracle"]))
         assert all(row["total_oracle"] == "nan" for row in rows[1:])
 
+    def test_semiclassical_failure_comes_first(self, tmp_path, capsys):
+        # at T = 1e308 both solves fail: the semiclassical one is reported,
+        # not the discrete truncation search's overflow
+        out = tmp_path / "none.csv"
+        assert run_main(["sweep-temp", "--n", "1000", "--delta", "1", "--t-lo", "1", "--t-hi", "1e308",
+                         "--points", "2", "--method", "oracle", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical-failure: ConvergenceError: chemical_potential: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_requires_delta(self):
         config = SweepConfig(n_total=300, t_ratio_lo=0.3, t_ratio_hi=0.9, points=3)
         with pytest.raises(ConfigError) as err:
@@ -527,6 +575,23 @@ class TestOracleCompare:
         assert report["scaling_fits"]["rayleigh"]["exponent"] == pytest.approx(1.0, abs=1e-6)
         assert 1.7 < report["scaling_fits"]["diffraction"]["exponent"] < 2.2
         assert len(report["rows"]) == 3
+
+    @pytest.mark.parametrize("method", ["semiclassical", "oracle"])
+    def test_rows_are_sweep_angle_both_rows(self, tmp_path, method):
+        # rows from delta 0.3, where semiclassical channels are flagged, to 4
+        common = ["--n", "500", "--t-over-tc", "0.6", "--k-incident", "100", "--delta-lo", "0.3",
+                  "--delta-hi", "4", "--points", "5", "--format", "json"]
+        report_path, table_path = tmp_path / "cmp.json", tmp_path / "both.json"
+        assert run_main(["oracle-compare", *common, "--method", method, "--out", str(report_path)]) == 0
+        assert run_main(["sweep-angle", *common, "--method", "both", "--out", str(table_path)]) == 0
+        report, table = json.loads(report_path.read_text()), json.loads(table_path.read_text())
+        assert report["config"]["method"] == method
+        columns = table["columns"]
+        for row, cells in zip(report["rows"], table["rows"], strict=True):
+            assert row["delta"] == cells[columns.index("delta")]
+            for ch in ("rayleigh", "diffraction", "bose_0m", "bose_mm"):
+                assert row[ch] == cells[columns.index(ch)]
+                assert row[f"{ch}_oracle"] == cells[columns.index(f"{ch}_oracle")]
 
     def test_failure_before_rows_exit_code(self, tmp_path, capsys):
         out = tmp_path / "cmp.json"
@@ -637,6 +702,19 @@ def test_no_runtime_warnings(tmp_path, args):
         warnings.simplefilter("error")
         assert run_main(args + ["--k-incident", "100", "--out", str(out)]) == 0
     assert out.exists()
+
+
+def test_readme_cli_commands_run(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.replace("\\\n", " ").splitlines() if line and not line.startswith("#")]
+    assert lines and all(line.startswith("trapscatter ") for line in lines)
+    for line in lines:
+        argv = line.split()[1:]
+        at = argv.index("--out") + 1
+        argv[at] = str(tmp_path / argv[at])
+        assert run_main(argv) == 0, line
+        assert Path(argv[at]).exists()
 
 
 def test_cli_runs_without_scipy(tmp_path):

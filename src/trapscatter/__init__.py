@@ -21,7 +21,7 @@ _EXPORTS = {
     "scattering": ("CHANNELS", "Kinematics", "RateBreakdown", "rayleigh",
                    "diffraction_differential", "diffraction_total", "bose_0m_differential",
                    "bose_0m_total", "bose_mm_differential", "bose_mm_total",
-                   "excited_pair_shape", "decompose"),
+                   "excited_pair_shape", "decompose", "decompose_rows"),
     "oracle": ("DiscreteEnsemble", "ScalingFit", "solve_mu_discrete", "exact_breakdown",
                "scaling_probe"),
 }

@@ -23,6 +23,7 @@ before any row (no table is written).
 
 import argparse
 import csv
+import gc
 import json
 import math
 import os
@@ -36,7 +37,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, ConvergenceError, PrecisionLossError, TruncationError
 from .oracle import _unwrap, exact_breakdowns, scaling_probe, solve_mu_discrete
-from .scattering import CHANNELS, Kinematics, decompose
+from .scattering import CHANNELS, Kinematics, decompose_rows
 from .thermo import TrapEnsemble, critical_temperature
 
 __all__ = ["SweepConfig", "sweep_angle", "sweep_temperature", "oracle_compare", "main"]
@@ -166,13 +167,15 @@ def _rows(config, ensembles, deltas, discretes):
     discrete ensemble, the exception that failed to solve it (the row's cell
     then), or None without the oracle.  All other cells come from one
     exact_breakdowns grid over the distinct solved ensembles and deltas, so
-    a cell is a breakdown or the exception that failed its pair.
+    a cell is a breakdown or the exception that failed its pair, and all
+    semiclassical breakdowns from one decompose_rows call.
     """
     solved = {id(d): d for d in discretes if d is not None and not isinstance(d, Exception)}
     lanes = {delta: j for j, delta in enumerate(dict.fromkeys(deltas))}
     grid = dict(zip(solved, exact_breakdowns(list(solved.values()), list(lanes))))
-    for ensemble, delta, discrete in zip(ensembles, deltas, discretes):
-        semi = decompose(ensemble, Kinematics(config.k_incident, delta)) if config.semiclassical else None
+    kinematics = [Kinematics(config.k_incident, delta) for delta in deltas]
+    semis = decompose_rows(ensembles, kinematics) if config.semiclassical else [None] * len(deltas)
+    for semi, delta, discrete in zip(semis, deltas, discretes):
         yield semi, grid[id(discrete)][lanes[delta]] if id(discrete) in grid else discrete
 
 
@@ -295,8 +298,7 @@ def oracle_compare(config):
 # ---------------------------------------------------------------------------
 
 def _config_echo(config):
-    echo = {k: v for k, v in asdict(config).items() if v is not None}
-    return echo
+    return {k: v for k, v in asdict(config).items() if v is not None}
 
 
 def _json_cell(value):
@@ -464,6 +466,8 @@ def main(argv=None):
 
 
 def entrypoint():
+    # import-time objects live to the end: keep them out of every later collection, exit's too
+    gc.freeze()
     raise SystemExit(main())
 
 

@@ -37,8 +37,6 @@ ZETA3 = 1.2020569031595943
 ZETA2 = 1.6449340668482264
 
 
-_LEGGAUSS_CACHE = {}
-
 # zeta(-j) for j = 0..19, used by the expansions of Li3(e^{-y}) and
 # Li2(e^{-y}) near y = 0.  Even negative arguments vanish.
 _NEG_ZETA = (
@@ -52,12 +50,6 @@ _FACTORIALS = [float(math.factorial(j)) for j in range(16)]
 _K = np.arange(1, 120)
 _K_CUBED = _K**3
 _K_SQUARED = _K**2
-
-
-def _leggauss(n):
-    if n not in _LEGGAUSS_CACHE:
-        _LEGGAUSS_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _LEGGAUSS_CACHE[n]
 
 
 def polylog3(x):
@@ -118,8 +110,9 @@ _NEAR_PAIR = 1e-2
 
 
 def _series(z, coefficients):
-    """sum_j coefficients[j] z^j by Horner's rule, in place."""
-    total = np.full_like(z, coefficients[-1])
+    """sum_j coefficients[j] z^j by Horner's rule, in place; coefficient rows give one sum per column."""
+    z = z.reshape(z.shape + (1,) * (np.ndim(coefficients) - 1))
+    total = np.zeros_like(z) + coefficients[-1]
     for c in coefficients[-2::-1]:
         total *= z
         total += c
@@ -229,9 +222,7 @@ _ZETA_HALF = (
 # + sum_k zeta(5/2-j-k) (-t)^k/k! (DLMF 25.12.12), j = 0..5, through k = 19
 # (the next term of Li_{5/2} is below 2e-18).  For t > 1 the power series in
 # z = e^{-t} runs over N = 2..35 (the next term is below 1e-17 relative).
-_HALF_TERMS = 20
-_HALF_SERIES = np.array([[_ZETA_HALF[j + k] / math.factorial(k) for j in range(6)]
-                         for k in range(_HALF_TERMS)])
+_HALF_SERIES = np.array([[_ZETA_HALF[j + k] / math.factorial(k) for j in range(6)] for k in range(20)])
 _HALF_GAMMA = math.sqrt(math.pi) * np.array([4.0 / 3.0, -2.0, 1.0, 0.5, 0.75, 1.875])
 _HALF_ORDERS = 1.5 - np.arange(6.0)
 _HALF_N = np.arange(2.0, 36.0)
@@ -249,29 +240,21 @@ _HALF_MIDPOINT = np.stack([
 _HALF_NEAR = 1e-2
 
 
-def _powers(x, n):
-    """Rows x^0 .. x^{n-1}, one per element of the 1-D array x."""
-    out = np.empty((x.size, n))
-    out[:, 0] = 1.0
-    out[:, 1:] = x[:, None]
-    return np.cumprod(out, axis=1, out=out)
-
-
 def _li52_excess(t):
     """M(z) = (Li_{5/2}(z) - z)/z = sum_{N>=2} z^{N-1}/N^{5/2} at z = e^{-t}, t >= 0.
 
     The expansion in t for t <= 1, exact at t = 0, and the power series
-    beyond, each on its own elements; every sum is one product of a power
-    table with a coefficient vector.  Relative error below 4e-14 against
-    mpmath, most of it from the cancelling expansion near t = 1.
+    beyond, each on its own elements and each by Horner's rule.  Relative
+    error below 4e-14 against mpmath, most of it from the cancelling
+    expansion near t = 1.
     """
     out = np.empty_like(t)
     near = t <= 1.0
     y = t[near]
-    li = _powers(-y, _HALF_TERMS) @ _HALF_SERIES[:, 0] + _HALF_GAMMA[0] * y * np.sqrt(y)
+    li = _series(-y, _HALF_SERIES[:, 0]) + _HALF_GAMMA[0] * y * np.sqrt(y)
     out[near] = li * np.exp(y) - 1.0
     z = np.exp(-t[~near])
-    out[~near] = z * (_powers(z, _HALF_N.size) @ _HALF_POWER)
+    out[~near] = z * _series(z, _HALF_POWER)
     return out
 
 
@@ -288,12 +271,12 @@ def _half_midpoint(m):
     out = np.empty((m.size, 3))
     small = m <= 1.0
     y = m[small]
-    li = _powers(-y, _HALF_TERMS) @ _HALF_SERIES + _HALF_GAMMA * y[:, None] ** _HALF_ORDERS
+    li = _series(-y, _HALF_SERIES) + _HALF_GAMMA * y[:, None] ** _HALF_ORDERS
     out[small, 0] = li[:, 1] - li[:, 0]
     out[small, 1] = (li[:, 3] - 3.0 * li[:, 2] + 2.0 * li[:, 1]) / 24.0
     out[small, 2] = (3.0 * li[:, 5] - 15.0 * li[:, 4] + 20.0 * li[:, 3] - 8.0 * li[:, 1]) / 5760.0
     z = np.exp(-m[~small])
-    out[~small] = (z * z)[:, None] * (_powers(z, _HALF_N.size) @ _HALF_MIDPOINT)
+    out[~small] = (z * z)[:, None] * _series(z, _HALF_MIDPOINT)
     return out
 
 

@@ -36,8 +36,9 @@ it: its panels break at r = h, where G has the t^(3/2) branch point of
 Li_{5/2}(e^{-t}) on the axis at nu = 0 and sqrt(nu) off it otherwise, grow
 geometrically away from that point and end at r = 5, since the integrand is
 below 16 G(0, 0) e^{-2 r^2} f.  Every differential rate evaluates f at its
-own a and nu directly, and every angle-integrated total is a closed form:
-that of bose_mm reads S(nu) = int_0^inf f(a, nu) da (`_shape_integral`).
+own a and nu directly (`decompose_rows` for all its rows in one call), and
+every angle-integrated total is a closed form: that of bose_mm reads
+S(nu) = int_0^inf f(a, nu) da (`_shape_integral`).
 
 Semiclassical validity: the continuum treatment of excited states breaks
 down at small momentum transfer.  `decompose` flags the diffraction
@@ -69,18 +70,26 @@ __all__ = [
     "excited_pair_shape",
     "channel_validity",
     "decompose",
+    "decompose_rows",
 ]
 
 CHANNELS = ("rayleigh", "diffraction", "bose_0m", "bose_mm")
 
-# The r-rule of f: Gauss-Legendre nodes per panel; the end of the range; the
-# growth of the panels away from r = h; and the grading floor: a branch
-# point closer to the axis than _SHAPE_FLOOR h is treated as on it, which
-# moves f by less than 1e-14 (the error grows as (nu/h^2)^2).
-_SHAPE_NODES = 12
+# The r-rule of f: the 12-point Gauss-Legendre rule of each panel, mirrored from
+# its positive half and equal to numpy's leggauss(12) bit for bit; the end of the
+# range; the panels' growth away from r = h; and the grading floor: a branch point
+# closer to the axis than _SHAPE_FLOOR h is taken as on it, moving f by < 1e-14.
+_GAUSS_NODES = np.array([0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+                         0.7699026741943047, 0.9041172563704748, 0.9815606342467192])
+_GAUSS_WEIGHTS = np.array([0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+                           0.16007832854334642, 0.10693932599531907, 0.04717533638651141])
+_GAUSS_NODES = np.concatenate([-_GAUSS_NODES[::-1], _GAUSS_NODES])
+_GAUSS_WEIGHTS = np.concatenate([_GAUSS_WEIGHTS[::-1], _GAUSS_WEIGHTS])
 _SHAPE_R_MAX = 5.0
 _SHAPE_GROWTH = 3.0
 _SHAPE_FLOOR = 2.0**-12
+# Below this a, f is its limit f(0, nu), off by about (a/12) ln(1/a) < 1e-16 relative.
+_SHAPE_TINY = 1e-18
 
 
 @dataclass(frozen=True)
@@ -91,9 +100,9 @@ class Kinematics:
     delta: float = 0.0
 
     def __post_init__(self):
-        if self.k_incident <= 0:
+        if not self.k_incident > 0:
             raise ValueError("k_incident must be positive")
-        if self.delta < 0:
+        if not self.delta >= 0:
             raise ValueError("delta must be >= 0")
         if self.delta > 2.0 * self.k_incident:
             raise ValueError("delta exceeds the elastic bound 2 k_incident")
@@ -217,9 +226,16 @@ def _shape_nodes(h, nu):
         right = h + offsets
         right = right[:np.searchsorted(right, _SHAPE_R_MAX) + 1]
         edges = np.concatenate([[0.0], h - offsets[offsets < h][::-1], [h], right])
-    nodes, weights = quad._leggauss(_SHAPE_NODES)
     half = 0.5 * np.diff(edges)[:, None]
-    return (half * (nodes + 1.0) + edges[:-1, None]).ravel(), (half * weights).ravel()
+    return (half * (_GAUSS_NODES + 1.0) + edges[:-1, None]).ravel(), (half * _GAUSS_WEIGHTS).ravel()
+
+
+def _checked_shape_args(a, nu):
+    if not np.all(a > 0):
+        raise ValueError("a must be positive")
+    if not np.all(nu >= 0):
+        raise ValueError("nu must be >= 0")
+    return a, nu
 
 
 def excited_pair_shape(a, nu=0.0):
@@ -228,18 +244,31 @@ def excited_pair_shape(a, nu=0.0):
     a = delta^2/(2T); nu = -mu/T >= 0 shifts both occupation factors.  One
     fixed Gauss-Legendre sum over the graded panels of `_shape_nodes`,
     within 2e-14 of the double series and of 25-digit mpmath for
-    a in [1e-3, 200], and within 4e-13 down to a = 1e-4.
+    a in [1e-3, 200], and within 4e-13 down to a = 1e-4; below _SHAPE_TINY
+    the limit f(0, nu).  An infinite a or nu gives 0.  a and nu are scalars
+    or 1-D arrays, broadcast together.  All rows' nodes go through one
+    `quad.g_kernel` call and each row is summed over its own slice, so each
+    element equals the scalar call bit for bit.
     """
-    if a <= 0:
-        raise ValueError("a must be positive")
-    if nu < 0:
-        raise ValueError("nu must be >= 0")
-    if a == math.inf:
-        return 0.0  # f ~ e^{-a/2}/16 is zero in double from a ~ 1480
-    h = 0.5 * math.sqrt(a)
-    r, weights = _shape_nodes(h, nu)
-    g = quad.g_kernel(nu + (h + r) ** 2, nu + (h - r) ** 2)
-    return float(np.dot(weights, g)) / math.sqrt(math.pi)
+    a, nu = _checked_shape_args(*np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(nu, dtype=float)))
+    scalar = a.ndim == 0
+    a, nu = a.reshape(-1), nu.reshape(-1)
+    out = np.zeros(a.size)  # an infinite a or nu keeps 0: f ~ e^{-a/2 - 2 nu}/16 is 0 from a ~ 1480
+    finite = (a < math.inf) & (nu < math.inf)
+    for i in np.flatnonzero(finite & (a < _SHAPE_TINY)):
+        x = math.exp(-nu[i])  # f(0, nu) = [Li2(x) - Li3(x)]/2, as its series where the two cancel
+        out[i] = 0.5 * (float(np.sum(x**quad._K * (quad._K - 1) / quad._K_CUBED)) if x <= 0.5
+                        else quad.polylog2(x) - quad.polylog3(x))
+    rows = np.flatnonzero(finite & (a >= _SHAPE_TINY))
+    if rows.size:
+        h = 0.5 * np.sqrt(a[rows])
+        r, weights = zip(*map(_shape_nodes, h.tolist(), nu[rows].tolist()))
+        counts = [x.size for x in r]
+        h, shift, r = np.repeat(h, counts), np.repeat(nu[rows], counts), np.concatenate(r)
+        g = np.split(quad.g_kernel(shift + (h + r) ** 2, shift + (h - r) ** 2), np.cumsum(counts)[:-1])
+        out[rows] = [np.dot(w, x) for w, x in zip(weights, g)]
+        out[rows] /= math.sqrt(math.pi)
+    return float(out[0]) if scalar else out
 
 
 # ln(1 - e^{-s}) = ln s + sum_i _LOG_SERIES[i] s^i through s^12: the term -s/2
@@ -261,7 +290,7 @@ def _shape_integral(nu):
     + (1/2) int_0^nu (nu - s) ln^2(1 - e^{-s}) ds, and ln(1 - e^{-s}) = ln s
     + sum_i _LOG_SERIES[i] s^i makes every term int (nu - s) s^k ln^j s ds elementary.
     """
-    if nu < 0:
+    if not nu >= 0:
         raise ValueError("nu must be >= 0")
     if nu > _SHAPE_SWITCH:
         n = np.arange(2.0, 40.0 / nu + 2.0)
@@ -326,36 +355,57 @@ def channel_validity(ensemble, delta):
     }
 
 
+def _guarded(valid, errors, name, fn):
+    """fn() for a valid channel, else 0.0; a numerical failure flags the channel and gives 0.0."""
+    if not valid[name]:
+        return 0.0
+    try:
+        return fn()
+    except (ConvergenceError, ValueError, ArithmeticError) as exc:
+        valid[name] = False
+        errors[name] = f"{type(exc).__name__}: {exc}"
+        return 0.0
+
+
+def decompose_rows(ensembles, kinematics):
+    """`decompose` of each (ensemble, kinematics) pair.
+
+    Row by row come the validity flags, the other three channels and the
+    checked inputs of f; then one `excited_pair_shape` call gives f for every
+    row whose bose_mm is still valid, and a failure of it flags each of them.
+    """
+    rows = []
+    for ensemble, kin in zip(ensembles, kinematics):
+        delta, t = kin.delta, ensemble.temperature
+        if delta <= 0:
+            raise ValueError("delta must be positive")
+        valid, errors = channel_validity(ensemble, delta), {}
+        values = [
+            _guarded(valid, errors, "rayleigh", lambda: rayleigh(ensemble)[0]),
+            _guarded(valid, errors, "diffraction", lambda: diffraction_differential(ensemble, delta)),
+            _guarded(valid, errors, "bose_0m", lambda: bose_0m_differential(ensemble, delta)),
+            # (T^3, a, nu) of bose_mm = T^3 f(a, nu), checked as f checks them
+            _guarded(valid, errors, "bose_mm",
+                     lambda: (t**3, *_checked_shape_args(0.5 * delta * delta / t, -ensemble.mu / t))),
+        ]
+        rows.append((values, valid, errors))
+    shape = [row for row in rows if row[1]["bose_mm"]]
+    try:
+        f = excited_pair_shape(*np.array([values[3][1:] for values, _, _ in shape]).reshape(-1, 2).T)
+    except (ConvergenceError, ValueError, ArithmeticError) as exc:
+        for values, valid, errors in shape:
+            values[3], valid["bose_mm"], errors["bose_mm"] = 0.0, False, f"{type(exc).__name__}: {exc}"
+    else:
+        for (values, _, _), value in zip(shape, f.tolist()):
+            values[3] = values[3][0] * value
+    return [RateBreakdown.build(*values, valid=valid, errors=errors) for values, valid, errors in rows]
+
+
 def decompose(ensemble, kin):
-    """All four differential channels at one momentum transfer.
+    """All four differential channels at one momentum transfer: one row of `decompose_rows`.
 
     Channels outside their validity window are reported as 0 with
     valid=False.  A channel that fails numerically is reported as 0 with
     its error recorded; the other channels still run.
     """
-    delta = kin.delta
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    valid = channel_validity(ensemble, delta)
-    errors = {}
-
-    def run(name, fn):
-        if not valid[name]:
-            return 0.0
-        try:
-            return fn()
-        except (ConvergenceError, ValueError, ArithmeticError) as exc:
-            valid[name] = False
-            errors[name] = f"{type(exc).__name__}: {exc}"
-            return 0.0
-
-    values = {
-        "rayleigh": run("rayleigh", lambda: rayleigh(ensemble)[0]),
-        "diffraction": run("diffraction", lambda: diffraction_differential(ensemble, delta)),
-        "bose_0m": run("bose_0m", lambda: bose_0m_differential(ensemble, delta)),
-        "bose_mm": run("bose_mm", lambda: bose_mm_differential(ensemble, delta)),
-    }
-    return RateBreakdown.build(
-        values["rayleigh"], values["diffraction"], values["bose_0m"], values["bose_mm"],
-        valid=valid, errors=errors,
-    )
+    return decompose_rows([ensemble], [kin])[0]

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import math
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trapscatter
+from trapscatter import cli
 from trapscatter.cli import (
     _CONFIG_FIELDS,
     SweepConfig,
@@ -342,14 +344,14 @@ class TestSweepAngle:
         import trapscatter.cli as cli
         from trapscatter.scattering import RateBreakdown
 
-        def broken(ensemble, kin, delta=None):
-            return RateBreakdown.build(
+        def broken(ensembles, kinematics):
+            return [RateBreakdown.build(
                 float(ensemble.n_total), 0.0, 0.0, 0.0,
                 valid={c: False for c in ("rayleigh", "diffraction", "bose_0m", "bose_mm")},
                 errors={"diffraction": "ConvergenceError: synthetic"},
-            )
+            ) for ensemble in ensembles]
 
-        monkeypatch.setattr(cli, "decompose", broken)
+        monkeypatch.setattr(cli, "decompose_rows", broken)
         out = tmp_path / "fail.csv"
         code = run_main([
             "sweep-angle", "--n", "300", "--t-over-tc", "0.6",
@@ -719,7 +721,8 @@ def test_readme_cli_commands_run(tmp_path):
 
 def test_cli_runs_without_scipy(tmp_path):
     # a fresh interpreter runs one command of each kind in-process and the
-    # angle-integrated bose_mm, then reports every scipy module it loaded
+    # angle-integrated bose_mm, then reports every scipy module it loaded and
+    # whether numpy.polynomial was imported
     script = f"""
 import sys
 from trapscatter import Kinematics, TrapEnsemble, bose_mm_total, decompose
@@ -740,10 +743,24 @@ assert bose_mm_total(ens, Kinematics(100.0)) > 0.0
 assert decompose(ens, Kinematics(100.0, 2.0)).errors == {{}}
 print(codes)
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+print("numpy.polynomial" in sys.modules)
 """
-    codes, loaded = _run_fresh("-c", script).splitlines()[-2:]
+    codes, loaded, polynomial = _run_fresh("-c", script).splitlines()[-3:]
     assert codes == "[0, 0, 0]"
     assert loaded == "[]"
+    assert polynomial == "False"
+
+
+def test_entrypoint_freezes_the_import_heap(monkeypatch):
+    # the CLI process keeps its import-time objects out of every later collection
+    monkeypatch.setattr(cli, "main", lambda: 0)
+    try:
+        with pytest.raises(SystemExit) as done:
+            cli.entrypoint()
+        assert done.value.code == 0
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
 
 
 def _run_fresh(*args, openblas_threads=None):
@@ -818,4 +835,4 @@ def test_perfbench_tracer_runs_on_the_lazy_root(tmp_path):
                "--k-incident", "100", "--delta-lo", "0.5", "--delta-hi", "8", "--points", "3",
                "--out", str(tmp_path / "a.csv"))
     names = {span[0] for span in json.loads(spans_path.read_text())["spans"]}
-    assert {"cli.sweep", "scattering.decompose", "quad.polylog3"} <= names
+    assert {"cli.sweep", "scattering.excited_pair_shape", "quad.polylog3"} <= names

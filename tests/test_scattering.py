@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -35,11 +36,14 @@ from trapscatter import (
 )
 from trapscatter import quad
 from trapscatter.scattering import (
+    _GAUSS_NODES,
+    _GAUSS_WEIGHTS,
     _SHAPE_FLOOR,
     _SHAPE_SWITCH,
     _shape_integral,
     _shape_nodes,
     channel_validity,
+    decompose_rows,
 )
 
 
@@ -69,6 +73,12 @@ class TestKinematics:
             Kinematics(0.0, 1.0)
         with pytest.raises(ValueError):
             Kinematics(10.0, -1.0)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="k_incident must be positive"):
+            Kinematics(math.nan, 1.0)
+        with pytest.raises(ValueError, match="delta must be >= 0"):
+            Kinematics(100.0, math.nan)
 
 
 class TestRateBreakdown:
@@ -276,6 +286,49 @@ class TestExcitedPairShape:
             excited_pair_shape(0.0)
         with pytest.raises(ValueError):
             excited_pair_shape(1.0, nu=-0.1)
+        with pytest.raises(ValueError, match="a must be positive"):
+            excited_pair_shape(math.nan)
+        with pytest.raises(ValueError, match="nu must be >= 0"):
+            excited_pair_shape(1.0, math.nan)
+        with pytest.raises(ValueError, match="a must be positive"):
+            excited_pair_shape(np.array([1.0, math.nan]), np.array([0.0, 1.0]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a,nu", [(1.0, math.inf), (1e-300, math.inf), (math.inf, 2.0)])
+    def test_infinite_argument_gives_zero(self, a, nu):
+        assert excited_pair_shape(a, nu) == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("nu", [0.0, 0.1, 2.0])
+    @pytest.mark.parametrize("a", [1e-300, 1e-100, 1e-19])
+    def test_tiny_a_against_mpmath(self, a, nu):
+        # f(a, nu) - f(0, nu) ~ (a/12) ln(1/a) is far below double precision
+        # here, and f(0, nu) = (1/2) sum_{N>=2} (N - 1) e^{-N nu}/N^3
+        with mpmath.workdps(30):
+            x = mpmath.exp(-nu)
+            expected = float((mpmath.polylog(2, x) - mpmath.polylog(3, x)) / 2)
+        assert_allclose(excited_pair_shape(a, nu), expected, rtol=1e-14)
+
+    def test_gauss_legendre_literals(self):
+        nodes, weights = np.polynomial.legendre.leggauss(12)
+        assert _GAUSS_NODES.tobytes() == nodes.tobytes()
+        assert _GAUSS_WEIGHTS.tobytes() == weights.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(
+        st.one_of(st.just(math.inf), st.floats(1e-300, 1e-17), st.floats(1e-4, 2000.0)),
+        st.one_of(st.just(0.0), st.just(math.inf), st.floats(0.0, 1e-6), st.floats(0.0, 40.0)),
+    ), min_size=1, max_size=12))
+    def test_batch_equals_scalar_calls(self, pairs):
+        a, nu = (np.array(column) for column in zip(*pairs))
+        scalars = np.array([excited_pair_shape(x, y) for x, y in pairs])
+        assert excited_pair_shape(a, nu).tobytes() == scalars.tobytes()
+
+    def test_scalar_and_broadcast_shapes(self):
+        assert isinstance(excited_pair_shape(1.0, 0.5), float)
+        batch = excited_pair_shape(np.array([1.0, 2.0]), 0.5)
+        assert batch.shape == (2,)
+        assert batch.tolist() == [excited_pair_shape(1.0, 0.5), excited_pair_shape(2.0, 0.5)]
 
 
 class TestShapeIntegral:
@@ -300,6 +353,8 @@ class TestShapeIntegral:
     def test_validation(self):
         with pytest.raises(ValueError):
             _shape_integral(-1e-3)
+        with pytest.raises(ValueError):
+            _shape_integral(math.nan)
 
 
 def _rule_state(a, nu, switch):
@@ -502,10 +557,10 @@ class TestDecompose:
     def test_channel_error_does_not_abort(self, monkeypatch):
         import trapscatter.scattering as sc
 
-        def boom(ensemble, delta):
+        def boom(a, nu):
             raise ConvergenceError("synthetic failure")
 
-        monkeypatch.setattr(sc, "bose_mm_differential", boom)
+        monkeypatch.setattr(sc, "excited_pair_shape", boom)
         ens = TrapEnsemble.at_ratio(1000, 0.7)
         bd = sc.decompose(ens, Kinematics(100.0, 2.0))
         assert bd.bose_mm == 0.0
@@ -526,6 +581,56 @@ class TestDecompose:
         bd = decompose(TrapEnsemble.solve(1000, 5.0), Kinematics(1e300, delta))
         assert (bd.diffraction, bd.bose_0m, bd.bose_mm, bd.total) == (0.0, 0.0, 0.0, 1000.0)
         assert all(bd.valid.values()) and bd.errors == {}
+
+
+class TestDecomposeRows:
+    @staticmethod
+    def _rows(ensembles, kinematics):
+        return decompose_rows(ensembles, kinematics), [decompose(e, k) for e, k in zip(ensembles, kinematics)]
+
+    def test_sweep_angle_rows(self):
+        # one ensemble; deltas from where the Bose channels are flagged to beyond
+        ens = TrapEnsemble.at_ratio(10_000, 0.7)
+        kinematics = [Kinematics(1000.0, d) for d in np.geomspace(0.05, 30.0, 200).tolist()]
+        batch, single = self._rows([ens] * len(kinematics), kinematics)
+        assert batch == single
+        assert {bd.valid["bose_mm"] for bd in batch} == {False, True}
+
+    def test_sweep_temp_rows(self):
+        # 60 ensembles across Tc at one delta
+        tc = (10_000 / ZETA3) ** (1.0 / 3.0)
+        ensembles = [TrapEnsemble.solve(10_000, t) for t in np.linspace(0.2 * tc, 1.4 * tc, 60)]
+        kin = Kinematics(1000.0, 1.0)
+        batch, single = self._rows(ensembles, [kin] * len(ensembles))
+        assert batch == single
+
+    def test_flagged_and_failed_rows(self):
+        # an empty thermal cloud, a huge delta and a row whose f inputs fail
+        ens = TrapEnsemble.at_ratio(1000, 0.7)
+        bad = synthetic_ensemble(1000, 5.0, 500.0, mu=math.nan)
+        ensembles = [ens, bad, ens, TrapEnsemble.solve(1000, 5.0)]
+        kinematics = [Kinematics(100.0, 2.0), Kinematics(100.0, 2.0), Kinematics(100.0, 0.5),
+                      Kinematics(1e300, 1e300)]
+        batch, single = self._rows(ensembles, kinematics)
+        assert batch == single
+        assert batch[1].errors["bose_mm"] == "ValueError: nu must be >= 0"
+        assert batch[0].errors == batch[2].errors == batch[3].errors == {}
+
+    def test_batch_failure_flags_every_valid_row(self, monkeypatch):
+        import trapscatter.scattering as sc
+
+        def boom(a, nu):
+            raise ConvergenceError("synthetic failure")
+
+        monkeypatch.setattr(sc, "excited_pair_shape", boom)
+        ens = TrapEnsemble.at_ratio(1000, 0.7)
+        rows = decompose_rows([ens] * 3, [Kinematics(100.0, d) for d in (0.5, 2.0, 4.0)])
+        assert [bd.valid["bose_mm"] for bd in rows] == [False] * 3
+        assert [sorted(bd.errors) for bd in rows] == [[], ["bose_mm"], ["bose_mm"]]
+        assert all(bd.bose_mm == 0.0 and bd.bose_0m >= 0.0 for bd in rows)
+
+    def test_no_rows(self):
+        assert decompose_rows([], []) == []
 
 
 class TestDecomposeProperties:

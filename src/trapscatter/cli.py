@@ -77,6 +77,10 @@ class SweepConfig:
             raise ConfigError("n", "must be >= 1")
         if self.n_total > sys.float_info.max:
             raise ConfigError("n", "too large for a float")
+        for key in ("t_over_tc", "t_over_tc_lo", "t_over_tc_hi"):
+            ratio = getattr(self, _CONFIG_FIELDS[key][0])
+            if ratio is not None and math.isinf(ratio * critical_temperature(self.n_total)):
+                raise ConfigError(key.replace("_", "-"), "temperature too large for a float")
         if self.k_incident <= 0:
             raise ConfigError("k-incident", "must be positive")
         if self.points < 2:
@@ -133,9 +137,8 @@ class SweepConfig:
             raise ConfigError("t-lo", "must be positive")
         if hi <= lo:
             raise ConfigError("t-hi", "must exceed the lower bound")
-        if self.log_spacing:
-            return np.geomspace(lo, hi, self.points)
-        return np.linspace(lo, hi, self.points)
+        spacing = np.geomspace if self.log_spacing else np.linspace
+        return spacing(lo, hi, self.points)
 
 
 def _flags_field(breakdown):
@@ -149,11 +152,6 @@ class SweepTable:
     columns: list
     rows: list  # list of lists, mixed floats and strings; flags last
     meta: dict
-
-    @property
-    def failures(self):
-        """Rows where a channel failed numerically (flagged ':error')."""
-        return sum(":error" in row[-1] for row in self.rows)
 
 
 def _breakdown_cells(breakdown):
@@ -339,25 +337,37 @@ def write_json(result, stream):
 def _emit_table(result, config):
     """Write a SweepTable or the oracle-compare report to config.out ('-' for stdout)."""
     write = write_csv if config.fmt == "csv" else write_json
-    if config.out == "-":
-        write(result, sys.stdout)
-        return
-    with open(config.out, "w", encoding="utf-8", newline="") as stream:
+    try:
+        if config.out == "-":
+            write(result, sys.stdout)
+            sys.stdout.flush()
+            return
+        stream = open(config.out, "w", encoding="utf-8", newline="")
+    except BrokenPipeError as exc:
+        # the reader left: the flush at exit would fail again, so it goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise ConfigError("out", str(exc)) from exc
+    except OSError as exc:
+        raise ConfigError("out", str(exc)) from exc
+    with stream:
         write(result, stream)
 
 
 def parse_config_file(path):
     """Plain key=value file; '#' starts a comment; keys mirror flag names."""
     values = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError("config", f"line {lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for lineno, raw in enumerate(handle, 1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ConfigError("config", f"line {lineno}: expected key=value")
+                key, _, value = line.partition("=")
+                values[key.strip().replace("-", "_")] = value.strip()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("config", str(exc)) from exc
     return values
 
 
@@ -383,8 +393,8 @@ _TEMP = ("sweep-temp",)
 # flag is the key with '_' as '-', listed in --help in this order
 _CONFIG_FIELDS = {
     "n": ("n_total", int, _ALL, "particle number N"),
-    "t": ("t", float, _ALL, "temperature in trap units"),
-    "t_over_tc": ("t_over_tc", float, _ALL, "temperature as a fraction of Tc"),
+    "t": ("t", float, _GRID, "temperature in trap units"),
+    "t_over_tc": ("t_over_tc", float, _GRID, "temperature as a fraction of Tc"),
     "k_incident": ("k_incident", float, _ALL, "incident photon momentum in trap units"),
     "method": ("method", str, _ALL, None),
     "out": ("out", str, _ALL, "output path ('-' for stdout)"),
@@ -456,7 +466,8 @@ def main(argv=None):
                 raise ConfigError("format", "oracle-compare emits a JSON report")
             result = oracle_compare(config)
         _emit_table(result, config)
-        return 3 if isinstance(result, SweepTable) and result.failures else 0
+        failed = isinstance(result, SweepTable) and any(":error" in row[-1] for row in result.rows)
+        return 3 if failed else 0
     except ConfigError as exc:
         print(f"config-invalid: {exc}", file=sys.stderr)
         return 2

@@ -61,8 +61,11 @@ class DiscreteEnsemble:
     n_total: int
     temperature: float
     mu_exact: float
-    epsilon_max: int
-    occupations: np.ndarray  # per-state occupation of one state at each level
+    occupations: np.ndarray  # per-state occupation of one state at each level 0..epsilon_max
+
+    @property
+    def epsilon_max(self):
+        return self.occupations.size - 1
 
     @property
     def n0_exact(self):
@@ -135,7 +138,6 @@ def solve_mu_discrete(n_total, temperature):
         n_total=int(n_total),
         temperature=t,
         mu_exact=mu,
-        epsilon_max=epsilon_max,
         occupations=occupations,
     )
 
@@ -187,27 +189,23 @@ def exact_breakdowns(ensembles, deltas):
     """
     if any(d < 0 for d in deltas):
         raise ValueError("delta must be >= 0")
-    moving = [d for d in deltas if d != 0.0]
-    if ensembles and moving:
-        column, ground, half_mm, fail = _streamed_sums(ensembles, moving)
+    if len(ensembles) and len(deltas):
+        column, ground, half_mm, fail = _streamed_sums(ensembles, deltas)
     grid = []
     for i, ens in enumerate(ensembles):
         occ, emax, n = ens.occupations, ens.epsilon_max, float(ens.n_total)
         truncated = occ[emax] * (emax + 1) * (emax + 2) / 2.0 > 1e-4 * n
         w = _projected_weights(occ)
-        row, lanes = [], iter(range(len(moving)))
-        for delta in deltas:
-            j = next(lanes) if delta != 0.0 else None
+        row = []
+        for j, delta in enumerate(deltas):
             if truncated:
                 row.append(TruncationError("occupancy-weighted truncation tail exceeds 1e-4 of the sum"))
-            elif j is None:
-                row.append(RateBreakdown.build(n, float(np.sum(w)) ** 2, 0.0, 0.0))
             elif fail[j] <= emax:
                 row.append(PrecisionLossError(f"recurrence unstable at level {fail[j]}, delta={delta:g}"))
             else:
                 diffraction = float(np.dot(column[j, :emax + 1], w)) ** 2
                 bose_0m = 2.0 * float(occ[0]) * float(np.dot(occ[1:], ground[j, 1:emax + 1]))
-                row.append(RateBreakdown.build(n, diffraction, bose_0m, 2.0 * float(half_mm[i, j])))
+                row.append(RateBreakdown(n, diffraction, bose_0m, 2.0 * float(half_mm[i, j])))
         grid.append(row)
     return grid
 
@@ -222,7 +220,7 @@ def _unwrap(cell):
 def exact_breakdown(ens, delta):
     """All four channels from direct sums over the discrete spectrum.
 
-    delta = 0 degenerates cleanly: diffraction N^2, Bose channels 0.
+    delta = 0 runs the same recurrence, the identity there: diffraction N^2, Bose channels 0.
     """
     return _unwrap(exact_breakdowns([ens], [delta])[0][0])
 

@@ -120,22 +120,12 @@ class RateBreakdown:
     diffraction: float
     bose_0m: float
     bose_mm: float
-    total: float
-    valid: dict = field(default_factory=dict)
+    valid: dict = field(default_factory=lambda: dict.fromkeys(CHANNELS, True))
     errors: dict = field(default_factory=dict)
 
-    @classmethod
-    def build(cls, rayleigh, diffraction, bose_0m, bose_mm, valid=None, errors=None):
-        total = rayleigh + diffraction + bose_0m + bose_mm
-        return cls(
-            rayleigh=rayleigh,
-            diffraction=diffraction,
-            bose_0m=bose_0m,
-            bose_mm=bose_mm,
-            total=total,
-            valid=valid if valid is not None else {c: True for c in CHANNELS},
-            errors=errors if errors is not None else {},
-        )
+    @property
+    def total(self):
+        return self.rayleigh + self.diffraction + self.bose_0m + self.bose_mm
 
     def channel(self, name):
         if name not in CHANNELS:
@@ -242,9 +232,9 @@ def excited_pair_shape(a, nu=0.0):
     """Dimensionless shape function f(a, nu) of the excited<->excited rate.
 
     a = delta^2/(2T); nu = -mu/T >= 0 shifts both occupation factors.  One
-    fixed Gauss-Legendre sum over the graded panels of `_shape_nodes`,
-    within 2e-14 of the double series and of 25-digit mpmath for
-    a in [1e-3, 200], and within 4e-13 down to a = 1e-4; below _SHAPE_TINY
+    fixed Gauss-Legendre sum over the graded panels of `_shape_nodes`, within
+    2e-13 of 30-digit mpmath for a in [1e-3, 200] (1.52e-13 at a = 3e-3,
+    nu = 0.7, the largest measured) and 4e-13 down to a = 1e-4; below _SHAPE_TINY
     the limit f(0, nu).  An infinite a or nu gives 0.  a and nu are scalars
     or 1-D arrays, broadcast together.  All rows' nodes go through one
     `quad.g_kernel` call and each row is summed over its own slice, so each
@@ -398,7 +388,7 @@ def decompose_rows(ensembles, kinematics):
     else:
         for (values, _, _), value in zip(shape, f.tolist()):
             values[3] = values[3][0] * value
-    return [RateBreakdown.build(*values, valid=valid, errors=errors) for values, valid, errors in rows]
+    return [RateBreakdown(*values, valid=valid, errors=errors) for values, valid, errors in rows]
 
 
 def decompose(ensemble, kin):

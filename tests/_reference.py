@@ -331,8 +331,6 @@ def exact_breakdown_band(ens, delta):
     if occ[emax] * (emax + 1) * (emax + 2) / 2.0 > 1e-4 * n:
         raise TruncationError("occupancy-weighted truncation tail exceeds 1e-4 of the sum")
     w = _projected_weights(occ)
-    if delta == 0.0:
-        return RateBreakdown.build(n, float(np.sum(w)) ** 2, 0.0, 0.0)
     band = overlap_band(emax, delta)
     column = band[:, 0].copy()
     pair = np.cumsum(np.cumsum(np.square(band), axis=0), axis=0)
@@ -340,7 +338,7 @@ def exact_breakdown_band(ens, delta):
     bose_0m = 2.0 * float(occ[0]) * float(np.dot(occ[1:], pair[0, 1:]))
     hankel = np.lib.stride_tricks.sliding_window_view(np.concatenate([occ, np.zeros(emax)]), emax + 1)
     bose_mm = 2.0 * math.fsum((occ[1:, None] * hankel[1:, 1:] * pair[1:, 1:]).ravel())
-    return RateBreakdown.build(n, diffraction, bose_0m, bose_mm)
+    return RateBreakdown(n, diffraction, bose_0m, bose_mm)
 
 
 def bisect_increasing(fn, target, lo, hi, tol):

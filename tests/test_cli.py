@@ -7,6 +7,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -71,8 +72,8 @@ _GRID = ("sweep-angle", "oracle-compare")
 # field both set, the value they set it to, the subcommands taking the flag)
 _OPTIONS = {
     "n": (["--n", "400"], "400", "n_total", 400, _ALL),
-    "t": (["--t", "5.5"], "5.5", "t", 5.5, _ALL),
-    "t_over_tc": (["--t-over-tc", "0.5"], "0.5", "t_over_tc", 0.5, _ALL),
+    "t": (["--t", "5.5"], "5.5", "t", 5.5, _GRID),
+    "t_over_tc": (["--t-over-tc", "0.5"], "0.5", "t_over_tc", 0.5, _GRID),
     "k_incident": (["--k-incident", "50"], "50", "k_incident", 50.0, _ALL),
     "method": (["--method", "both"], "both", "method", "both", _ALL),
     "out": (["--out", "x.csv"], "x.csv", "out", "x.csv", _ALL),
@@ -262,6 +263,51 @@ class TestConfigPlumbing:
         with pytest.raises(ConfigError):
             SweepConfig().resolve_temperature()
 
+    @pytest.mark.parametrize("args,field", [
+        (["sweep-angle", "--t-over-tc", "1e308"], "t-over-tc"),
+        (["sweep-temp", "--delta", "1", "--t-over-tc-lo", "0.5", "--t-over-tc-hi", "1e308"], "t-over-tc-hi"),
+    ])
+    def test_temperature_past_the_float_range(self, tmp_path, capsys, args, field):
+        # a finite ratio whose temperature overflows is invalid, as an N no float holds is
+        out = tmp_path / "none.csv"
+        assert run_main(args + ["--n", "300", "--points", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config-invalid: {field}: temperature too large for a float\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config_bytes", [None, b"n = 300\xff\n"])
+    def test_unreadable_config_file(self, tmp_path, capsys, config_bytes):
+        # a missing or non-UTF-8 --config is an invalid configuration, not a traceback
+        cfg = tmp_path / "sweep.cfg"
+        if config_bytes is not None:
+            cfg.write_bytes(config_bytes)
+        out = tmp_path / "none.csv"
+        assert run_main(["sweep-angle", "--t", "5", "--points", "2", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config-invalid: config: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("out", ["missing/table.csv", "."])
+    def test_unopenable_out(self, tmp_path, capsys, out):
+        # an --out whose parent is missing, or that is a directory
+        args = ["sweep-angle", "--n", "300", "--t", "5", "--points", "2", "--out", str(tmp_path / out)]
+        assert run_main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config-invalid: out: ") and err.count("\n") == 1
+
+    def test_stdout_closed_by_the_reader(self):
+        # the read end is closed before the command starts: its first write fails
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "trapscatter.cli", "sweep-angle", "--n", "300", "--t", "5", "--points", "2"],
+                env=_fresh_env(), stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=300,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 2
+        assert done.stderr == "config-invalid: out: [Errno 32] Broken pipe\n"
+
 
 class TestSweepAngle:
     def test_exit_codes_and_determinism(self, tmp_path):
@@ -345,7 +391,7 @@ class TestSweepAngle:
         from trapscatter.scattering import RateBreakdown
 
         def broken(ensembles, kinematics):
-            return [RateBreakdown.build(
+            return [RateBreakdown(
                 float(ensemble.n_total), 0.0, 0.0, 0.0,
                 valid={c: False for c in ("rayleigh", "diffraction", "bose_0m", "bose_mm")},
                 errors={"diffraction": "ConvergenceError: synthetic"},
@@ -706,17 +752,53 @@ def test_no_runtime_warnings(tmp_path, args):
     assert out.exists()
 
 
-def test_readme_cli_commands_run(tmp_path):
+def _readme_commands():
+    """The argument lists of the README's CLI commands."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     lines = [line for line in block.replace("\\\n", " ").splitlines() if line and not line.startswith("#")]
     assert lines and all(line.startswith("trapscatter ") for line in lines)
-    for line in lines:
-        argv = line.split()[1:]
+    return [line.split()[1:] for line in lines]
+
+
+def test_readme_cli_commands_run(tmp_path):
+    for argv in _readme_commands():
         at = argv.index("--out") + 1
         argv[at] = str(tmp_path / argv[at])
-        assert run_main(argv) == 0, line
+        assert run_main(argv) == 0, argv
         assert Path(argv[at]).exists()
+
+
+# (a README command, one of its flags or --config) pairs, and hostile values:
+# relative paths name a missing parent and the working directory
+_README_FLAGS = [(tuple(argv), flag) for argv in _readme_commands()
+                 for flag in dict.fromkeys([w for w in argv if w.startswith("--")] + ["--config"])]
+_HOSTILE = ["nan", "inf", "-inf", "0", "-1", "1e308", "", "not-a-number", "missing/table.csv", "."]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(_README_FLAGS), st.sampled_from(_HOSTILE))
+@example(case=(_README_FLAGS[0][0], "--config"), value="missing/table.csv")
+@example(case=(_README_FLAGS[0][0], "--config"), value=".")
+@example(case=(_README_FLAGS[0][0], "--out"), value="missing/table.csv")
+@example(case=(_README_FLAGS[0][0], "--out"), value=".")
+def test_hostile_flag_value_exits_cleanly(case, value):
+    # a README command at N = 300 and 5 points with one flag overridden by a
+    # hostile value: main() returns 0, 2 or 3, or argparse exits 2
+    argv, flag = case
+    args = list(argv) + ["--n", "300", "--points", "5", "--out", "table.out", f"{flag}={value}"]
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main(args)
+        except SystemExit as exc:
+            assert exc.code == 2, args
+            return
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 2, 3), args
 
 
 def test_cli_runs_without_scipy(tmp_path):
@@ -763,6 +845,17 @@ def test_entrypoint_freezes_the_import_heap(monkeypatch):
         gc.unfreeze()
 
 
+def _fresh_env(openblas_threads=None):
+    """This environment with the package imported from this tree and the caller's OPENBLAS_NUM_THREADS."""
+    src = str(Path(trapscatter.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    return env
+
+
 def _run_fresh(*args, openblas_threads=None):
     """stdout of a fresh interpreter run with `args`, importing the package from this tree.
 
@@ -770,14 +863,8 @@ def _run_fresh(*args, openblas_threads=None):
     imported `trapscatter.cli` its own environment holds the CLI's default,
     which a child inheriting it would report back whatever the code did.
     """
-    src = str(Path(trapscatter.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    env.pop("OPENBLAS_NUM_THREADS", None)
-    if openblas_threads is not None:
-        env["OPENBLAS_NUM_THREADS"] = openblas_threads
-    done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          timeout=300)
+    done = subprocess.run([sys.executable, *args], env=_fresh_env(openblas_threads), capture_output=True,
+                          text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -836,3 +923,18 @@ def test_perfbench_tracer_runs_on_the_lazy_root(tmp_path):
                "--out", str(tmp_path / "a.csv"))
     names = {span[0] for span in json.loads(spans_path.read_text())["spans"]}
     assert {"cli.sweep", "scattering.excited_pair_shape", "quad.polylog3"} <= names
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep-angle", "--n", "500", "--t-over-tc", "0.7", "--k-incident", "100", "--delta-lo", "0.5",
+     "--delta-hi", "8", "--points", "3", "--method", "both"],
+    ["sweep-temp", "--n", "500", "--t-over-tc-lo", "0.5", "--t-over-tc-hi", "1.2", "--points", "3",
+     "--delta", "1.0", "--k-incident", "100", "--method", "both"],
+])
+def test_perfbench_tracer_finds_every_traced_name(tmp_path, args):
+    # the tracer looks its functions up by name: a renamed one fails its run
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "trace_child.py"
+    spans_path = tmp_path / "spans.json"
+    _run_fresh(str(tracer), str(spans_path), *args, "--out", str(tmp_path / "table.csv"))
+    names = {span[0] for span in json.loads(spans_path.read_text())["spans"]}
+    assert {"cli.sweep", "oracle.solve_mu_discrete"} <= names

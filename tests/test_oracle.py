@@ -303,8 +303,7 @@ def _bose_ensemble(emax):
     """Bose occupations at T = emax / 20, so the tail checks pass at any truncation."""
     t = emax / 20.0
     occ = 1.0 / np.expm1((np.arange(emax + 1.0) + 0.1 * t) / t)
-    return DiscreteEnsemble(n_total=100_000, temperature=t, mu_exact=-0.1 * t,
-                            epsilon_max=emax, occupations=occ)
+    return DiscreteEnsemble(n_total=100_000, temperature=t, mu_exact=-0.1 * t, occupations=occ)
 
 
 def _cell(ens, delta):
@@ -354,13 +353,13 @@ class TestExactBreakdowns:
 
     def test_mixed_verdicts_in_one_grid(self, monkeypatch):
         # at bound 0.2 delta = 10 first breaches at level 39: one ensemble
-        # below it, one above, and a starved tail fails its whole row
-        starved = DiscreteEnsemble(n_total=1, temperature=30.0, mu_exact=-0.01,
-                                   epsilon_max=360, occupations=np.full(361, 1e-3))
+        # below it, one above, and a starved tail fails its whole row; the
+        # delta = 0 identity, amplitude 1, breaches at level 0 in both untruncated rows
+        starved = DiscreteEnsemble(n_total=1, temperature=30.0, mu_exact=-0.01, occupations=np.full(361, 1e-3))
         monkeypatch.setattr(oscillator, "_AMPLITUDE_BOUND", 0.2)
         grid = exact_breakdowns([_bose_ensemble(30), _bose_ensemble(60), starved], [0.0, 10.0])
         kinds = [[type(cell).__name__ for cell in row] for row in grid]
-        assert kinds == [["RateBreakdown"] * 2, ["RateBreakdown", "PrecisionLossError"],
+        assert kinds == [["PrecisionLossError", "RateBreakdown"], ["PrecisionLossError"] * 2,
                          ["TruncationError"] * 2]
         with pytest.raises(PrecisionLossError):
             exact_breakdown(_bose_ensemble(60), 10.0)

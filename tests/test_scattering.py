@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -83,11 +84,14 @@ class TestKinematics:
 
 class TestRateBreakdown:
     def test_total_is_component_sum(self):
-        bd = RateBreakdown.build(1.0, 2.0, 3.0, 4.5)
+        bd = RateBreakdown(1.0, 2.0, 3.0, 4.5)
         assert bd.total == 1.0 + 2.0 + 3.0 + 4.5
+        # derived, not stored: it follows a replaced channel
+        assert dataclasses.replace(bd, bose_mm=0.5).total == 1.0 + 2.0 + 3.0 + 0.5
+        assert bd.valid == dict.fromkeys(CHANNELS, True) and bd.errors == {}
 
     def test_channel_accessor(self):
-        bd = RateBreakdown.build(1.0, 2.0, 3.0, 4.0)
+        bd = RateBreakdown(1.0, 2.0, 3.0, 4.0)
         assert bd.channel("bose_0m") == 3.0
         with pytest.raises(KeyError):
             bd.channel("nope")
@@ -209,7 +213,8 @@ class TestClosedFormTotals:
         assert_allclose(bose_0m_total(ens, kin), bose_0m_total_quadrature(ens, kin), rtol=1e-13)
 
 
-# f(a, nu) from `_reference.pair_shape_mpmath` at 25 digits, rounded to double
+# f(a, nu) from `_reference.pair_shape_mpmath` at 25 digits, rounded to double;
+# at 30 digits every value rounds the same
 _MPMATH_SHAPE = {
     (0.001, 0.0): 0.22074087157185251, (0.001, 1e-06): 0.2207372441801932,
     (0.001, 0.0001): 0.22039605897725958, (0.001, 0.001): 0.21783707423925527,
@@ -225,6 +230,13 @@ _MPMATH_SHAPE = {
     (16.0, 0.0001): 2.1959516634096914e-05, (16.0, 0.001): 2.1918937373007403e-05,
     (30.0, 0.0): 1.919828118906755e-08, (30.0, 1e-06): 1.9198242709522888e-08,
     (30.0, 0.0001): 1.919443361680572e-08, (30.0, 0.001): 1.915984018891192e-08,
+    # small a at nu near 0.7, where f is furthest from the reference
+    (0.001, 0.6): 0.02840208290370529, (0.003, 0.6): 0.028368580158779695,
+    (0.01, 0.6): 0.028251658658519137, (0.05, 0.6): 0.027593505353839122,
+    (0.001, 0.7): 0.022124476167427486, (0.003, 0.7): 0.02209899072268476,
+    (0.01, 0.7): 0.02201003899629293, (0.05, 0.7): 0.02150904175065927,
+    (0.001, 0.86): 0.015056668929773857, (0.003, 0.86): 0.015039822782374557,
+    (0.01, 0.86): 0.014981017327970901, (0.05, 0.86): 0.014649595043634184,
 }
 
 
@@ -242,9 +254,9 @@ class TestExcitedPairShape:
 
     @pytest.mark.parametrize("a,nu", sorted(_MPMATH_SHAPE))
     def test_against_mpmath(self, a, nu):
-        assert_allclose(excited_pair_shape(a, nu), _MPMATH_SHAPE[a, nu], rtol=1e-12)
+        assert_allclose(excited_pair_shape(a, nu), _MPMATH_SHAPE[a, nu], rtol=2e-13)
 
-    @pytest.mark.parametrize("a,nu", [(1e-3, 0.0), (8.0, 1e-4), (30.0, 1e-6)])
+    @pytest.mark.parametrize("a,nu", [(1e-3, 0.0), (8.0, 1e-4), (30.0, 1e-6), (3e-3, 0.7)])
     def test_mpmath_table_is_current(self, a, nu):
         # the pinned values are what the reference computes
         assert_allclose(pair_shape_mpmath(a, nu), _MPMATH_SHAPE[a, nu], rtol=1e-15)

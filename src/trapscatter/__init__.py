@@ -11,12 +11,26 @@ import importlib
 
 __version__ = "0.1.0"
 
+ZETA3 = 1.2020569031595943  # zeta(3)
+
+
+def critical_temperature(n_total):
+    """Condensation temperature (N / zeta(3))^(1/3) in trap units.
+
+    Defined in the package root, which imports no numpy, so that the CLI
+    can check a configuration before numpy loads.
+    """
+    if n_total < 1:
+        raise ValueError("n_total must be >= 1")
+    return (n_total / ZETA3) ** (1.0 / 3.0)
+
+
 # Public names by defining submodule.  They are imported on first access
 # (PEP 562), so `import trapscatter` itself loads the standard library only.
 _EXPORTS = {
     "errors": ("ConfigError", "ConvergenceError", "PrecisionLossError", "TruncationError"),
-    "thermo": ("ZETA3", "TrapEnsemble", "critical_temperature", "condensate_count",
-               "excited_count", "chemical_potential", "occupation", "degeneracy"),
+    "thermo": ("TrapEnsemble", "condensate_count", "excited_count", "chemical_potential",
+               "occupation", "degeneracy"),
     "quad": ("polylog3", "diffraction_z_integral"),
     "scattering": ("CHANNELS", "Kinematics", "RateBreakdown", "rayleigh",
                    "diffraction_differential", "diffraction_total", "bose_0m_differential",
@@ -27,7 +41,7 @@ _EXPORTS = {
 }
 _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = ["__version__", *_SUBMODULE]
+__all__ = ["__version__", "ZETA3", "critical_temperature", *_SUBMODULE]
 
 
 def __getattr__(name):

@@ -19,6 +19,13 @@ byte-identical files.  Run as `trapscatter ...` or
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure: in at
 least one row (the table is still written, failures flagged per row), or
 before any row (no table is written).
+
+A command runs in two stages.  The first, on the standard library alone,
+parses the command line, reads the --config file and makes every check of
+the configuration, so --help and every invalid configuration exit before
+numpy loads.  The second, `trapscatter.sweeps`, imports numpy and the model
+modules the command runs (the oracle only for --method oracle or both, and
+oracle-compare), then computes the table this module writes.
 """
 
 import argparse
@@ -28,17 +35,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 
-# Every BLAS call the program makes is below OpenBLAS's threading thresholds.
+# Every BLAS call the program makes is below OpenBLAS's threading thresholds;
+# set here, before the second stage loads numpy.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-import numpy as np
 
-from . import __version__
+from . import __version__, critical_temperature
 from .errors import ConfigError, ConvergenceError, PrecisionLossError, TruncationError
-from .oracle import _unwrap, exact_breakdowns, scaling_probe, solve_mu_discrete
-from .scattering import CHANNELS, Kinematics, decompose_rows
-from .thermo import TrapEnsemble, critical_temperature
 
 __all__ = ["SweepConfig", "sweep_angle", "sweep_temperature", "oracle_compare", "main"]
 
@@ -110,18 +114,23 @@ class SweepConfig:
             raise ConfigError("t-over-tc", "must be positive")
         return self.t_over_tc * critical_temperature(self.n_total)
 
-    def delta_grid(self):
+    def delta_range(self):
         if self.delta_lo <= 0:
             raise ConfigError("delta-lo", "must be positive")
         if self.delta_hi <= self.delta_lo:
             raise ConfigError("delta-hi", "must exceed delta-lo")
         if self.delta_hi > 2.0 * self.k_incident:
             raise ConfigError("delta-hi", "exceeds the elastic bound 2 k_incident")
-        # Python floats: a delta^2 beyond the float range is inf without a numpy warning
-        spacing = np.geomspace if self.log_spacing else np.linspace
-        return spacing(self.delta_lo, self.delta_hi, self.points).tolist()
+        return self.delta_lo, self.delta_hi
 
-    def temperature_grid(self):
+    def fixed_delta(self):
+        if self.delta_fixed is None or self.delta_fixed <= 0:
+            raise ConfigError("delta", "sweep-temp needs a positive fixed --delta")
+        if self.delta_fixed > 2.0 * self.k_incident:
+            raise ConfigError("delta", "exceeds the elastic bound 2 k_incident")
+        return self.delta_fixed
+
+    def temperature_range(self):
         absolute = (self.t_lo, self.t_hi)
         ratio = (self.t_ratio_lo, self.t_ratio_hi)
         if any(v is not None for v in absolute) and any(v is not None for v in ratio):
@@ -137,167 +146,54 @@ class SweepConfig:
             raise ConfigError("t-lo", "must be positive")
         if hi <= lo:
             raise ConfigError("t-hi", "must exceed the lower bound")
-        spacing = np.geomspace if self.log_spacing else np.linspace
-        return spacing(lo, hi, self.points)
-
-
-def _flags_field(breakdown):
-    parts = [f"{ch}:invalid" for ch in CHANNELS if not breakdown.valid.get(ch, True)]
-    parts += [f"{ch}:error" for ch in sorted(breakdown.errors)]
-    return ";".join(parts) if parts else "ok"
-
-
-@dataclass
-class SweepTable:
-    columns: list
-    rows: list  # list of lists, mixed floats and strings; flags last
-    meta: dict
-
-
-def _breakdown_cells(breakdown):
-    return [getattr(breakdown, name) for name in (*CHANNELS, "total")]
-
-
-def _rows(config, ensembles, deltas, discretes):
-    """Each row's semiclassical RateBreakdown (None without that method) and oracle cell.
-
-    The arguments hold one entry per row.  A discrete entry is the row's
-    discrete ensemble, the exception that failed to solve it (the row's cell
-    then), or None without the oracle.  All other cells come from one
-    exact_breakdowns grid over the distinct solved ensembles and deltas, so
-    a cell is a breakdown or the exception that failed its pair, and all
-    semiclassical breakdowns from one decompose_rows call.
-    """
-    solved = {id(d): d for d in discretes if d is not None and not isinstance(d, Exception)}
-    lanes = {delta: j for j, delta in enumerate(dict.fromkeys(deltas))}
-    grid = dict(zip(solved, exact_breakdowns(list(solved.values()), list(lanes))))
-    kinematics = [Kinematics(config.k_incident, delta) for delta in deltas]
-    semis = decompose_rows(ensembles, kinematics) if config.semiclassical else [None] * len(deltas)
-    for semi, delta, discrete in zip(semis, deltas, discretes):
-        yield semi, grid[id(discrete)][lanes[delta]] if id(discrete) in grid else discrete
-
-
-def _table(config, lead_columns, leads, rows, meta):
-    """Table of each row's lead cells, then its channel cells and flags field."""
-    columns = list(lead_columns)
-    if config.semiclassical:
-        columns += list(CHANNELS) + ["total"]
-    if config.oracle:
-        columns += [f"{c}_oracle" for c in CHANNELS] + ["total_oracle"]
-    columns.append("flags")
-    table = []
-    for lead, (semi, exact) in zip(leads, rows):
-        cells, flags = [], "ok"
-        if semi is not None:
-            cells, flags = _breakdown_cells(semi), _flags_field(semi)
-        if isinstance(exact, Exception):
-            cells += [math.nan] * 5
-            flags = f"oracle:error:{type(exact).__name__}"
-        elif exact is not None:
-            cells += _breakdown_cells(exact)
-        table.append(lead + cells + [flags])
-    return SweepTable(columns=columns, rows=table, meta=meta)
-
-
-def _angle_rows(config):
-    """sweep-angle's temperature, semiclassical ensemble, delta grid and rows."""
-    config.validate_common()
-    temperature = config.resolve_temperature()
-    grid = config.delta_grid()
-    ensemble = TrapEnsemble.solve(config.n_total, temperature)
-    # one discrete ensemble for every row; failing to solve it fails the sweep
-    discrete = solve_mu_discrete(config.n_total, temperature) if config.oracle else None
-    return temperature, ensemble, grid, _rows(config, [ensemble] * len(grid), grid, [discrete] * len(grid))
+        return lo, hi
 
 
 def sweep_angle(config):
     """Channel table over a delta grid at fixed (N, T)."""
-    temperature, ensemble, grid, rows = _angle_rows(config)
-    meta = {"command": "sweep-angle", "config": _config_echo(config),
-            "temperature": temperature, "t_critical": ensemble.t_critical}
-    return _table(config, ["delta", "theta"], ([d, d / config.k_incident] for d in grid), rows, meta)
-
-
-def _discrete_or_error(n_total, temperature):
-    try:
-        return solve_mu_discrete(n_total, temperature)
-    except (ConvergenceError, TruncationError, ValueError) as exc:
-        return exc
+    config.validate_common()
+    temperature, bounds = config.resolve_temperature(), config.delta_range()
+    return _load_model(config.oracle).angle_table(config, temperature, bounds)
 
 
 def sweep_temperature(config):
     """Channel table over a temperature grid at fixed delta."""
     config.validate_common()
-    delta_fixed = config.delta_fixed
-    if delta_fixed is None or delta_fixed <= 0:
-        raise ConfigError("delta", "sweep-temp needs a positive fixed --delta")
-    if delta_fixed > 2.0 * config.k_incident:
-        raise ConfigError("delta", "exceeds the elastic bound 2 k_incident")
-    grid = config.temperature_grid()
-    tc = critical_temperature(config.n_total)
-    ensembles = [TrapEnsemble.solve(config.n_total, t) for t in grid]
-    # solved one row at a time, so a failure is flagged on that row only
-    discretes = [_discrete_or_error(config.n_total, t) if config.oracle else None for t in grid]
-    leads = ([t, t / tc, e.mu, e.n_condensate, e.n_excited] for t, e in zip(grid, ensembles))
-    meta = {"command": "sweep-temp", "config": _config_echo(config),
-            "delta": delta_fixed, "t_critical": tc}
-    rows = _rows(config, ensembles, [delta_fixed] * len(grid), discretes)
-    return _table(config, ["t", "t_over_tc", "mu", "n0", "ne"], leads, rows, meta)
+    delta_fixed, bounds = config.fixed_delta(), config.temperature_range()
+    return _load_model(config.oracle).temperature_table(config, delta_fixed, bounds)
 
 
 def oracle_compare(config):
     """Deviation statistics of sweep-angle's --method both rows, and scaling fits."""
+    # the method is checked as given; the report's rows run with --method both
     config.validate_common()
-    temperature, _, grid, pairs = _angle_rows(replace(config, method="both"))
+    temperature, bounds = config.resolve_temperature(), config.delta_range()
+    return _load_model(True).compare_report(config, temperature, bounds)
 
-    deviations = {ch: [] for ch in CHANNELS}
-    rows = []
-    for delta, (semi, cell) in zip(grid, pairs):
-        exact = _unwrap(cell)
-        row = {"delta": float(delta)}
-        for ch in CHANNELS:
-            s, o = semi.channel(ch), exact.channel(ch)
-            row[ch], row[f"{ch}_oracle"] = s, o
-            if semi.valid.get(ch, False):
-                dev = abs(o - s) / max(abs(o), 1e-300)
-                deviations[ch].append(dev)
-                row[f"{ch}_rel_dev"] = dev
-        rows.append(row)
 
-    stats = {ch: {"points": len(devs), "max_rel_dev": max(devs) if devs else None,
-                  "median_rel_dev": float(np.median(devs)) if devs else None}
-             for ch, devs in deviations.items()}
+# entrypoint() sets this for the CLI process, which runs one command and exits
+_freeze_when_loaded = False
 
-    ratio = temperature / critical_temperature(config.n_total)
-    ladder = sorted({max(100, config.n_total // 27), max(150, config.n_total // 9),
-                     max(300, config.n_total // 3), config.n_total})
-    fits = {}
-    if len(ladder) >= 3 and ladder[-1] >= 10 * ladder[0]:
-        probes = {"rayleigh": 1.0, "diffraction": 0.5, "bose_0m": 1.0}
-        for ch, delta_probe in probes.items():
-            fit = scaling_probe(ch, ladder, ratio, delta_probe)
-            fits[ch] = {"exponent": fit.exponent, "residual": fit.residual,
-                        "n_values": list(fit.n_values)}
 
-    return {
-        "command": "oracle-compare",
-        "version": __version__,
-        "config": _config_echo(config),
-        "temperature": temperature,
-        "t_over_tc": ratio,
-        "channel_stats": stats,
-        "scaling_fits": fits,
-        "rows": rows,
-    }
+def _load_model(oracle):
+    """The second stage: `trapscatter.sweeps`, which imports numpy, thermo and scattering.
+
+    The oracle, with its oscillator, loads only if `oracle` is true.  In the
+    CLI process the heap is frozen here: the loaded modules' objects live to
+    the end, so no later collection, exit's included, needs to walk them.
+    """
+    from . import sweeps
+
+    if oracle:
+        sweeps.load_oracle()
+    if _freeze_when_loaded:
+        gc.freeze()
+    return sweeps
 
 
 # ---------------------------------------------------------------------------
 # I/O plumbing
 # ---------------------------------------------------------------------------
-
-def _config_echo(config):
-    return {k: v for k, v in asdict(config).items() if v is not None}
-
 
 def _json_cell(value):
     if isinstance(value, str):
@@ -322,8 +218,8 @@ def write_csv(table, stream):
 
 
 def write_json(result, stream):
-    """A SweepTable as {version, meta, columns, rows}, or a report dict as it is."""
-    if isinstance(result, SweepTable):
+    """A report dict as it is, or a SweepTable as {version, meta, columns, rows}."""
+    if not isinstance(result, dict):
         result = {
             "version": __version__,
             "meta": result.meta,
@@ -454,6 +350,7 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command line and return its exit code."""
     args = build_parser().parse_args(argv)
     try:
         config = build_config(args)
@@ -466,7 +363,7 @@ def main(argv=None):
                 raise ConfigError("format", "oracle-compare emits a JSON report")
             result = oracle_compare(config)
         _emit_table(result, config)
-        failed = isinstance(result, SweepTable) and any(":error" in row[-1] for row in result.rows)
+        failed = not isinstance(result, dict) and any(":error" in row[-1] for row in result.rows)
         return 3 if failed else 0
     except ConfigError as exc:
         print(f"config-invalid: {exc}", file=sys.stderr)
@@ -477,8 +374,9 @@ def main(argv=None):
 
 
 def entrypoint():
-    # import-time objects live to the end: keep them out of every later collection, exit's too
-    gc.freeze()
+    """`main` on sys.argv, freezing the heap once the command's modules are loaded."""
+    global _freeze_when_loaded
+    _freeze_when_loaded = True
     raise SystemExit(main())
 
 

@@ -25,6 +25,8 @@ import math
 
 import numpy as np
 
+from . import ZETA3
+
 __all__ = [
     "polylog3",
     "polylog2",
@@ -33,7 +35,6 @@ __all__ = [
     "diffraction_z_integral",
 ]
 
-ZETA3 = 1.2020569031595943
 ZETA2 = 1.6449340668482264
 
 

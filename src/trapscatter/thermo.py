@@ -30,7 +30,7 @@ term alone is N, Newton falls onto the root without overshooting.
 import math
 from dataclasses import dataclass
 
-from . import quad
+from . import ZETA3, critical_temperature, quad
 from .errors import ConvergenceError
 
 __all__ = [
@@ -44,19 +44,10 @@ __all__ = [
     "degeneracy",
 ]
 
-ZETA3 = quad.ZETA3
-
 # Linearized slope of mu/T just above Tc: mu/T = -MU_SLOPE * (T - Tc)/Tc.
 MU_SLOPE = 18.0 * ZETA3 / math.pi**2
 
 _NEWTON_ITERATIONS = 100
-
-
-def critical_temperature(n_total):
-    """Condensation temperature (N / zeta(3))^(1/3) in trap units."""
-    if n_total < 1:
-        raise ValueError("n_total must be >= 1")
-    return (n_total / ZETA3) ** (1.0 / 3.0)
 
 
 def condensate_count(n_total, temperature):
@@ -150,14 +141,21 @@ class TrapEnsemble:
 
     n_condensate follows the leading-order split (exactly 0 above Tc);
     mu comes from the combined number equation and is always negative.
+    t_critical and n_excited follow from n_total and n_condensate.
     """
 
     n_total: int
     temperature: float
-    t_critical: float
     mu: float
     n_condensate: float
-    n_excited: float
+
+    @property
+    def t_critical(self):
+        return critical_temperature(self.n_total)
+
+    @property
+    def n_excited(self):
+        return self.n_total - self.n_condensate
 
     def __post_init__(self):
         if self.temperature <= 0:
@@ -170,16 +168,11 @@ class TrapEnsemble:
     @classmethod
     def solve(cls, n_total, temperature):
         """Build the ensemble for N particles at temperature T."""
-        tc = critical_temperature(n_total)
-        mu = chemical_potential(n_total, temperature)
-        n0 = condensate_count(n_total, temperature)
         return cls(
             n_total=int(n_total),
             temperature=float(temperature),
-            t_critical=tc,
-            mu=mu,
-            n_condensate=n0,
-            n_excited=n_total - n0,
+            mu=chemical_potential(n_total, temperature),
+            n_condensate=condensate_count(n_total, temperature),
         )
 
     @classmethod

@@ -170,7 +170,7 @@ def test_criterion_5_bose_0m():
 
     # asymptote ratios in their regimes: x = delta^2/2T
     t = 25.0
-    ens = TrapEnsemble(2000, t, critical_temperature(2000), -1e-12, 1000.0, 1000.0)
+    ens = TrapEnsemble(2000, t, -1e-12, 1000.0)
     small_x = 2.0 * t * 0.01
     low = (4.0 * 1000.0 * t / small_x) / bose_0m_differential(ens, math.sqrt(small_x))
     big_x = 2.0 * t * 5.0
@@ -206,10 +206,8 @@ def test_criterion_6b_shape_function_slope():
 def test_criterion_6c_pair_total_scaling():
     kin = Kinematics(100.0)
     t = 9.0
-    base = TrapEnsemble(5000, t, critical_temperature(5000), -1e-9, 2000.0, 3000.0)
-    doubled = TrapEnsemble(
-        5000, 2.0 ** (1.0 / 3.0) * t, critical_temperature(5000), -1e-9, 2000.0, 3000.0
-    )
+    base = TrapEnsemble(5000, t, -1e-9, 2000.0)
+    doubled = TrapEnsemble(5000, 2.0 ** (1.0 / 3.0) * t, -1e-9, 2000.0)
     exponent = math.log(bose_mm_total(doubled, kin) / bose_mm_total(base, kin)) / math.log(2.0)
     ok = abs(exponent - 4.0 / 3.0) <= 0.05 * 4.0 / 3.0
     assert report(

@@ -1,5 +1,4 @@
 import contextlib
-import gc
 import io
 import json
 import math
@@ -16,7 +15,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trapscatter
-from trapscatter import cli
 from trapscatter.cli import (
     _CONFIG_FIELDS,
     SweepConfig,
@@ -139,7 +137,7 @@ class TestConfigPlumbing:
         with pytest.raises(ConfigError) as err:
             config.validate_common()
             config.resolve_temperature()
-            config.delta_grid()
+            config.delta_range()
         assert err.value.field == field
 
     @pytest.mark.parametrize("subcommand", ["sweep-angle", "sweep-temp"])
@@ -387,7 +385,7 @@ class TestSweepAngle:
         assert "config-invalid" in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
-        import trapscatter.cli as cli
+        from trapscatter import sweeps
         from trapscatter.scattering import RateBreakdown
 
         def broken(ensembles, kinematics):
@@ -397,7 +395,8 @@ class TestSweepAngle:
                 errors={"diffraction": "ConvergenceError: synthetic"},
             ) for ensemble in ensembles]
 
-        monkeypatch.setattr(cli, "decompose_rows", broken)
+        # the sweeps call decompose_rows by the name trapscatter.sweeps imported
+        monkeypatch.setattr(sweeps, "decompose_rows", broken)
         out = tmp_path / "fail.csv"
         code = run_main([
             "sweep-angle", "--n", "300", "--t-over-tc", "0.6",
@@ -411,16 +410,17 @@ class TestSweepAngle:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_oracle_precision_loss_fails_one_row(self, tmp_path, monkeypatch, fmt):
-        import trapscatter.cli as cli
+        from trapscatter import oracle
         from trapscatter.errors import PrecisionLossError
 
-        real_breakdowns = cli.exact_breakdowns
+        real_breakdowns = oracle.exact_breakdowns
 
         def breakdowns(ensembles, deltas):
             return [[PrecisionLossError("synthetic") if delta == 2.5 else cell
                      for delta, cell in zip(deltas, row)] for row in real_breakdowns(ensembles, deltas)]
 
-        monkeypatch.setattr(cli, "exact_breakdowns", breakdowns)
+        # the sweeps read exact_breakdowns from the oracle module at each call
+        monkeypatch.setattr(oracle, "exact_breakdowns", breakdowns)
         out = tmp_path / f"rows.{fmt}"
         code = run_main([
             "sweep-angle", "--n", "300", "--t-over-tc", "0.6", "--method", "oracle",
@@ -459,22 +459,26 @@ class TestSweepAngle:
         assert not out.exists()
 
     def test_python_m_matches_main(self, tmp_path):
-        args = [
-            "sweep-angle", "--n", "300", "--t-over-tc", "0.6",
-            "--k-incident", "100", "--points", "3",
-        ]
-        via_main = tmp_path / "main.csv"
-        via_module = tmp_path / "module.csv"
-        assert run_main(args + ["--out", str(via_main)]) == 0
+        # run as __main__, the CLI module must still recognise the second
+        # stage's tables: JSON writes them as tables
         src = str(Path(trapscatter.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        done = subprocess.run(
-            [sys.executable, "-m", "trapscatter.cli", *args, "--out", str(via_module)],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
-        assert done.returncode == 0, done.stderr
-        assert via_module.read_bytes() == via_main.read_bytes()
+        for fmt in ("csv", "json"):
+            args = [
+                "sweep-angle", "--n", "300", "--t-over-tc", "0.6",
+                "--k-incident", "100", "--points", "3", "--format", fmt,
+            ]
+            # the JSON echoes --out, so both runs name the same file
+            out = tmp_path / f"table.{fmt}"
+            assert run_main(args + ["--out", str(out)]) == 0
+            via_main = out.read_bytes()
+            done = subprocess.run(
+                [sys.executable, "-m", "trapscatter.cli", *args, "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            assert out.read_bytes() == via_main
 
 
     @settings(max_examples=40, deadline=None)
@@ -833,16 +837,131 @@ print("numpy.polynomial" in sys.modules)
     assert polynomial == "False"
 
 
-def test_entrypoint_freezes_the_import_heap(monkeypatch):
-    # the CLI process keeps its import-time objects out of every later collection
-    monkeypatch.setattr(cli, "main", lambda: 0)
-    try:
-        with pytest.raises(SystemExit) as done:
-            cli.entrypoint()
-        assert done.value.code == 0
-        assert gc.get_freeze_count() > 0
-    finally:
-        gc.unfreeze()
+_SMALL_SWEEP = ["sweep-angle", "--n", "300", "--t", "5", "--points", "2"]
+
+
+# a semiclassical sweep, an oracle sweep and the oracle-compare report
+_FREEZE_COMMANDS = [
+    _SMALL_SWEEP,
+    ["sweep-temp", "--n", "300", "--delta", "1", "--t-lo", "2", "--t-hi", "5", "--points", "2",
+     "--method", "oracle"],
+    ["oracle-compare", "--n", "300", "--t", "5", "--points", "2", "--format", "json"],
+]
+
+
+def test_entrypoint_freezes_the_import_heap(tmp_path):
+    # the CLI process keeps numpy's and the model's import-time objects out of
+    # every later collection: entrypoint() freezes once they are loaded, before
+    # the table is written, and no package module loads after the freeze;
+    # main() called from Python leaves the heap alone
+    for i, argv in enumerate(_FREEZE_COMMANDS):
+        by_main = f"""
+import gc, json, sys
+from trapscatter import cli
+code = cli.main({argv + ["--out", str(tmp_path / f"main{i}.out")]!r})
+print(json.dumps([code, "numpy" in sys.modules, gc.get_freeze_count()]))
+"""
+        assert json.loads(_run_fresh("-c", by_main).splitlines()[-1]) == [0, True, 0], argv
+        out = str(tmp_path / f"entrypoint{i}.out")
+        by_entrypoint = f"""
+import gc, json, os, sys
+from trapscatter import cli
+freezes, frozen_modules, freeze = [], set(), gc.freeze
+def recorded():
+    freezes.append(["numpy" in sys.modules, "trapscatter.scattering" in sys.modules, os.path.exists({out!r})])
+    frozen_modules.update(sys.modules)
+    freeze()
+gc.freeze = recorded
+sys.argv = ["trapscatter", *{argv + ["--out", out]!r}]
+before = "numpy" in sys.modules
+try:
+    cli.entrypoint()
+except SystemExit as done:
+    code = done.code
+late = sorted(m for m in sys.modules if m.startswith("trapscatter") and m not in frozen_modules)
+print(json.dumps([code, before, freezes, gc.get_freeze_count() > 0, os.path.exists({out!r}), late]))
+"""
+        report = json.loads(_run_fresh("-c", by_entrypoint).splitlines()[-1])
+        assert report == [0, False, [[True, True, False]], True, True, []], argv
+
+
+# (a command line stopped before any computing, its exit code, the last line
+# of its stderr); the config file "unknown.cfg" holds "frobnicate = 3"
+_STAGE_ONE_EXITS = [
+    (["--help"], 0, None),
+    (["sweep-angle", "--points", "x"], 2,
+     "trapscatter sweep-angle: error: argument --points: invalid int value: 'x'\n"),
+    (["sweep-angle", "--t", "5", "--config", "unknown.cfg"], 2,
+     "config-invalid: config: unknown key 'frobnicate'\n"),
+    (["sweep-angle", "--t-over-tc", "0.7", "--points", "1"], 2, "config-invalid: points: must be >= 2\n"),
+    (["sweep-angle", "--t", "5", "--k-incident", "-1"], 2, "config-invalid: k-incident: must be positive\n"),
+    (["sweep-temp", "--t-over-tc-lo", "0.2", "--t-over-tc-hi", "1.4"], 2,
+     "config-invalid: delta: sweep-temp needs a positive fixed --delta\n"),
+]
+_MODEL = ["numpy", "trapscatter.sweeps", "trapscatter.quad", "trapscatter.scattering",
+          "trapscatter.thermo", "trapscatter.oracle", "trapscatter.oscillator"]
+
+
+def test_cli_checks_the_command_line_before_numpy_loads(tmp_path):
+    # a fresh interpreter imports the CLI and runs, in-process, command lines
+    # that exit before computing: none of them loads numpy or the model
+    (tmp_path / "unknown.cfg").write_text("frobnicate = 3\n")
+    script = f"""
+import contextlib, io, json, os, sys
+os.chdir({str(tmp_path)!r})
+import trapscatter.cli
+model = {_MODEL!r}
+report = [[m for m in model if m in sys.modules]]
+for argv in {[argv for argv, _, _ in _STAGE_ONE_EXITS]!r}:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = trapscatter.cli.main(argv)
+        except SystemExit as done:
+            code = done.code
+    report.append([code, stdout.getvalue(), stderr.getvalue(), [m for m in model if m in sys.modules]])
+print(json.dumps(report))
+"""
+    imported, *runs = json.loads(_run_fresh("-c", script).splitlines()[-1])
+    assert imported == []
+    for (argv, code, err), (got_code, got_out, got_err, loaded) in zip(_STAGE_ONE_EXITS, runs, strict=True):
+        assert (got_code, loaded) == (code, []), argv
+        if err is None:  # --help
+            assert got_out.startswith("usage: trapscatter ") and got_err == ""
+        else:
+            assert got_out == "" and got_err.endswith(err), argv
+            assert got_err == err or got_err.startswith("usage: trapscatter sweep-angle "), argv
+
+
+def test_cli_loads_the_oracle_only_for_its_methods(tmp_path):
+    # semiclassical sweeps load numpy, thermo and scattering but not the
+    # oracle and its oscillator; --method both and oracle-compare load them
+    common = ["--n", "300", "--k-incident", "100", "--points", "2"]
+    commands = [
+        ["sweep-angle", "--t", "5", "--method", "semiclassical", *common],
+        ["sweep-temp", "--delta", "1", "--t-lo", "2", "--t-hi", "5", *common],
+        ["sweep-angle", "--t", "5", "--method", "both", *common],
+    ]
+    compare = ["oracle-compare", "--t", "5", "--format", "json", *common]
+    script = """
+import json, sys
+from trapscatter.cli import main
+report = []
+for i, argv in enumerate(json.loads(sys.argv[1])):
+    code = main(argv + ["--out", f"{sys.argv[2]}/{i}.out"])
+    report.append([code] + [m in sys.modules for m in json.loads(sys.argv[3])])
+print(json.dumps(report))
+"""
+    loaded = ["numpy", "trapscatter.thermo", "trapscatter.scattering", "trapscatter.oracle",
+              "trapscatter.oscillator"]
+    sweeps = _run_fresh("-c", script, json.dumps(commands), str(tmp_path), json.dumps(loaded))
+    assert json.loads(sweeps.splitlines()[-1]) == [
+        [0, True, True, True, False, False],
+        [0, True, True, True, False, False],
+        [0, True, True, True, True, True],
+    ]
+    report = _run_fresh("-c", script, json.dumps([compare]), str(tmp_path), json.dumps(loaded))
+    assert json.loads(report.splitlines()[-1]) == [[0, True, True, True, True, True]]
 
 
 def _fresh_env(openblas_threads=None):
@@ -907,9 +1026,11 @@ def test_every_submodule_all_resolves():
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="threads counted from /proc")
 @pytest.mark.parametrize("caller_value, threads", [(None, 1), ("2", 2)])
 def test_cli_runs_blas_single_threaded_by_default(caller_value, threads):
+    # numpy, and with it OpenBLAS, loads once a command has passed its checks
     if caller_value is not None and len(os.sched_getaffinity(0)) < int(caller_value):
         pytest.skip("OpenBLAS starts no more threads than there are usable CPUs")
-    script = "import os, trapscatter.cli; print(len(os.listdir('/proc/self/task')))"
+    script = (f"import os, trapscatter.cli; trapscatter.cli.main({_SMALL_SWEEP + ['--out', os.devnull]!r}); "
+              "print(len(os.listdir('/proc/self/task')))")
     assert _run_fresh("-c", script, openblas_threads=caller_value).split() == [str(threads)]
 
 

@@ -53,10 +53,8 @@ def synthetic_ensemble(n_total, temperature, n_condensate, mu=-1e-12):
     return TrapEnsemble(
         n_total=n_total,
         temperature=temperature,
-        t_critical=(n_total / ZETA3) ** (1.0 / 3.0),
         mu=mu,
         n_condensate=n_condensate,
-        n_excited=n_total - n_condensate,
     )
 
 

@@ -287,4 +287,13 @@ class TestTrapEnsemble:
         with pytest.raises(ValueError):
             TrapEnsemble.at_ratio(1000, -0.5)
         with pytest.raises(ValueError):
-            TrapEnsemble(1000, 5.0, 9.4, 0.1, 500.0, 500.0)
+            TrapEnsemble(1000, 5.0, 0.1, 500.0)
+        with pytest.raises(ValueError):
+            TrapEnsemble(1000, 5.0, -0.1, 1000.5)  # more condensate than particles
+
+    def test_derived_fields_follow_a_hand_built_ensemble(self):
+        # t_critical and n_excited are computed from n_total and n_condensate,
+        # so a hand-built ensemble cannot contradict them
+        ens = TrapEnsemble(2000, 25.0, -1e-12, 1200.0)
+        assert ens.t_critical == critical_temperature(2000)
+        assert ens.n_excited == 800.0

@@ -20,8 +20,13 @@ and i + k, so summing over mx <= i first,
 two running sums down the columns of the squared overlap band.  Row i = 0
 holds exactly the ground<->(m,0,0) pairs of bose_0m and is left out, so
 every term is non-negative and nothing is subtracted.  A sweep streams one
-recurrence over all its deltas, storing no band: O(epsilon_max^2 #delta),
-where the truncation epsilon_max is derived from (N, T), never set.
+recurrence over all its deltas, storing no band: O(epsilon_max^2 #delta)
+time, where the truncation epsilon_max is derived from (N, T), never set.
+The stream is level-major: the rows and both running sums are
+(level, delta) buffers, so each step's passes (square, one max against the
+squared bound, two running-sum adds) run over one contiguous block, and
+only the contraction with the occupations reads a delta-major copy.
+Memory stays O(epsilon_max #delta).
 
 The occupation-product form uses <n_i n_f> ~ <n_i><n_f>; the corrections
 are O(1/N) after thermal averaging, so this module is the oracle for the
@@ -154,29 +159,49 @@ def _streamed_sums(ensembles, deltas):
     """Column 0, squared row 0, bose_mm / 2 and the lowest level n + k out of bounds, per delta.
 
     c1 and c2 are the running sums of the module docstring (row n of c2 is
-    C[n]), weighted row by row against the zero-padded occupations.
+    C[n]), level-major like the recurrence's rows.  Each step squares its
+    rows once, compares the largest square with the squared bound (and
+    scans the lanes for the failing level only when that trips), adds the
+    squares into c1 and c1 into c2, and contracts a delta-major copy of c2
+    with the zero-padded occupations of the ensembles whose truncation
+    reaches level n + 1.  Each cell is the float it would be in a grid of its own.
     """
     m_max = max(ens.epsilon_max for ens in ensembles)
-    occ = np.array([np.concatenate([e.occupations, np.zeros(m_max - e.epsilon_max)]) for e in ensembles])
-    column, c1, c2 = np.zeros((3, len(deltas), m_max + 1))
+    # deepest truncation first: the ensembles a level reaches are a leading block
+    order = sorted(range(len(ensembles)), key=lambda i: -ensembles[i].epsilon_max)
+    reach = [ensembles[i].epsilon_max for i in order]
+    occ = np.array([np.concatenate([ensembles[i].occupations, np.zeros(m_max - reach[e])])
+                    for e, i in enumerate(order)])
+    column, square, c1, c2 = np.zeros((4, m_max + 1, len(deltas)))
     half_mm = np.zeros((len(ensembles), len(deltas)))
     fail = np.full(len(deltas), m_max + 1)
     bound = oscillator._AMPLITUDE_BOUND
+    live, tainted = len(ensembles), False
     for n, rows in oscillator._overlap_rows(m_max, deltas):
         w = m_max + 1 - n
-        column[:, n] = rows[:, 0]
-        # comparisons with nan are false, so nan fails too
-        if not (rows.max() <= bound and rows.min() >= -bound):
+        column[n] = rows[0]
+        squares = np.square(rows, out=square[:w])
+        # |a| <= bound exactly when a^2 <= bound^2; comparisons with nan are false, so nan fails too
+        if not squares.max() <= bound * bound:
             bad = ~(np.abs(rows) <= bound)
-            np.minimum(fail, np.where(bad.any(axis=1), n + bad.argmax(axis=1), fail), out=fail)
-        square = np.square(rows)
-        c1[:, :w] += square
-        c2[:, :w] += c1[:, :w]
+            np.minimum(fail, np.where(bad.any(axis=0), n + bad.argmax(axis=0), fail), out=fail)
+            tainted = True
+        c1[:w] += squares
+        c2[:w] += c1[:w]
         if n == 0:
-            ground = square
-        else:  # row 0 holds the ground pairs of bose_0m
-            half_mm += occ[:, n:n + 1] * np.einsum("ek,dk->ed", occ[:, n + 1:], c2[:, 1:w])
-    return column, ground, half_mm, fail
+            ground = squares.T.copy()  # row 0 holds the ground pairs of bose_0m
+            continue
+        while live and reach[live - 1] <= n:
+            live -= 1
+        lanes = np.ascontiguousarray(c2[1:w].T)  # a view for one delta
+        if tainted:
+            # a non-finite sum sits at a level past every truncation that still
+            # trusts its lane, where the padded occupation is 0
+            lanes = np.where(np.isfinite(lanes), lanes, 0.0)
+        half_mm[:live] += occ[:live, n:n + 1] * np.einsum("ek,dk->ed", occ[:live, n + 1:], lanes)
+    unsorted = np.empty_like(half_mm)
+    unsorted[order] = half_mm
+    return column.T.copy(), ground, unsorted, fail
 
 
 def exact_breakdowns(ensembles, deltas):
@@ -187,7 +212,8 @@ def exact_breakdowns(ensembles, deltas):
     uncontrolled occupation tail, a PrecisionLossError when an amplitude
     with n + k <= that ensemble's epsilon_max leaves its bound.
     """
-    if any(d < 0 for d in deltas):
+    # comparisons with nan are false, so nan fails too
+    if not all(d >= 0 for d in deltas):
         raise ValueError("delta must be >= 0")
     if len(ensembles) and len(deltas):
         column, ground, half_mm, fail = _streamed_sums(ensembles, deltas)

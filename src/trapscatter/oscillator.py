@@ -24,7 +24,10 @@ absolute error stays near machine precision (validated against direct
 quadrature of Hermite-function overlaps in the test suite).  Every element
 comes from this one recurrence, streamed by `_overlap_rows`:
 `ground_overlap_column` is its start row n = 0, squared, and
-`diagonal_amplitude_column` its column k = 0.
+`diagonal_amplitude_column` its column k = 0.  The stream holds its rows
+level-major, offset k by delta, in O(m_max #delta) memory, so a step is
+four contiguous in-place passes in the order of the formula above and
+every amplitude keeps the bits of the one-delta recurrence.
 """
 
 import math
@@ -52,11 +55,17 @@ def _log_factorials(size):
 
 
 def _overlap_rows(m_max, deltas):
-    """Yield (n, rows) with rows[d, k] = A_n(k) at deltas[d], for n + k <= m_max.
+    """Yield (n, rows) with rows[k, d] = A_n(k) at deltas[d], for n + k <= m_max.
 
     Runs the scaled recurrence for every offset k and every delta at once
-    (vectorized over both, sequential in n).  Each (len(deltas), m_max + 1 - n)
-    block is overwritten after the next yield.
+    (vectorized over both, sequential in n), level-major: each
+    (m_max + 1 - n, len(deltas)) block is the leading rows of a C-ordered
+    (m_max + 1, len(deltas)) buffer.  A step is the formula's four
+    operations in its order (two products, their difference, the quotient),
+    each one in-place pass over contiguous blocks; the divisor is spread
+    over the lanes once per step and is the next step's sqrt(n (n + k)).
+    Four such buffers and the table of 2n + k + 1 - x make O(m_max #delta)
+    memory.  Each block is overwritten after the next yield.
     """
     size = m_max + 1
     ks = np.arange(size, dtype=float)
@@ -64,23 +73,25 @@ def _overlap_rows(m_max, deltas):
     # past the float range every amplitude is 0, as it already is at the largest float;
     # a Python float squares to inf there where a numpy float would warn
     xs = [min(0.5 * d * d, sys.float_info.max) for d in map(float, deltas)]
-    prev = np.zeros((len(xs), size))  # A_{n-1}; sqrt(n (n + k)) is 0 against it at n = 0
+    prev = np.zeros((size, len(xs)))  # A_{n-1}; sqrt(n (n + k)) is 0 against it at n = 0
     cur = np.empty_like(prev)
-    for row, x in zip(cur, xs):
+    product = np.empty_like(prev)
+    for lane, x in enumerate(xs):
         # x = 0 starts the identity, which the recurrence keeps exactly
-        row[:] = np.exp(-0.5 * x + 0.5 * ks * math.log(x) - 0.5 * log_factorials) if x else ks == 0
-        row[0] = math.exp(-0.5 * x)
+        cur[:, lane] = np.exp(-0.5 * x + 0.5 * ks * math.log(x) - 0.5 * log_factorials) if x else ks == 0
+        cur[0, lane] = math.exp(-0.5 * x)
     yield 0, cur
     levels = np.arange(2.0 * size)
-    lin = levels[1:] - np.array(xs)[:, None]  # lin[d, 2n + k] = 2n + k + 1 - x_d
-    root_prev = np.zeros(size)
+    lin = levels[1:, None] - np.array(xs)  # lin[2n + k, d] = 2n + k + 1 - x_d
+    root = np.zeros_like(prev)  # sqrt(n (n + k)) on every lane
     for n in range(size - 1):
         w = size - n - 1
-        root = np.sqrt((n + 1) * levels[n + 1:n + 1 + w])  # sqrt((n + 1)(n + k + 1))
         # A_{n-1} is spent: A_{n+1} takes its buffer
-        rows = np.subtract(lin[:, 2 * n:2 * n + w] * cur[:, :w], root_prev[:w] * prev[:, :w], out=prev[:, :w])
-        rows /= root
-        root_prev = root
+        np.multiply(lin[2 * n:2 * n + w], cur[:w], out=product[:w])
+        rows = np.multiply(root[:w], prev[:w], out=prev[:w])
+        np.subtract(product[:w], rows, out=rows)
+        root[:w] = np.sqrt((n + 1) * levels[n + 1:n + 1 + w])[:, None]  # sqrt((n + 1)(n + k + 1))
+        rows /= root[:w]
         prev, cur = cur, prev
         yield n + 1, rows
 
@@ -96,7 +107,7 @@ def overlap_band(m_max, delta):
         raise ValueError("m_max must be >= 0")
     band = np.zeros((m_max + 1, m_max + 1))
     for n, rows in _overlap_rows(m_max, [delta]):
-        band[n, :m_max + 1 - n] = rows[0]
+        band[n, :m_max + 1 - n] = rows[:, 0]
     # comparisons with nan are false, so nan fails too
     if not (band.max() <= _AMPLITUDE_BOUND and band.min() >= -_AMPLITUDE_BOUND):
         raise PrecisionLossError(

@@ -293,6 +293,11 @@ class TestExactBreakdown:
         ens = solve_mu_discrete(100, 3.0)
         with pytest.raises(ValueError):
             exact_breakdown(ens, -1.0)
+        # a nan delta is refused like a negative one, not run as an unstable lane
+        with pytest.raises(ValueError):
+            exact_breakdown(ens, math.nan)
+        with pytest.raises(ValueError):
+            exact_breakdowns([solve_mu_discrete(1000, 5.0)], [1.0, math.nan])
 
 
 def _channels(bd):
@@ -365,6 +370,61 @@ class TestExactBreakdowns:
             exact_breakdown(_bose_ensemble(60), 10.0)
         with pytest.raises(TruncationError):
             exact_breakdown(starved, 0.0)
+
+    @settings(max_examples=15, deadline=None)
+    @example(emaxes=[543, 60, 1], deltas=[0.0, np.float64(1e200), 0.7, 1.3, 3.0])
+    @given(st.lists(st.integers(1, 600), min_size=2, max_size=4, unique=True),
+           st.lists(st.sampled_from([0.0, np.float64(1e200)]) | st.floats(0.1, 12.0), min_size=1, max_size=5))
+    def test_cells_independent_of_grid(self, emaxes, deltas):
+        # bit for bit: a cell does not depend on which ensembles and deltas share its grid
+        ensembles = [_bose_ensemble(emax) for emax in emaxes]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = exact_breakdowns(ensembles, deltas)
+            for ens, row in zip(ensembles, grid):
+                for delta, got in zip(deltas, row):
+                    assert _channels(got) == _channels(exact_breakdowns([ens], [delta])[0][0])
+
+    @settings(max_examples=30, deadline=None)
+    @example(entry=20, value=math.nan, emaxes=[10, 30, 60], deltas=[0.0, 1.0, 3.0])
+    @example(entry=20, value=-math.inf, emaxes=[10, 30, 60], deltas=[0.0, 1.0, 9.0])
+    @given(st.integers(0, 120), st.sampled_from([math.nan, -math.inf, -300.0]),
+           st.lists(st.integers(1, 120), min_size=1, max_size=4),
+           st.lists(st.just(0.0) | st.floats(0.1, 12.0), min_size=1, max_size=5))
+    def test_non_finite_amplitudes_fail_their_level(self, entry, value, emaxes, deltas):
+        # ln k! set to nan, -inf or -300 at one k starts nan, +inf or huge amplitudes
+        # at offset k, which the recurrence carries on (to -inf where 2n + k + 1 < x).
+        # Each lane fails at the lowest level whose amplitude is not within
+        # -bound <= a <= bound; every cell below that level keeps its value
+        ensembles = [_bose_ensemble(emax) for emax in emaxes]
+        clean = exact_breakdowns(ensembles, deltas)
+        real = oscillator._log_factorials
+
+        def poisoned(size):
+            out = real(size)
+            if entry < size:
+                out[entry] = value
+            return out
+
+        m_max = max(emaxes)
+        bound = oscillator._AMPLITUDE_BOUND
+        with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+            patch.setattr(oscillator, "_log_factorials", poisoned)
+            fail = [math.inf] * len(deltas)
+            for n, rows in oscillator._overlap_rows(m_max, deltas):
+                for lane in range(len(deltas)):
+                    column = rows[:, lane]
+                    out = np.flatnonzero(~((column >= -bound) & (column <= bound)))
+                    if out.size:
+                        fail[lane] = min(fail[lane], n + out[0])
+            grid = exact_breakdowns(ensembles, deltas)
+        for ens, clean_row, row in zip(ensembles, clean, grid):
+            for level, before, got in zip(fail, clean_row, row):
+                if level <= ens.epsilon_max:
+                    assert isinstance(got, PrecisionLossError)
+                    assert f"at level {level}," in str(got)
+                else:
+                    assert _channels(got) == _channels(before)
 
     def test_numpy_float_huge_delta_underflows(self):
         # a numpy-float delta whose square leaves the float range gives zero

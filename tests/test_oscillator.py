@@ -207,7 +207,7 @@ class TestOverlapMatrix:
                 ks = {k for k in grid if n + k <= m_max}
                 ks |= {round(f * edge) for f in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0) if n + round(f * edge) <= m_max}
                 for k in ks:
-                    worst = max(worst, abs(rows[0, k] - float(_mpmath_amplitude(n, k, xm))))
+                    worst = max(worst, abs(rows[k, 0] - float(_mpmath_amplitude(n, k, xm))))
         assert worst < 5e-11, worst
 
 
@@ -254,7 +254,7 @@ class TestOverlapBand:
         for n, rows in _overlap_rows(m_max, [delta]):
             if n > top:
                 break
-            sq = rows[0] ** 2
+            sq = rows[:, 0] ** 2
             total[n] += sq.sum()
             total[n + 1:] += sq[1:top + 1 - n]
         assert np.abs(total - 1.0).max() < 1e-10

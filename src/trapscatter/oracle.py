@@ -25,8 +25,9 @@ time, where the truncation epsilon_max is derived from (N, T), never set.
 The stream is level-major: the rows and both running sums are
 (level, delta) buffers, so each step's passes (square, one max against the
 squared bound, two running-sum adds) run over one contiguous block, and
-only the contraction with the occupations reads a delta-major copy.
-Memory stays O(epsilon_max #delta).
+only the contraction with the occupations, at the fixed width W =
+_MAX_EPSILON + 1 in every grid, reads a delta-major copy: O(epsilon_max W
+#ensemble #delta) time and O(W (#ensemble + #delta)) memory.
 
 The occupation-product form uses <n_i n_f> ~ <n_i><n_f>; the corrections
 are O(1/N) after thermal averaging, so this module is the oracle for the
@@ -55,7 +56,7 @@ __all__ = [
     "scaling_probe",
 ]
 
-# One streamed overlap recurrence costs O(epsilon_max^2 #delta); refuse runaway truncations.
+# A recurrence costs O(epsilon_max^2 #delta), the contraction _MAX_EPSILON + 1 levels: refuse runaway truncations.
 _MAX_EPSILON = 600
 
 
@@ -67,6 +68,10 @@ class DiscreteEnsemble:
     temperature: float
     mu_exact: float
     occupations: np.ndarray  # per-state occupation of one state at each level 0..epsilon_max
+
+    def __post_init__(self):
+        if np.ndim(self.occupations) != 1 or not 1 <= np.size(self.occupations) <= _MAX_EPSILON + 1:
+            raise ValueError(f"occupations must be 1-D with 1 to {_MAX_EPSILON + 1} levels")
 
     @property
     def epsilon_max(self):
@@ -162,21 +167,19 @@ def _streamed_sums(ensembles, deltas):
     C[n]), level-major like the recurrence's rows.  Each step squares its
     rows once, compares the largest square with the squared bound (and
     scans the lanes for the failing level only when that trips), adds the
-    squares into c1 and c1 into c2, and contracts a delta-major copy of c2
-    with the zero-padded occupations of the ensembles whose truncation
-    reaches level n + 1.  Each cell is the float it would be in a grid of its own.
+    squares into c1 and c1 into c2, and contracts a delta-major copy of
+    c2[1:W - n] with every ensemble's occupations past level n, zero-padded
+    to W = _MAX_EPSILON + 1 levels.  A cell's sum has W - n - 1 terms in
+    any grid and a level past its truncation adds an exact +0: by
+    construction each cell is the float it would be in a grid of its own.
     """
     m_max = max(ens.epsilon_max for ens in ensembles)
-    # deepest truncation first: the ensembles a level reaches are a leading block
-    order = sorted(range(len(ensembles)), key=lambda i: -ensembles[i].epsilon_max)
-    reach = [ensembles[i].epsilon_max for i in order]
-    occ = np.array([np.concatenate([ensembles[i].occupations, np.zeros(m_max - reach[e])])
-                    for e, i in enumerate(order)])
-    column, square, c1, c2 = np.zeros((4, m_max + 1, len(deltas)))
+    width = _MAX_EPSILON + 1
+    occ = np.array([np.concatenate([ens.occupations, np.zeros(width - ens.occupations.size)]) for ens in ensembles])
+    column, square, c1, c2 = np.zeros((4, width, len(deltas)))
     half_mm = np.zeros((len(ensembles), len(deltas)))
     fail = np.full(len(deltas), m_max + 1)
-    bound = oscillator._AMPLITUDE_BOUND
-    live, tainted = len(ensembles), False
+    bound, tainted = oscillator._AMPLITUDE_BOUND, False
     for n, rows in oscillator._overlap_rows(m_max, deltas):
         w = m_max + 1 - n
         column[n] = rows[0]
@@ -191,17 +194,13 @@ def _streamed_sums(ensembles, deltas):
         if n == 0:
             ground = squares.T.copy()  # row 0 holds the ground pairs of bose_0m
             continue
-        while live and reach[live - 1] <= n:
-            live -= 1
-        lanes = np.ascontiguousarray(c2[1:w].T)  # a view for one delta
+        lanes = np.ascontiguousarray(c2[1:width - n].T)  # a view for one delta
         if tainted:
             # a non-finite sum sits at a level past every truncation that still
             # trusts its lane, where the padded occupation is 0
             lanes = np.where(np.isfinite(lanes), lanes, 0.0)
-        half_mm[:live] += occ[:live, n:n + 1] * np.einsum("ek,dk->ed", occ[:live, n + 1:], lanes)
-    unsorted = np.empty_like(half_mm)
-    unsorted[order] = half_mm
-    return column.T.copy(), ground, unsorted, fail
+        half_mm += occ[:, n:n + 1] * np.einsum("ek,dk->ed", occ[:, n + 1:], lanes)
+    return column.T.copy(), ground, half_mm, fail
 
 
 def exact_breakdowns(ensembles, deltas):

@@ -325,23 +325,27 @@ def _k2_scaled(x):
     return step * (float(np.sum(f)) - 0.5 * f[0])
 
 
+def _check_delta(delta):
+    if not delta > 0:  # comparisons with nan are false, so nan fails too
+        raise ValueError("delta must be positive")
+
+
 def diffraction_z_integral(delta, mu):
     """Excited-cloud suppression factor of the diffraction amplitude.
 
     Equals int_0^inf dz z^{-3} e^{-1/z} e^{delta^2 mu z/2}, which after
     u = 1/z is int_0^inf u e^{-u - beta/u} du = 2 beta K2(2 sqrt(beta))
     with beta = -delta^2 mu / 2 >= 0 (DLMF 10.32.10).  Exactly 1 at mu = 0
-    (and below beta = 1e-16, where 1 - beta rounds to 1), decreasing in
-    |mu|.  The caller is responsible for the delta^2 T >> 1 validity regime.
+    up to delta = inf (and below beta = 1e-16, where 1 - beta rounds to 1),
+    decreasing in |mu| to 0 at delta = inf.  The caller owns the validity regime delta^2 T >> 1.
     """
     delta = float(delta)
     mu = float(mu)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if mu > 0:
+    _check_delta(delta)
+    if not mu <= 0:
         raise ValueError("mu must be <= 0")
     beta = -delta * delta * mu / 2.0
-    if beta < 1e-16:
+    if not beta >= 1e-16:  # nan only as inf * 0, at delta = inf and mu = 0
         return 1.0
     if beta == math.inf:
         return 0.0  # ~ beta^{3/4} e^{-2 sqrt(beta)}, zero in double from beta ~ 1.4e5

@@ -144,10 +144,9 @@ def diffraction_differential(ensemble, delta):
 
     The square keeps the condensate-cloud cross term.  Below the
     delta^2 T >= 1 regime the excited term is an extrapolation; `decompose`
-    flags it there.
+    flags it there.  delta = inf gives the limit 0.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    quad._check_delta(delta)
     t = ensemble.temperature
     z = quad.diffraction_z_integral(delta, ensemble.mu)
     amplitude = ensemble.n_condensate * math.exp(-0.25 * delta * delta)
@@ -167,10 +166,9 @@ def bose_0m_differential(ensemble, delta):
     """Ground<->excited stimulated rate 2 N0 / (e^{delta^2/2T} - 1).
 
     Limits: 4 N0 T / delta^2 for delta^2 << 2T, and 2 N0 e^{-delta^2/2T}
-    in the thermal tail.
+    in the thermal tail, 0 at delta = inf.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    quad._check_delta(delta)
     arg = 0.5 * delta * delta / ensemble.temperature
     if arg > 500.0:
         # expm1 would overflow; the rate is a clean Boltzmann tail here.
@@ -308,9 +306,8 @@ def _shape_table(nu):
 
 
 def bose_mm_differential(ensemble, delta):
-    """Excited<->excited stimulated rate T^3 f(delta^2/2T, -mu/T), f evaluated directly."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    """Excited<->excited stimulated rate T^3 f(delta^2/2T, -mu/T), f evaluated directly; 0 at delta = inf."""
+    quad._check_delta(delta)
     t = ensemble.temperature
     a = 0.5 * delta * delta / t
     return t**3 * excited_pair_shape(a, -ensemble.mu / t)
@@ -367,8 +364,7 @@ def decompose_rows(ensembles, kinematics):
     rows = []
     for ensemble, kin in zip(ensembles, kinematics):
         delta, t = kin.delta, ensemble.temperature
-        if delta <= 0:
-            raise ValueError("delta must be positive")
+        quad._check_delta(delta)
         valid, errors = channel_validity(ensemble, delta), {}
         values = [
             _guarded(valid, errors, "rayleigh", lambda: rayleigh(ensemble)[0]),

@@ -149,6 +149,20 @@ class TestSolveMuDiscrete:
         assert_allclose(ens.mu_exact, reference, rtol=1e-10)
 
 
+class TestDiscreteEnsemble:
+    @pytest.mark.parametrize("occupations", [np.ones((2, 3)), np.ones(0), np.ones(oracle._MAX_EPSILON + 2),
+                                             np.float64(1.0)])
+    def test_occupations_fit_the_contraction_width(self, occupations):
+        # the oracle pads every ensemble to _MAX_EPSILON + 1 levels
+        with pytest.raises(ValueError, match="occupations must be 1-D with 1 to 601 levels"):
+            DiscreteEnsemble(n_total=1, temperature=1.0, mu_exact=-1.0, occupations=occupations)
+
+    def test_widest_ensemble_accepted(self):
+        ens = DiscreteEnsemble(n_total=1, temperature=1.0, mu_exact=-1.0,
+                               occupations=np.ones(oracle._MAX_EPSILON + 1))
+        assert ens.epsilon_max == oracle._MAX_EPSILON
+
+
 class TestDefaultEpsilonMax:
     def test_bisection_matches_linear_scan(self):
         # T up to 60 reaches both failures: a tail bound still too large at
@@ -373,6 +387,10 @@ class TestExactBreakdowns:
 
     @settings(max_examples=15, deadline=None)
     @example(emaxes=[543, 60, 1], deltas=[0.0, np.float64(1e200), 0.7, 1.3, 3.0])
+    # pairs whose shallower cell once moved by 1 ulp when padded to the deeper truncation
+    @example(emaxes=[6, 9], deltas=[3.5])
+    @example(emaxes=[12, 13], deltas=[8.75])
+    @example(emaxes=[9, 6], deltas=[3.5])
     @given(st.lists(st.integers(1, 600), min_size=2, max_size=4, unique=True),
            st.lists(st.sampled_from([0.0, np.float64(1e200)]) | st.floats(0.1, 12.0), min_size=1, max_size=5))
     def test_cells_independent_of_grid(self, emaxes, deltas):

@@ -277,6 +277,8 @@ class TestDiffractionZIntegral:
             diffraction_z_integral(0.0, 0.0)
         with pytest.raises(ValueError):
             diffraction_z_integral(1.0, 0.1)
+        with pytest.raises(ValueError, match="mu must be <= 0"):
+            diffraction_z_integral(1.0, math.nan)
 
 
 class TestSqrtSingularIntegral:

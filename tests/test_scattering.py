@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -686,3 +687,35 @@ class TestDecomposeProperties:
             near = max(abs(near_lo.channel(c) - x0), abs(near_hi.channel(c) - x0)) / at.total
             far = max(abs(far_lo.channel(c) - x0), abs(far_hi.channel(c) - x0)) / at.total
             assert near <= 0.2 * far + 1e-12, (c, near, far)
+
+
+def _delta_entries(ens, delta):
+    """Each entry that takes a momentum transfer, called at delta, with its limit at delta = inf."""
+    # Kinematics refuses a nan or negative delta itself, so decompose_rows gets a bare record
+    kin = SimpleNamespace(k_incident=math.inf, delta=delta)
+    return {
+        "diffraction_differential": (lambda: diffraction_differential(ens, delta), 0.0),
+        "bose_0m_differential": (lambda: bose_0m_differential(ens, delta), 0.0),
+        "bose_mm_differential": (lambda: bose_mm_differential(ens, delta), 0.0),
+        "diffraction_z_integral": (lambda: quad.diffraction_z_integral(delta, ens.mu), 0.0),
+        "diffraction_z_integral at mu = 0": (lambda: quad.diffraction_z_integral(delta, 0.0), 1.0),
+        "decompose_rows": (lambda: decompose_rows([ens], [kin])[0],
+                           RateBreakdown(float(ens.n_total), 0.0, 0.0, 0.0)),
+    }
+
+
+class TestDeltaDomain:
+    """Every delta entry refuses a delta that is not > 0 with one message, and gives its limit at +inf."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["diffraction_differential", "bose_0m_differential", "bose_mm_differential",
+                            "diffraction_z_integral", "diffraction_z_integral at mu = 0", "decompose_rows"]),
+           st.sampled_from([math.nan, 0.0, -0.0, math.inf, -math.inf]) | st.floats(max_value=-1e-300),
+           st.sampled_from([0.5, 1.4]))
+    def test_non_positive_nan_and_infinite_delta(self, name, delta, ratio):
+        call, limit = _delta_entries(TrapEnsemble.at_ratio(1000, ratio), delta)[name]
+        if delta == math.inf:
+            assert call() == limit
+        else:
+            with pytest.raises(ValueError, match="^delta must be positive$"):
+                call()

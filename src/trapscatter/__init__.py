@@ -20,7 +20,7 @@ def critical_temperature(n_total):
     Defined in the package root, which imports no numpy, so that the CLI
     can check a configuration before numpy loads.
     """
-    if n_total < 1:
+    if not n_total >= 1:  # comparisons with nan are false, so nan fails too
         raise ValueError("n_total must be >= 1")
     return (n_total / ZETA3) ** (1.0 / 3.0)
 
@@ -29,8 +29,7 @@ def critical_temperature(n_total):
 # (PEP 562), so `import trapscatter` itself loads the standard library only.
 _EXPORTS = {
     "errors": ("ConfigError", "ConvergenceError", "PrecisionLossError", "TruncationError"),
-    "thermo": ("TrapEnsemble", "condensate_count", "excited_count", "chemical_potential",
-               "occupation", "degeneracy"),
+    "thermo": ("TrapEnsemble", "condensate_count", "chemical_potential"),
     "quad": ("polylog3", "diffraction_z_integral"),
     "scattering": ("CHANNELS", "Kinematics", "RateBreakdown", "rayleigh",
                    "diffraction_differential", "diffraction_total", "bose_0m_differential",

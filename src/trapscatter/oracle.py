@@ -42,10 +42,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import oscillator
+from . import critical_temperature, oscillator
 from .errors import PrecisionLossError, TruncationError
 from .scattering import RateBreakdown
-from .thermo import _solve_number_equation, critical_temperature
+from .thermo import _solve_number_equation
 
 __all__ = [
     "DiscreteEnsemble",
@@ -70,6 +70,13 @@ class DiscreteEnsemble:
     occupations: np.ndarray  # per-state occupation of one state at each level 0..epsilon_max
 
     def __post_init__(self):
+        # comparisons with nan are false, so nan fails every check
+        if not self.n_total >= 1:
+            raise ValueError("n_total must be >= 1")
+        if not self.temperature > 0:
+            raise ValueError("temperature must be positive")
+        if not self.mu_exact < 0:
+            raise ValueError("mu_exact must be negative")
         if np.ndim(self.occupations) != 1 or not 1 <= np.size(self.occupations) <= _MAX_EPSILON + 1:
             raise ValueError(f"occupations must be 1-D with 1 to {_MAX_EPSILON + 1} levels")
 
@@ -125,7 +132,7 @@ def solve_mu_discrete(n_total, temperature):
     `thermo.chemical_potential` needs.  Reproduces e^{-mu/T} = 1 + 1/N0 by
     construction.
     """
-    if n_total < 1:
+    if not n_total >= 1:
         raise ValueError("n_total must be >= 1")
     if not temperature > 0:
         raise ValueError("temperature must be positive")
@@ -257,7 +264,6 @@ class ScalingFit:
     exponent: float
     residual: float
     n_values: tuple
-    rates: tuple
 
 
 def scaling_probe(process, n_values, t_over_tc, delta):
@@ -281,5 +287,4 @@ def scaling_probe(process, n_values, t_over_tc, delta):
         exponent=float(coeffs[0]),
         residual=math.sqrt(rss / len(n_values)),
         n_values=tuple(n_values),
-        rates=tuple(float(r) for r in rates),
     )

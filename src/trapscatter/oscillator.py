@@ -105,6 +105,8 @@ def overlap_band(m_max, delta):
     """
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
+    if not delta >= 0:  # comparisons with nan are false, so nan fails too
+        raise ValueError("delta must be >= 0")
     band = np.zeros((m_max + 1, m_max + 1))
     for n, rows in _overlap_rows(m_max, [delta]):
         band[n, :m_max + 1 - n] = rows[:, 0]

@@ -187,8 +187,8 @@ def p_kernel(a, b):
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if np.any(a < 0) or np.any(b < 0):
-        raise ValueError("p_kernel arguments must be non-negative")
+    if not (np.all(a >= 0) and np.all(b >= 0)):  # comparisons with nan are false, so nan fails too
+        raise ValueError("p_kernel arguments a, b must be non-negative")
     if np.any((a < 1e-14) & (b < 1e-14)):
         raise ValueError("p_kernel diverges logarithmically at a = b = 0")
     gap = np.abs(a - b)
@@ -292,8 +292,8 @@ def g_kernel(a, b):
     _HALF_NEAR min(m, 1), m the midpoint, take the midpoint expansion.
     Symmetric, positive and decreasing in each argument.
     """
-    if np.any(a < 0) or np.any(b < 0):
-        raise ValueError("g_kernel arguments must be non-negative")
+    if not (np.all(a >= 0) and np.all(b >= 0)):  # comparisons with nan are false, so nan fails too
+        raise ValueError("g_kernel arguments a, b must be non-negative")
     gap = np.abs(a - b)
     mid = 0.5 * (a + b)
     near = gap < _HALF_NEAR * np.minimum(mid, 1.0)

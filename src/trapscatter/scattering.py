@@ -107,10 +107,6 @@ class Kinematics:
         if self.delta > 2.0 * self.k_incident:
             raise ValueError("delta exceeds the elastic bound 2 k_incident")
 
-    @property
-    def theta(self):
-        return self.delta / self.k_incident
-
 
 @dataclass(frozen=True)
 class RateBreakdown:

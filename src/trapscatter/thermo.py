@@ -33,16 +33,7 @@ from dataclasses import dataclass
 from . import ZETA3, critical_temperature, quad
 from .errors import ConvergenceError
 
-__all__ = [
-    "ZETA3",
-    "TrapEnsemble",
-    "critical_temperature",
-    "condensate_count",
-    "excited_count",
-    "chemical_potential",
-    "occupation",
-    "degeneracy",
-]
+__all__ = ["TrapEnsemble", "condensate_count", "chemical_potential"]
 
 # Linearized slope of mu/T just above Tc: mu/T = -MU_SLOPE * (T - Tc)/Tc.
 MU_SLOPE = 18.0 * ZETA3 / math.pi**2
@@ -52,40 +43,12 @@ _NEWTON_ITERATIONS = 100
 
 def condensate_count(n_total, temperature):
     """Leading-order expected ground-state occupation N(1 - (T/Tc)^3); 0 above Tc."""
-    if temperature <= 0:
+    if not temperature > 0:
         raise ValueError("temperature must be positive")
     tc = critical_temperature(n_total)
     if temperature >= tc:
         return 0.0
     return n_total * (1.0 - (temperature / tc) ** 3)
-
-
-def excited_count(temperature, mu):
-    """Continuum excited-state population T^3 Li3(e^{mu/T})."""
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    if mu > 0:
-        raise ValueError("mu must be <= 0: positive mu makes the Bose sum diverge")
-    return temperature**3 * quad.polylog3(math.exp(mu / temperature))
-
-
-def occupation(energy_level, mu, temperature):
-    """Bose-Einstein occupation 1/(e^{(eps - mu)/T} - 1) of a single state."""
-    if energy_level < 0:
-        raise ValueError("energy_level must be >= 0")
-    if mu >= energy_level:
-        raise ValueError("occupation requires mu < energy_level")
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    return 1.0 / math.expm1((energy_level - mu) / temperature)
-
-
-def degeneracy(energy_level):
-    """Number of oscillator triples at integer energy eps: (eps+1)(eps+2)/2."""
-    e = int(energy_level)
-    if e != energy_level or e < 0:
-        raise ValueError("energy_level must be a non-negative integer")
-    return (e + 1) * (e + 2) // 2
 
 
 def _population(mu, t):
@@ -129,7 +92,7 @@ def chemical_potential(n_total, temperature):
     """
     if not temperature > 0:
         raise ValueError("temperature must be positive")
-    if n_total < 1:
+    if not n_total >= 1:
         raise ValueError("n_total must be >= 1")
     t = float(temperature)
     return _solve_number_equation(lambda mu: _population(mu, t), n_total, t, "chemical_potential")
@@ -158,12 +121,15 @@ class TrapEnsemble:
         return self.n_total - self.n_condensate
 
     def __post_init__(self):
-        if self.temperature <= 0:
+        # comparisons with nan are false, so nan fails every check
+        if not self.n_total >= 1:
+            raise ValueError("n_total must be >= 1")
+        if not self.temperature > 0:
             raise ValueError("temperature must be positive")
-        if self.mu >= 0:
+        if not self.mu < 0:
             raise ValueError("mu must be negative")
-        if self.n_condensate < 0 or self.n_excited < 0:
-            raise ValueError("populations must be non-negative")
+        if not 0 <= self.n_condensate <= self.n_total:
+            raise ValueError("n_condensate must lie in [0, n_total]")
 
     @classmethod
     def solve(cls, n_total, temperature):
@@ -178,6 +144,6 @@ class TrapEnsemble:
     @classmethod
     def at_ratio(cls, n_total, t_over_tc):
         """Build the ensemble at a given T/Tc."""
-        if t_over_tc <= 0:
+        if not t_over_tc > 0:
             raise ValueError("t_over_tc must be positive")
         return cls.solve(n_total, t_over_tc * critical_temperature(n_total))

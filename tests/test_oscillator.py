@@ -288,11 +288,15 @@ class TestOverlapBand:
     def test_validation(self, monkeypatch):
         with pytest.raises(ValueError):
             overlap_band(-1, 1.0)
-        with pytest.raises(PrecisionLossError):
-            overlap_band(10, math.nan)
         monkeypatch.setattr(oscillator, "_AMPLITUDE_BOUND", 0.5)
         with pytest.raises(PrecisionLossError):
             overlap_band(10, 1.0)
+
+    @pytest.mark.parametrize("delta", [math.nan, -1.0])
+    @pytest.mark.parametrize("fn", [overlap_band, ground_overlap_column, diagonal_amplitude_column, overlap_matrix])
+    def test_negative_or_nan_delta_refused(self, fn, delta):
+        with pytest.raises(ValueError, match="^delta must be >= 0$"):
+            fn(5, delta)
 
 
 class TestGroundTransitionWeight:

@@ -6,19 +6,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy import integrate
 
 from _reference import chemical_potential_bisection, continuum_population
 from trapscatter import (
     ConvergenceError,
+    DiscreteEnsemble,
     TrapEnsemble,
     ZETA3,
     chemical_potential,
     condensate_count,
     critical_temperature,
-    degeneracy,
-    excited_count,
-    occupation,
+    solve_mu_discrete,
 )
 from trapscatter import quad, thermo
 from trapscatter.thermo import MU_SLOPE
@@ -64,41 +62,6 @@ class TestCondensateCount:
         assert all(x > y for x, y in zip(values, values[1:]))
 
 
-class TestExcitedCount:
-    def test_saturated(self):
-        for t in (2.0, 7.5, 20.0):
-            assert_allclose(excited_count(t, 0.0), t**3 * ZETA3, rtol=1e-14)
-
-    def test_empty_trap_limit(self):
-        assert excited_count(5.0, -1e4) < 1e-300
-
-    def test_against_defining_integral(self):
-        # int_0^inf (m^2/2) dm / (e^{(m-mu)/T} - 1), evaluated independently
-        t, mu = 5.0, -1.0
-
-        def integrand(m):
-            if (m - mu) / t > 600.0:
-                return 0.0
-            return 0.5 * m * m / math.expm1((m - mu) / t)
-
-        reference, _ = integrate.quad(integrand, 0, np.inf, limit=300, epsrel=1e-12)
-        assert_allclose(excited_count(t, mu), reference, rtol=1e-9)
-        assert_allclose(excited_count(t, mu), 125.0 * _li3(math.exp(-0.2)), rtol=1e-12)
-
-    def test_positive_mu_rejected(self):
-        with pytest.raises(ValueError):
-            excited_count(5.0, 0.1)
-
-    def test_monotone_in_mu_and_t(self):
-        assert excited_count(5.0, -0.5) < excited_count(5.0, -0.1)
-        assert excited_count(5.0, -0.5) < excited_count(6.0, -0.5)
-
-
-def _li3(x):
-    k = np.arange(1, 2000)
-    return float(np.sum(x**k / k**3))
-
-
 class TestChemicalPotential:
     def test_continuity_across_tc(self):
         n = 10_000
@@ -113,8 +76,7 @@ class TestChemicalPotential:
         for n, ratio in product((300, 10_000), (0.5, 0.9, 1.0, 1.2)):
             t = ratio * critical_temperature(n)
             mu = chemical_potential(n, t)
-            population = occupation(0.0, mu, t) + excited_count(t, mu)
-            assert_allclose(population, n, rtol=1e-13)
+            assert_allclose(continuum_population(mu, t), n, rtol=1e-13)
 
     @pytest.mark.parametrize("ratio", [5.0, 10.0, 30.0, 100.0])
     def test_number_equation_in_classical_regime(self, ratio):
@@ -124,8 +86,7 @@ class TestChemicalPotential:
         t = ratio * critical_temperature(n)
         mu = chemical_potential(n, t)
         assert mu / t < -4.5
-        population = occupation(0.0, mu, t) + excited_count(t, mu)
-        assert_allclose(population, n, rtol=1e-12)
+        assert_allclose(continuum_population(mu, t), n, rtol=1e-12)
 
     def test_ground_occupation_matches_condensate(self):
         n = 10_000
@@ -133,7 +94,7 @@ class TestChemicalPotential:
         for ratio in (0.3, 0.5, 0.7):
             t = ratio * tc
             mu = chemical_potential(n, t)
-            assert_allclose(occupation(0.0, mu, t), condensate_count(n, t), rtol=2e-3)
+            assert_allclose(1.0 / math.expm1(-mu / t), condensate_count(n, t), rtol=2e-3)
 
     def test_linearized_slope_above_tc(self):
         n = 10_000
@@ -214,58 +175,6 @@ class TestChemicalPotential:
             chemical_potential(100_000, 1.4 * critical_temperature(100_000))
 
 
-class TestOccupation:
-    def test_unit_occupation_point(self):
-        # eps - mu = T ln 2 makes the Bose factor exactly 1
-        t = 3.7
-        assert_allclose(occupation(t * math.log(2.0), 0.0, t), 1.0, rtol=1e-12)
-
-    def test_boltzmann_tail(self):
-        t = 2.0
-        eps = 40.0
-        assert_allclose(occupation(eps, -1.0, t), math.exp(-(eps + 1.0) / t), rtol=1e-8)
-
-    def test_decreasing_in_energy(self):
-        values = [occupation(e, -0.5, 3.0) for e in (0.0, 1.0, 2.0, 5.0)]
-        assert all(x > y for x, y in zip(values, values[1:]))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            occupation(1.0, 1.0, 2.0)
-        with pytest.raises(ValueError):
-            occupation(-1.0, -2.0, 2.0)
-
-
-class TestDegeneracy:
-    @pytest.mark.parametrize("eps,expected", [(0, 1), (1, 3), (2, 6), (10, 66)])
-    def test_values(self, eps, expected):
-        assert degeneracy(eps) == expected
-
-    @pytest.mark.parametrize("eps", [0, 2, 5, 10, 17])
-    def test_against_enumeration(self, eps):
-        brute = sum(
-            1
-            for mx in range(eps + 1)
-            for my in range(eps + 1)
-            for mz in range(eps + 1)
-            if mx + my + mz == eps
-        )
-        assert degeneracy(eps) == brute
-
-    def test_generating_function(self):
-        # sum_eps g(eps) x^eps = (1 - x)^{-3}
-        for t in (0.7, 2.0):
-            x = math.exp(-1.0 / t)
-            total = sum(degeneracy(e) * x**e for e in range(400))
-            assert_allclose(total, (1.0 - x) ** -3, rtol=1e-10)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            degeneracy(-1)
-        with pytest.raises(ValueError):
-            degeneracy(1.5)
-
-
 class TestTrapEnsemble:
     def test_population_split(self):
         ens = TrapEnsemble.solve(10_000, 10.0)
@@ -297,3 +206,32 @@ class TestTrapEnsemble:
         ens = TrapEnsemble(2000, 25.0, -1e-12, 1200.0)
         assert ens.t_critical == critical_temperature(2000)
         assert ens.n_excited == 800.0
+
+
+_OCC = np.full(31, 1e-3)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: critical_temperature(math.nan), "n_total must"),
+    (lambda: condensate_count(1000, math.nan), "temperature must"),
+    (lambda: condensate_count(math.nan, 5.0), "n_total must"),
+    (lambda: chemical_potential(math.nan, 5.0), "n_total must"),
+    (lambda: TrapEnsemble(math.nan, 5.0, -0.1, 500.0), "n_total must"),
+    (lambda: TrapEnsemble(1000, math.nan, math.nan, 500.0), "temperature must"),
+    (lambda: TrapEnsemble(1000, 5.0, math.nan, 500.0), "mu must"),
+    (lambda: TrapEnsemble(1000, 5.0, -0.1, math.nan), "n_condensate must"),
+    (lambda: TrapEnsemble.at_ratio(1000, math.nan), "t_over_tc must"),
+    (lambda: TrapEnsemble.at_ratio(math.nan, 0.5), "n_total must"),
+    (lambda: DiscreteEnsemble(math.nan, 5.0, -0.1, _OCC), "n_total must"),
+    (lambda: DiscreteEnsemble(1000, math.nan, -0.1, _OCC), "temperature must"),
+    (lambda: DiscreteEnsemble(1000, 5.0, math.nan, _OCC), "mu_exact must"),
+    (lambda: solve_mu_discrete(math.nan, 5.0), "n_total must"),
+    (lambda: quad.p_kernel(math.nan, 1.0), "p_kernel arguments a, b must"),
+    (lambda: quad.p_kernel(np.array([1.0, 2.0]), np.array([0.5, math.nan])), "p_kernel arguments a, b must"),
+    (lambda: quad.g_kernel(np.array([math.nan]), np.array([1.0])), "g_kernel arguments a, b must"),
+    (lambda: quad.g_kernel(np.array([1.0]), np.array([math.nan])), "g_kernel arguments a, b must"),
+])
+def test_nan_refused_naming_the_argument(call, message):
+    # comparisons with nan are false: every entry check must fail on it
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call()

@@ -31,7 +31,7 @@ _EXPORTS = {
     "errors": ("ConfigError", "ConvergenceError", "PrecisionLossError", "TruncationError"),
     "thermo": ("TrapEnsemble", "condensate_count", "chemical_potential"),
     "quad": ("polylog3", "diffraction_z_integral"),
-    "scattering": ("CHANNELS", "Kinematics", "RateBreakdown", "rayleigh",
+    "scattering": ("CHANNELS", "RateBreakdown", "rayleigh",
                    "diffraction_differential", "diffraction_total", "bose_0m_differential",
                    "bose_0m_total", "bose_mm_differential", "bose_mm_total",
                    "excited_pair_shape", "decompose", "decompose_rows"),

@@ -45,7 +45,7 @@ import numpy as np
 from . import critical_temperature, oscillator
 from .errors import PrecisionLossError, TruncationError
 from .scattering import RateBreakdown
-from .thermo import _solve_number_equation
+from .thermo import _check_state, _solve_number_equation
 
 __all__ = [
     "DiscreteEnsemble",
@@ -71,10 +71,7 @@ class DiscreteEnsemble:
 
     def __post_init__(self):
         # comparisons with nan are false, so nan fails every check
-        if not self.n_total >= 1:
-            raise ValueError("n_total must be >= 1")
-        if not self.temperature > 0:
-            raise ValueError("temperature must be positive")
+        _check_state(self.n_total, self.temperature)
         if not self.mu_exact < 0:
             raise ValueError("mu_exact must be negative")
         if np.ndim(self.occupations) != 1 or not 1 <= np.size(self.occupations) <= _MAX_EPSILON + 1:
@@ -132,10 +129,7 @@ def solve_mu_discrete(n_total, temperature):
     `thermo.chemical_potential` needs.  Reproduces e^{-mu/T} = 1 + 1/N0 by
     construction.
     """
-    if not n_total >= 1:
-        raise ValueError("n_total must be >= 1")
-    if not temperature > 0:
-        raise ValueError("temperature must be positive")
+    _check_state(n_total, temperature)
     t = float(temperature)
     epsilon_max = _default_epsilon_max(n_total, t)
 

@@ -58,7 +58,6 @@ from .errors import ConvergenceError
 
 __all__ = [
     "CHANNELS",
-    "Kinematics",
     "RateBreakdown",
     "rayleigh",
     "diffraction_differential",
@@ -93,22 +92,6 @@ _SHAPE_TINY = 1e-18
 
 
 @dataclass(frozen=True)
-class Kinematics:
-    """Incident photon momentum and momentum transfer, small-angle regime."""
-
-    k_incident: float
-    delta: float = 0.0
-
-    def __post_init__(self):
-        if not self.k_incident > 0:
-            raise ValueError("k_incident must be positive")
-        if not self.delta >= 0:
-            raise ValueError("delta must be >= 0")
-        if self.delta > 2.0 * self.k_incident:
-            raise ValueError("delta exceeds the elastic bound 2 k_incident")
-
-
-@dataclass(frozen=True)
 class RateBreakdown:
     """Per-solid-angle rates of the four processes and their sum."""
 
@@ -123,10 +106,10 @@ class RateBreakdown:
     def total(self):
         return self.rayleigh + self.diffraction + self.bose_0m + self.bose_mm
 
-    def channel(self, name):
-        if name not in CHANNELS:
-            raise KeyError(name)
-        return getattr(self, name)
+
+def _check_k(k_incident):
+    if not k_incident > 0:  # comparisons with nan are false, so nan fails too
+        raise ValueError("k_incident must be positive")
 
 
 def rayleigh(ensemble):
@@ -153,9 +136,10 @@ def diffraction_differential(ensemble, delta):
     return amplitude * amplitude
 
 
-def diffraction_total(ensemble, kin):
+def diffraction_total(ensemble, k_incident):
     """Angle-integrated diffraction, dominated by the condensate: 2 pi N0^2 / k_i^2."""
-    return 2.0 * math.pi * ensemble.n_condensate**2 / kin.k_incident**2
+    _check_k(k_incident)
+    return 2.0 * math.pi * ensemble.n_condensate**2 / k_incident**2
 
 
 def bose_0m_differential(ensemble, delta):
@@ -172,14 +156,15 @@ def bose_0m_differential(ensemble, delta):
     return 2.0 * ensemble.n_condensate / math.expm1(arg)
 
 
-def bose_0m_total(ensemble, kin):
+def bose_0m_total(ensemble, k_incident):
     """Angular integral of bose_0m_differential from delta = 1, in closed form.
 
     With u = delta^2/2T the integral is -(4 pi N0 T / k_i^2) ln(1 - e^{-1/2T}),
     whose large-T asymptote is the leading log (4 pi N0 T / k_i^2) ln(2T).
     """
+    _check_k(k_incident)
     t = ensemble.temperature
-    return (4.0 * math.pi * ensemble.n_condensate * t / kin.k_incident**2
+    return (4.0 * math.pi * ensemble.n_condensate * t / k_incident**2
             * -math.log(-math.expm1(-0.5 / t)))
 
 
@@ -309,10 +294,11 @@ def bose_mm_differential(ensemble, delta):
     return t**3 * excited_pair_shape(a, -ensemble.mu / t)
 
 
-def bose_mm_total(ensemble, kin):
+def bose_mm_total(ensemble, k_incident):
     """Angle-integrated excited<->excited rate (2 pi T^4 / k_i^2) S(nu), S = int f(a, nu) da."""
+    _check_k(k_incident)
     t = ensemble.temperature
-    return 2.0 * math.pi * t**4 / kin.k_incident**2 * _shape_table(-ensemble.mu / t).integral
+    return 2.0 * math.pi * t**4 / k_incident**2 * _shape_table(-ensemble.mu / t).integral
 
 
 # ---------------------------------------------------------------------------
@@ -350,16 +336,16 @@ def _guarded(valid, errors, name, fn):
         return 0.0
 
 
-def decompose_rows(ensembles, kinematics):
-    """`decompose` of each (ensemble, kinematics) pair.
+def decompose_rows(ensembles, deltas):
+    """`decompose` of each (ensemble, delta) pair; lists of unequal length are a ValueError.
 
     Row by row come the validity flags, the other three channels and the
     checked inputs of f; then one `excited_pair_shape` call gives f for every
     row whose bose_mm is still valid, and a failure of it flags each of them.
     """
     rows = []
-    for ensemble, kin in zip(ensembles, kinematics):
-        delta, t = kin.delta, ensemble.temperature
+    for ensemble, delta in zip(ensembles, deltas, strict=True):
+        t = ensemble.temperature
         quad._check_delta(delta)
         valid, errors = channel_validity(ensemble, delta), {}
         values = [
@@ -383,11 +369,11 @@ def decompose_rows(ensembles, kinematics):
     return [RateBreakdown(*values, valid=valid, errors=errors) for values, valid, errors in rows]
 
 
-def decompose(ensemble, kin):
+def decompose(ensemble, delta):
     """All four differential channels at one momentum transfer: one row of `decompose_rows`.
 
     Channels outside their validity window are reported as 0 with
     valid=False.  A channel that fails numerically is reported as 0 with
     its error recorded; the other channels still run.
     """
-    return decompose_rows([ensemble], [kin])[0]
+    return decompose_rows([ensemble], [delta])[0]

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import __version__, critical_temperature
 from .errors import ConvergenceError, TruncationError
-from .scattering import CHANNELS, Kinematics, decompose_rows
+from .scattering import CHANNELS, decompose_rows
 from .thermo import TrapEnsemble
 
 __all__ = ["SweepTable", "load_oracle", "angle_table", "temperature_table", "compare_report"]
@@ -58,8 +58,7 @@ def _rows(config, ensembles, deltas, discretes):
     grid = {}
     if solved:
         grid = dict(zip(solved, load_oracle().exact_breakdowns(list(solved.values()), list(lanes))))
-    kinematics = [Kinematics(config.k_incident, delta) for delta in deltas]
-    semis = decompose_rows(ensembles, kinematics) if config.semiclassical else [None] * len(deltas)
+    semis = decompose_rows(ensembles, deltas) if config.semiclassical else [None] * len(deltas)
     for semi, delta, discrete in zip(semis, deltas, discretes):
         yield semi, grid[id(discrete)][lanes[delta]] if id(discrete) in grid else discrete
 
@@ -140,7 +139,7 @@ def compare_report(config, temperature, bounds):
         exact = oracle._unwrap(cell)
         row = {"delta": float(delta)}
         for ch in CHANNELS:
-            s, o = semi.channel(ch), exact.channel(ch)
+            s, o = getattr(semi, ch), getattr(exact, ch)
             row[ch], row[f"{ch}_oracle"] = s, o
             if semi.valid.get(ch, False):
                 dev = abs(o - s) / max(abs(o), 1e-300)

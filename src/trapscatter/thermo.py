@@ -41,6 +41,18 @@ MU_SLOPE = 18.0 * ZETA3 / math.pi**2
 _NEWTON_ITERATIONS = 100
 
 
+def _check_temperature(temperature):
+    if not 0 < temperature < math.inf:  # comparisons with nan are false, so nan fails too
+        raise ValueError("temperature must be positive and finite")
+
+
+def _check_state(n_total, temperature):
+    """An ensemble holds a whole number n_total >= 1 at a finite temperature > 0; nan fails both."""
+    if not (1 <= n_total < math.inf and n_total % 1 == 0):
+        raise ValueError("n_total must be a whole number >= 1")
+    _check_temperature(temperature)
+
+
 def condensate_count(n_total, temperature):
     """Leading-order expected ground-state occupation N(1 - (T/Tc)^3); 0 above Tc."""
     if not temperature > 0:
@@ -90,10 +102,9 @@ def chemical_potential(n_total, temperature):
     ln N is convex and rises from -infinity to +infinity on mu in (-inf, 0),
     so the solve converges for any n_total down to a single particle.
     """
-    if not temperature > 0:
-        raise ValueError("temperature must be positive")
-    if not n_total >= 1:
-        raise ValueError("n_total must be >= 1")
+    _check_temperature(temperature)
+    if not 1 <= n_total < math.inf:
+        raise ValueError("n_total must be finite and >= 1")
     t = float(temperature)
     return _solve_number_equation(lambda mu: _population(mu, t), n_total, t, "chemical_potential")
 
@@ -122,10 +133,7 @@ class TrapEnsemble:
 
     def __post_init__(self):
         # comparisons with nan are false, so nan fails every check
-        if not self.n_total >= 1:
-            raise ValueError("n_total must be >= 1")
-        if not self.temperature > 0:
-            raise ValueError("temperature must be positive")
+        _check_state(self.n_total, self.temperature)
         if not self.mu < 0:
             raise ValueError("mu must be negative")
         if not 0 <= self.n_condensate <= self.n_total:
@@ -134,6 +142,7 @@ class TrapEnsemble:
     @classmethod
     def solve(cls, n_total, temperature):
         """Build the ensemble for N particles at temperature T."""
+        _check_state(n_total, temperature)
         return cls(
             n_total=int(n_total),
             temperature=float(temperature),
@@ -144,6 +153,6 @@ class TrapEnsemble:
     @classmethod
     def at_ratio(cls, n_total, t_over_tc):
         """Build the ensemble at a given T/Tc."""
-        if not t_over_tc > 0:
-            raise ValueError("t_over_tc must be positive")
+        if not 0 < t_over_tc < math.inf:
+            raise ValueError("t_over_tc must be positive and finite")
         return cls.solve(n_total, t_over_tc * critical_temperature(n_total))

@@ -202,9 +202,8 @@ def shape_integral_adaptive(nu):
     return head + quad_or_raise(lambda a: excited_pair_shape(a, nu), 1.0, np.inf, spec, "shape integral tail")
 
 
-def bose_0m_total_quadrature(ensemble, kin):
+def bose_0m_total_quadrature(ensemble, k):
     """Solid-angle integral of bose_0m_differential from delta = 1."""
-    k = kin.k_incident
 
     def integrand(d):
         return bose_0m_differential(ensemble, d) * 2.0 * math.pi * d / k**2
@@ -212,9 +211,8 @@ def bose_0m_total_quadrature(ensemble, kin):
     return quad_or_raise(integrand, 1.0, np.inf, DEFAULT_SPEC, "bose_0m_total")
 
 
-def bose_mm_total_quadrature(ensemble, kin):
+def bose_mm_total_quadrature(ensemble, k):
     """Solid-angle integral of bose_mm_differential over all delta, split at a = 1."""
-    k = kin.k_incident
     spec = QuadSpec(rel_tol=1e-12, abs_tol=1e-300)
 
     def integrand(d):

@@ -15,7 +15,6 @@ import numpy as np
 from scipy import integrate
 
 from trapscatter import (
-    Kinematics,
     TrapEnsemble,
     ZETA3,
     bose_0m_differential,
@@ -204,11 +203,11 @@ def test_criterion_6b_shape_function_slope():
 
 
 def test_criterion_6c_pair_total_scaling():
-    kin = Kinematics(100.0)
+    k = 100.0
     t = 9.0
     base = TrapEnsemble(5000, t, -1e-9, 2000.0)
     doubled = TrapEnsemble(5000, 2.0 ** (1.0 / 3.0) * t, -1e-9, 2000.0)
-    exponent = math.log(bose_mm_total(doubled, kin) / bose_mm_total(base, kin)) / math.log(2.0)
+    exponent = math.log(bose_mm_total(doubled, k) / bose_mm_total(base, k)) / math.log(2.0)
     ok = abs(exponent - 4.0 / 3.0) <= 0.05 * 4.0 / 3.0
     assert report(
         "6c pair total Ne-scaling exponent", ok, f"{exponent:.4f} (target 4/3, tol 5%)"
@@ -250,18 +249,13 @@ def test_criterion_7_scaling_probes():
 
 def test_criterion_8_dominance_windows():
     ens = TrapEnsemble.at_ratio(1_000_000, 0.7)
-    k = 1000.0
-
-    def channels(delta):
-        return decompose(ens, Kinematics(k, delta))
-
-    diff_window = channels(1.0)
+    diff_window = decompose(ens, 1.0)
     diffraction_dominates = diff_window.diffraction > 10.0 * max(
         diff_window.rayleigh, diff_window.bose_0m, diff_window.bose_mm
     )
-    bose_window = channels(3.0)
+    bose_window = decompose(ens, 3.0)
     bose_beats_rayleigh = bose_window.bose_0m > 10.0 * bose_window.rayleigh
-    tail = channels(33.0)
+    tail = decompose(ens, 33.0)
     rayleigh_largest = tail.rayleigh > max(tail.diffraction, tail.bose_0m, tail.bose_mm)
     ok = diffraction_dominates and bose_beats_rayleigh and rayleigh_largest
     assert report(

@@ -756,10 +756,15 @@ def test_no_runtime_warnings(tmp_path, args):
     assert out.exists()
 
 
+def _readme_block(heading, language):
+    """The first `language` code block under the README's `## heading`."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split(f"\n## {heading}\n", 1)[1].split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
 def _readme_commands():
     """The argument lists of the README's CLI commands."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    block = _readme_block("CLI", "sh")
     lines = [line for line in block.replace("\\\n", " ").splitlines() if line and not line.startswith("#")]
     assert lines and all(line.startswith("trapscatter ") for line in lines)
     return [line.split()[1:] for line in lines]
@@ -771,6 +776,11 @@ def test_readme_cli_commands_run(tmp_path):
         argv[at] = str(tmp_path / argv[at])
         assert run_main(argv) == 0, argv
         assert Path(argv[at]).exists()
+
+
+def test_readme_library_example_runs():
+    # a fresh interpreter, so the example runs with only the imports it writes
+    _run_fresh("-c", _readme_block("Library", "python"))
 
 
 # (a README command, one of its flags or --config) pairs, and hostile values:
@@ -811,7 +821,7 @@ def test_cli_runs_without_scipy(tmp_path):
     # whether numpy.polynomial was imported
     script = f"""
 import sys
-from trapscatter import Kinematics, TrapEnsemble, bose_mm_total, decompose
+from trapscatter import TrapEnsemble, bose_mm_total, decompose
 from trapscatter.cli import main
 out = {str(tmp_path)!r}
 codes = [
@@ -825,8 +835,8 @@ codes = [
           "--out", out + "/c.json"]),
 ]
 ens = TrapEnsemble.at_ratio(1000, 0.7)
-assert bose_mm_total(ens, Kinematics(100.0)) > 0.0
-assert decompose(ens, Kinematics(100.0, 2.0)).errors == {{}}
+assert bose_mm_total(ens, 100.0) > 0.0
+assert decompose(ens, 2.0).errors == {{}}
 print(codes)
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 print("numpy.polynomial" in sys.modules)

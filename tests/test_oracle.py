@@ -300,7 +300,7 @@ class TestExactBreakdown:
         ens = solve_mu_discrete(200_000, 0.2 * critical_temperature(200_000))
         bd = exact_breakdown(ens, 1.0)
         assert bd.rayleigh == 200_000.0
-        assert all(math.isfinite(bd.channel(c)) and bd.channel(c) > 0.0 for c in CHANNELS)
+        assert all(math.isfinite(getattr(bd, c)) and getattr(bd, c) > 0.0 for c in CHANNELS)
 
     def test_validation(self):
         ens = solve_mu_discrete(100, 3.0)

@@ -22,7 +22,6 @@ from _reference import (
 from trapscatter import (
     CHANNELS,
     ConvergenceError,
-    Kinematics,
     RateBreakdown,
     TrapEnsemble,
     ZETA3,
@@ -59,24 +58,6 @@ def synthetic_ensemble(n_total, temperature, n_condensate, mu=-1e-12):
     )
 
 
-class TestKinematics:
-    def test_elastic_bound(self):
-        with pytest.raises(ValueError):
-            Kinematics(10.0, 21.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Kinematics(0.0, 1.0)
-        with pytest.raises(ValueError):
-            Kinematics(10.0, -1.0)
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError, match="k_incident must be positive"):
-            Kinematics(math.nan, 1.0)
-        with pytest.raises(ValueError, match="delta must be >= 0"):
-            Kinematics(100.0, math.nan)
-
-
 class TestRateBreakdown:
     def test_total_is_component_sum(self):
         bd = RateBreakdown(1.0, 2.0, 3.0, 4.5)
@@ -84,12 +65,6 @@ class TestRateBreakdown:
         # derived, not stored: it follows a replaced channel
         assert dataclasses.replace(bd, bose_mm=0.5).total == 1.0 + 2.0 + 3.0 + 0.5
         assert bd.valid == dict.fromkeys(CHANNELS, True) and bd.errors == {}
-
-    def test_channel_accessor(self):
-        bd = RateBreakdown(1.0, 2.0, 3.0, 4.0)
-        assert bd.channel("bose_0m") == 3.0
-        with pytest.raises(KeyError):
-            bd.channel("nope")
 
 
 class TestRayleigh:
@@ -132,10 +107,10 @@ class TestDiffraction:
 
     def test_total_condensate_dominance(self):
         ens = synthetic_ensemble(2000, 5.0, 1000.0)
-        kin = Kinematics(100.0)
-        assert_allclose(diffraction_total(ens, kin), 2.0 * math.pi * 1e6 / 1e4, rtol=1e-12)
+        k = 100.0
+        assert_allclose(diffraction_total(ens, k), 2.0 * math.pi * 1e6 / 1e4, rtol=1e-12)
         empty = synthetic_ensemble(2000, 5.0, 0.0)
-        assert diffraction_total(empty, kin) == 0.0
+        assert diffraction_total(empty, k) == 0.0
 
     def test_validation(self):
         ens = synthetic_ensemble(1000, 10.0, 500.0)
@@ -183,29 +158,29 @@ class TestBose0m:
     def test_total_estimate(self):
         # -ln(1 - e^{-1/2T}) = ln 2T + 1/4T - 1/96T^2 + ...: the leading log is
         # the large-T asymptote, approached as 1 + (1 - 1/24T)/(4T ln 2T)
-        kin = Kinematics(100.0)
+        k = 100.0
         for t in (2.0, 5.0, 20.0, 100.0):
             ens = synthetic_ensemble(2000, t, 1000.0)
             leading_log = 4.0 * math.pi * 1000.0 * t / 1e4 * math.log(2.0 * t)
-            excess = bose_0m_total(ens, kin) / leading_log - 1.0
+            excess = bose_0m_total(ens, k) / leading_log - 1.0
             assert abs(excess * 4.0 * t * math.log(2.0 * t) - 1.0) < 1.0 / (12.0 * t), t
         empty = synthetic_ensemble(2000, 20.0, 0.0)
-        assert bose_0m_total(empty, kin) == 0.0
+        assert bose_0m_total(empty, k) == 0.0
 
     def test_total_numeric_closed_form(self):
         # the closed form against the adaptive solid-angle quadrature of bose_0m_differential
         for t in (0.5, 1.0, 10.0, 30.0):
             ens = synthetic_ensemble(2000, t, 1000.0)
-            kin = Kinematics(100.0)
-            assert_allclose(bose_0m_total(ens, kin), bose_0m_total_quadrature(ens, kin), rtol=1e-13)
+            k = 100.0
+            assert_allclose(bose_0m_total(ens, k), bose_0m_total_quadrature(ens, k), rtol=1e-13)
 
 
 class TestClosedFormTotals:
     @pytest.mark.parametrize("n,ratio", [(1_000, 0.3), (10_000, 0.7), (100_000, 0.95)])
     def test_against_quadrature(self, n, ratio):
         ens = TrapEnsemble.at_ratio(n, ratio)
-        kin = Kinematics(1000.0)
-        assert_allclose(bose_0m_total(ens, kin), bose_0m_total_quadrature(ens, kin), rtol=1e-13)
+        k = 1000.0
+        assert_allclose(bose_0m_total(ens, k), bose_0m_total_quadrature(ens, k), rtol=1e-13)
 
 
 # f(a, nu) from `_reference.pair_shape_mpmath` at 25 digits, rounded to double;
@@ -450,7 +425,7 @@ class TestBoseMm:
         nu = -ens.mu / t
         assert 1e-4 < nu < 1e-3
         a = 0.5 / t
-        row = decompose(ens, Kinematics(1000.0, 1.0)).bose_mm / t**3
+        row = decompose(ens, 1.0).bose_mm / t**3
         assert_allclose(row, excited_pair_shape(a, nu), rtol=1e-12)
         assert_allclose(row, pair_shape_adaptive(a, nu), rtol=1e-4)
 
@@ -469,34 +444,41 @@ class TestBoseMm:
     def test_total_scaling_exponent(self):
         # (2 pi T^4/k^2) S(nu): doubling Ne (T -> 2^{1/3} T) at fixed nu
         # scales by 2^{4/3}
-        kin = Kinematics(100.0)
+        k = 100.0
         t = 9.0
         scale = 2.0 ** (1.0 / 3.0)
-        base = bose_mm_total(synthetic_ensemble(5000, t, 2000.0, mu=-1e-9), kin)
+        base = bose_mm_total(synthetic_ensemble(5000, t, 2000.0, mu=-1e-9), k)
         doubled = bose_mm_total(
-            synthetic_ensemble(5000, scale * t, 2000.0, mu=-1e-9 * scale), kin
+            synthetic_ensemble(5000, scale * t, 2000.0, mu=-1e-9 * scale), k
         )
         assert_allclose(doubled / base, 2.0 ** (4.0 / 3.0), rtol=1e-12)
 
     def test_total_formula(self):
         # S(nu) = pi^4/360 - zeta(3) nu + O(nu^2 ln^2 nu)
-        kin = Kinematics(100.0)
+        k = 100.0
         t = 9.0
         ens = synthetic_ensemble(5000, t, 2000.0, mu=-1e-9)
         expected = 2.0 * math.pi * t**4 / 1e4 * (math.pi**4 / 360.0 - ZETA3 * 1e-9 / t)
-        assert_allclose(bose_mm_total(ens, kin), expected, rtol=1e-15)
+        assert_allclose(bose_mm_total(ens, k), expected, rtol=1e-15)
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(10, 1_000_000), st.floats(0.1, 3.0))
     def test_total_is_angle_integral_of_differential(self, n, ratio):
         ens = TrapEnsemble.at_ratio(n, ratio)
-        kin = Kinematics(1000.0)
-        assert_allclose(bose_mm_total(ens, kin), bose_mm_total_quadrature(ens, kin), rtol=1e-9)
+        k = 1000.0
+        assert_allclose(bose_mm_total(ens, k), bose_mm_total_quadrature(ens, k), rtol=1e-9)
 
     def test_cold_limit(self):
         ens = synthetic_ensemble(1000, 0.05, 1000.0)
-        kin = Kinematics(100.0)
-        assert bose_mm_total(ens, kin) < 1e-2
+        k = 100.0
+        assert bose_mm_total(ens, k) < 1e-2
+
+
+@pytest.mark.parametrize("total", [diffraction_total, bose_0m_total, bose_mm_total])
+@pytest.mark.parametrize("k", [0.0, -1.0, -math.inf, math.nan])
+def test_total_refuses_k_not_positive(total, k):
+    with pytest.raises(ValueError, match="^k_incident must be positive$"):
+        total(synthetic_ensemble(2000, 5.0, 1000.0), k)
 
 
 class TestChannelValidity:
@@ -522,17 +504,15 @@ class TestChannelValidity:
 class TestDecompose:
     def test_total_and_flags(self):
         ens = TrapEnsemble.at_ratio(10_000, 0.7)
-        kin = Kinematics(1000.0, 2.0)
-        bd = decompose(ens, kin)
+        bd = decompose(ens, 2.0)
         assert bd.total == bd.rayleigh + bd.diffraction + bd.bose_0m + bd.bose_mm
-        assert all(bd.channel(c) >= 0.0 for c in CHANNELS)
+        assert all(getattr(bd, c) >= 0.0 for c in CHANNELS)
         assert all(bd.valid[c] for c in CHANNELS)
         assert bd.errors == {}
 
     def test_invalid_channels_zero_filled(self):
         ens = TrapEnsemble.at_ratio(10_000, 0.7)
-        kin = Kinematics(1000.0, 0.5)
-        bd = decompose(ens, kin)
+        bd = decompose(ens, 0.5)
         assert bd.valid["bose_0m"] is False
         assert bd.bose_0m == 0.0
         assert bd.valid["diffraction"] is True  # 0.25 * 14.18 > 1
@@ -540,7 +520,7 @@ class TestDecompose:
 
     def test_condensate_regime_diffraction_dominates(self):
         ens = TrapEnsemble.at_ratio(10_000, 0.7)
-        bd = decompose(ens, Kinematics(1000.0, 1.0))
+        bd = decompose(ens, 1.0)
         others = max(bd.rayleigh, bd.bose_0m, bd.bose_mm)
         assert bd.diffraction > 10.0 * others
 
@@ -549,7 +529,7 @@ class TestDecompose:
         # the 0.88 being 2/(e^{1/4}-1)/8
         ens = TrapEnsemble.at_ratio(10_000, 0.7)
         delta = math.sqrt(0.5 * ens.temperature)
-        bd = decompose(ens, Kinematics(1000.0, delta))
+        bd = decompose(ens, delta)
         approx = 4.0 * (ens.n_condensate / ens.n_total) * ens.temperature / delta**2
         ratio = (bd.bose_0m / bd.rayleigh) / approx
         assert_allclose(ratio, 2.0 / math.expm1(0.25) / 8.0, rtol=1e-9)
@@ -558,7 +538,7 @@ class TestDecompose:
     def test_rayleigh_largest_in_the_tail(self):
         ens = TrapEnsemble.at_ratio(10_000, 0.7)
         delta = 4.0 * math.sqrt(ens.temperature)
-        bd = decompose(ens, Kinematics(1000.0, delta))
+        bd = decompose(ens, delta)
         assert bd.rayleigh > max(bd.diffraction, bd.bose_0m, bd.bose_mm)
 
     def test_channel_error_does_not_abort(self, monkeypatch):
@@ -569,7 +549,7 @@ class TestDecompose:
 
         monkeypatch.setattr(sc, "excited_pair_shape", boom)
         ens = TrapEnsemble.at_ratio(1000, 0.7)
-        bd = sc.decompose(ens, Kinematics(100.0, 2.0))
+        bd = sc.decompose(ens, 2.0)
         assert bd.bose_mm == 0.0
         assert bd.valid["bose_mm"] is False
         assert "bose_mm" in bd.errors
@@ -579,27 +559,27 @@ class TestDecompose:
     def test_validation(self):
         ens = TrapEnsemble.at_ratio(1000, 0.7)
         with pytest.raises(ValueError):
-            decompose(ens, Kinematics(100.0, 0.0))
+            decompose(ens, 0.0)
 
     @pytest.mark.parametrize("delta", [1e150, 1e300])
     def test_huge_delta_rates_underflow(self, delta):
         # delta^4 (and from 1e154 also delta^2) is beyond the float range;
         # every delta-dependent rate is 0 in double there, and valid
-        bd = decompose(TrapEnsemble.solve(1000, 5.0), Kinematics(1e300, delta))
+        bd = decompose(TrapEnsemble.solve(1000, 5.0), delta)
         assert (bd.diffraction, bd.bose_0m, bd.bose_mm, bd.total) == (0.0, 0.0, 0.0, 1000.0)
         assert all(bd.valid.values()) and bd.errors == {}
 
 
 class TestDecomposeRows:
     @staticmethod
-    def _rows(ensembles, kinematics):
-        return decompose_rows(ensembles, kinematics), [decompose(e, k) for e, k in zip(ensembles, kinematics)]
+    def _rows(ensembles, deltas):
+        return decompose_rows(ensembles, deltas), [decompose(e, d) for e, d in zip(ensembles, deltas)]
 
     def test_sweep_angle_rows(self):
         # one ensemble; deltas from where the Bose channels are flagged to beyond
         ens = TrapEnsemble.at_ratio(10_000, 0.7)
-        kinematics = [Kinematics(1000.0, d) for d in np.geomspace(0.05, 30.0, 200).tolist()]
-        batch, single = self._rows([ens] * len(kinematics), kinematics)
+        deltas = np.geomspace(0.05, 30.0, 200).tolist()
+        batch, single = self._rows([ens] * len(deltas), deltas)
         assert batch == single
         assert {bd.valid["bose_mm"] for bd in batch} == {False, True}
 
@@ -607,8 +587,7 @@ class TestDecomposeRows:
         # 60 ensembles across Tc at one delta
         tc = (10_000 / ZETA3) ** (1.0 / 3.0)
         ensembles = [TrapEnsemble.solve(10_000, t) for t in np.linspace(0.2 * tc, 1.4 * tc, 60)]
-        kin = Kinematics(1000.0, 1.0)
-        batch, single = self._rows(ensembles, [kin] * len(ensembles))
+        batch, single = self._rows(ensembles, [1.0] * len(ensembles))
         assert batch == single
 
     def test_flagged_and_failed_rows(self):
@@ -617,9 +596,8 @@ class TestDecomposeRows:
         # a stand-in: a TrapEnsemble refuses a nan mu
         bad = SimpleNamespace(n_total=1000, temperature=5.0, mu=math.nan, n_condensate=500.0, n_excited=500.0)
         ensembles = [ens, bad, ens, TrapEnsemble.solve(1000, 5.0)]
-        kinematics = [Kinematics(100.0, 2.0), Kinematics(100.0, 2.0), Kinematics(100.0, 0.5),
-                      Kinematics(1e300, 1e300)]
-        batch, single = self._rows(ensembles, kinematics)
+        deltas = [2.0, 2.0, 0.5, 1e300]
+        batch, single = self._rows(ensembles, deltas)
         assert batch == single
         assert batch[1].errors["bose_mm"] == "ValueError: nu must be >= 0"
         assert batch[0].errors == batch[2].errors == batch[3].errors == {}
@@ -632,7 +610,7 @@ class TestDecomposeRows:
 
         monkeypatch.setattr(sc, "excited_pair_shape", boom)
         ens = TrapEnsemble.at_ratio(1000, 0.7)
-        rows = decompose_rows([ens] * 3, [Kinematics(100.0, d) for d in (0.5, 2.0, 4.0)])
+        rows = decompose_rows([ens] * 3, [0.5, 2.0, 4.0])
         assert [bd.valid["bose_mm"] for bd in rows] == [False] * 3
         assert [sorted(bd.errors) for bd in rows] == [[], ["bose_mm"], ["bose_mm"]]
         assert all(bd.bose_mm == 0.0 and bd.bose_0m >= 0.0 for bd in rows)
@@ -640,13 +618,20 @@ class TestDecomposeRows:
     def test_no_rows(self):
         assert decompose_rows([], []) == []
 
+    def test_unequal_lengths_refused(self):
+        ens = TrapEnsemble.at_ratio(1000, 0.7)
+        with pytest.raises(ValueError):
+            decompose_rows([ens] * 3, [2.0] * 2)
+        with pytest.raises(ValueError):
+            decompose_rows([ens] * 2, [2.0] * 3)
+
 
 class TestDecomposeProperties:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(10, 1_000_000), st.floats(0.1, 3.0), st.floats(0.05, 30.0))
     def test_channels_non_negative_and_summed(self, n, ratio, delta):
-        bd = decompose(TrapEnsemble.at_ratio(n, ratio), Kinematics(1000.0, delta))
-        assert all(bd.channel(c) >= 0.0 for c in CHANNELS)
+        bd = decompose(TrapEnsemble.at_ratio(n, ratio), delta)
+        assert all(getattr(bd, c) >= 0.0 for c in CHANNELS)
         assert bd.total == bd.rayleigh + bd.diffraction + bd.bose_0m + bd.bose_mm
         assert bd.errors == {}
 
@@ -672,31 +657,28 @@ class TestDecomposeProperties:
         # where N0 ~ 3 eps N is below one atom and the condensate terms,
         # growing as N0 and N0^2, are still linear in eps.
         eps = scale / n
-        kin = Kinematics(1000.0, delta)
         at, near_lo, near_hi, far_lo, far_hi = (
-            decompose(TrapEnsemble.at_ratio(n, ratio), kin)
+            decompose(TrapEnsemble.at_ratio(n, ratio), delta)
             for ratio in (1.0, 1.0 - eps / 10, 1.0 + eps / 10, 1.0 - eps, 1.0 + eps)
         )
         for bd in (at, near_lo, near_hi, far_lo, far_hi):
             assert all(bd.valid.values()) and bd.errors == {}
         for c in CHANNELS:
-            x0 = at.channel(c)
-            near = max(abs(near_lo.channel(c) - x0), abs(near_hi.channel(c) - x0)) / at.total
-            far = max(abs(far_lo.channel(c) - x0), abs(far_hi.channel(c) - x0)) / at.total
+            x0 = getattr(at, c)
+            near = max(abs(getattr(near_lo, c) - x0), abs(getattr(near_hi, c) - x0)) / at.total
+            far = max(abs(getattr(far_lo, c) - x0), abs(getattr(far_hi, c) - x0)) / at.total
             assert near <= 0.2 * far + 1e-12, (c, near, far)
 
 
 def _delta_entries(ens, delta):
     """Each entry that takes a momentum transfer, called at delta, with its limit at delta = inf."""
-    # Kinematics refuses a nan or negative delta itself, so decompose_rows gets a bare record
-    kin = SimpleNamespace(k_incident=math.inf, delta=delta)
     return {
         "diffraction_differential": (lambda: diffraction_differential(ens, delta), 0.0),
         "bose_0m_differential": (lambda: bose_0m_differential(ens, delta), 0.0),
         "bose_mm_differential": (lambda: bose_mm_differential(ens, delta), 0.0),
         "diffraction_z_integral": (lambda: quad.diffraction_z_integral(delta, ens.mu), 0.0),
         "diffraction_z_integral at mu = 0": (lambda: quad.diffraction_z_integral(delta, 0.0), 1.0),
-        "decompose_rows": (lambda: decompose_rows([ens], [kin])[0],
+        "decompose_rows": (lambda: decompose_rows([ens], [delta])[0],
                            RateBreakdown(float(ens.n_total), 0.0, 0.0, 0.0)),
     }
 

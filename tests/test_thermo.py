@@ -226,12 +226,48 @@ _OCC = np.full(31, 1e-3)
     (lambda: DiscreteEnsemble(1000, math.nan, -0.1, _OCC), "temperature must"),
     (lambda: DiscreteEnsemble(1000, 5.0, math.nan, _OCC), "mu_exact must"),
     (lambda: solve_mu_discrete(math.nan, 5.0), "n_total must"),
+    # infinite and non-integral particle numbers, infinite temperatures
+    pytest.param(lambda: chemical_potential(1000, math.inf), "temperature must",
+                 id="chemical_potential-temperature-inf"),
+    pytest.param(lambda: chemical_potential(math.inf, 5.0), "n_total must",
+                 id="chemical_potential-n_total-inf"),
+    pytest.param(lambda: TrapEnsemble(math.inf, 5.0, -0.1, 500.0), "n_total must",
+                 id="TrapEnsemble-n_total-inf"),
+    pytest.param(lambda: TrapEnsemble(1000.5, 5.0, -0.1, 500.0), "n_total must",
+                 id="TrapEnsemble-n_total-1000.5"),
+    pytest.param(lambda: TrapEnsemble(1000, math.inf, -1.0, 0.0), "temperature must",
+                 id="TrapEnsemble-temperature-inf"),
+    pytest.param(lambda: TrapEnsemble.solve(math.inf, 5.0), "n_total must",
+                 id="TrapEnsemble.solve-n_total-inf"),
+    pytest.param(lambda: TrapEnsemble.solve(math.nan, 5.0), "n_total must",
+                 id="TrapEnsemble.solve-n_total-nan"),
+    pytest.param(lambda: TrapEnsemble.solve(1000.5, 5.0), "n_total must",
+                 id="TrapEnsemble.solve-n_total-1000.5"),
+    pytest.param(lambda: TrapEnsemble.solve(1000, math.inf), "temperature must",
+                 id="TrapEnsemble.solve-temperature-inf"),
+    pytest.param(lambda: TrapEnsemble.at_ratio(1000, math.inf), "t_over_tc must",
+                 id="TrapEnsemble.at_ratio-t_over_tc-inf"),
+    pytest.param(lambda: TrapEnsemble.at_ratio(math.inf, 0.5), "n_total must",
+                 id="TrapEnsemble.at_ratio-n_total-inf"),
+    pytest.param(lambda: DiscreteEnsemble(math.inf, 5.0, -0.1, _OCC), "n_total must",
+                 id="DiscreteEnsemble-n_total-inf"),
+    pytest.param(lambda: DiscreteEnsemble(1000.5, 5.0, -0.1, _OCC), "n_total must",
+                 id="DiscreteEnsemble-n_total-1000.5"),
+    pytest.param(lambda: DiscreteEnsemble(1000, math.inf, -1.0, _OCC), "temperature must",
+                 id="DiscreteEnsemble-temperature-inf"),
+    pytest.param(lambda: solve_mu_discrete(math.inf, 5.0), "n_total must",
+                 id="solve_mu_discrete-n_total-inf"),
+    pytest.param(lambda: solve_mu_discrete(1000.5, 5.0), "n_total must",
+                 id="solve_mu_discrete-n_total-1000.5"),
+    pytest.param(lambda: solve_mu_discrete(1000, math.inf), "temperature must",
+                 id="solve_mu_discrete-temperature-inf"),
     (lambda: quad.p_kernel(math.nan, 1.0), "p_kernel arguments a, b must"),
     (lambda: quad.p_kernel(np.array([1.0, 2.0]), np.array([0.5, math.nan])), "p_kernel arguments a, b must"),
     (lambda: quad.g_kernel(np.array([math.nan]), np.array([1.0])), "g_kernel arguments a, b must"),
     (lambda: quad.g_kernel(np.array([1.0]), np.array([math.nan])), "g_kernel arguments a, b must"),
 ])
 def test_nan_refused_naming_the_argument(call, message):
-    # comparisons with nan are false: every entry check must fail on it
+    # comparisons with nan are false: every entry check must fail on it, and
+    # on an infinite or (for a particle count) non-integral value
     with pytest.raises(ValueError, match=f"^{message}"):
         call()

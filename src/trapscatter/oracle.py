@@ -29,14 +29,15 @@ only the contraction with the occupations, at the fixed width W =
 _MAX_EPSILON + 1 in every grid, reads a delta-major copy: O(epsilon_max W
 #ensemble #delta) time and O(W (#ensemble + #delta)) memory.
 
-The occupation-product form uses <n_i n_f> ~ <n_i><n_f>; the corrections
-are O(1/N) after thermal averaging, so this module is the oracle for the
-spectral sums only, not for occupation correlations.
+The ensemble is grand-canonical, <n_i n_f> = <n_i><n_f> for i != f: this
+module is the oracle for the spectral sums, not for the occupation
+correlations at fixed N, whose effect ROADMAP item 11 measures.
 Transition pairs are counted in both directions, matching the factor 2 of
 the ground<->excited channel.
 """
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -62,28 +63,37 @@ _MAX_EPSILON = 600
 
 @dataclass(frozen=True)
 class DiscreteEnsemble:
-    """Exact thermal state on the truncated discrete spectrum."""
+    """Grand-canonical thermal state on the spectrum up to epsilon_max: four numbers, equal by value."""
 
     n_total: int
     temperature: float
     mu_exact: float
-    occupations: np.ndarray  # per-state occupation of one state at each level 0..epsilon_max
+    epsilon_max: int
 
     def __post_init__(self):
         # comparisons with nan are false, so nan fails every check
         _check_state(self.n_total, self.temperature)
         if not self.mu_exact < 0:
             raise ValueError("mu_exact must be negative")
-        if np.ndim(self.occupations) != 1 or not 1 <= np.size(self.occupations) <= _MAX_EPSILON + 1:
-            raise ValueError(f"occupations must be 1-D with 1 to {_MAX_EPSILON + 1} levels")
+        if not (isinstance(self.epsilon_max, (int, np.integer)) and 0 <= self.epsilon_max <= _MAX_EPSILON):
+            raise ValueError(f"epsilon_max must be an integer from 0 to {_MAX_EPSILON}")
 
-    @property
-    def epsilon_max(self):
-        return self.occupations.size - 1
+    @functools.cached_property
+    def occupations(self):
+        """Read-only Bose occupation of one state at each level 0..epsilon_max."""
+        occ = _bose(np.arange(self.epsilon_max + 1.0), self.mu_exact, self.temperature)
+        occ.flags.writeable = False
+        return occ
 
     @property
     def n0_exact(self):
         return float(self.occupations[0])
+
+
+def _bose(eps, mu, t):
+    """1 / (e^{(eps - mu)/T} - 1); deep Boltzmann tails overflow expm1 to inf and hold 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / np.expm1((eps - mu) / t)
 
 
 def _default_epsilon_max(n_total, temperature):
@@ -137,20 +147,12 @@ def solve_mu_discrete(n_total, temperature):
     g = (eps + 1.0) * (eps + 2.0) / 2.0
 
     def population(mu):
-        occ = 1.0 / np.expm1((eps - mu) / t)
+        occ = _bose(eps, mu, t)
         level = g * occ
         return float(level.sum()), float((level * (occ + 1.0)).sum()) / t
 
-    # deep Boltzmann tails overflow expm1 to inf; those states hold 0
-    with np.errstate(over="ignore"):
-        mu = _solve_number_equation(population, n_total, t, "solve_mu_discrete")
-        occupations = 1.0 / np.expm1((eps - mu) / t)
-    return DiscreteEnsemble(
-        n_total=int(n_total),
-        temperature=t,
-        mu_exact=mu,
-        occupations=occupations,
-    )
+    mu = _solve_number_equation(population, n_total, t, "solve_mu_discrete")
+    return DiscreteEnsemble(int(n_total), t, mu, epsilon_max)
 
 
 def _projected_weights(occ):

@@ -53,14 +53,12 @@ def _rows(config, ensembles, deltas, discretes):
     a cell is a breakdown or the exception that failed its pair, and all
     semiclassical breakdowns from one decompose_rows call.
     """
-    solved = {id(d): d for d in discretes if d is not None and not isinstance(d, Exception)}
+    solved = [d for d in dict.fromkeys(discretes) if d is not None and not isinstance(d, Exception)]
     lanes = {delta: j for j, delta in enumerate(dict.fromkeys(deltas))}
-    grid = {}
-    if solved:
-        grid = dict(zip(solved, load_oracle().exact_breakdowns(list(solved.values()), list(lanes))))
+    grid = dict(zip(solved, load_oracle().exact_breakdowns(solved, list(lanes)))) if solved else {}
     semis = decompose_rows(ensembles, deltas) if config.semiclassical else [None] * len(deltas)
     for semi, delta, discrete in zip(semis, deltas, discretes):
-        yield semi, grid[id(discrete)][lanes[delta]] if id(discrete) in grid else discrete
+        yield semi, grid[discrete][lanes[delta]] if discrete in grid else discrete
 
 
 def _table(config, lead_columns, leads, rows, meta):

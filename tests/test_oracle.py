@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -17,6 +18,7 @@ from trapscatter import (
     CHANNELS,
     DiscreteEnsemble,
     PrecisionLossError,
+    RateBreakdown,
     TruncationError,
     condensate_count,
     critical_temperature,
@@ -149,17 +151,45 @@ class TestSolveMuDiscrete:
 
 
 class TestDiscreteEnsemble:
-    @pytest.mark.parametrize("occupations", [np.ones((2, 3)), np.ones(0), np.ones(oracle._MAX_EPSILON + 2),
-                                             np.float64(1.0)])
-    def test_occupations_fit_the_contraction_width(self, occupations):
+    def test_occupations_fit_the_contraction_width(self):
         # the oracle pads every ensemble to _MAX_EPSILON + 1 levels
-        with pytest.raises(ValueError, match="occupations must be 1-D with 1 to 601 levels"):
-            DiscreteEnsemble(n_total=1, temperature=1.0, mu_exact=-1.0, occupations=occupations)
+        with pytest.raises(ValueError, match="epsilon_max must be an integer from 0 to 600"):
+            DiscreteEnsemble(n_total=1, temperature=1.0, mu_exact=-1.0, epsilon_max=oracle._MAX_EPSILON + 1)
 
     def test_widest_ensemble_accepted(self):
-        ens = DiscreteEnsemble(n_total=1, temperature=1.0, mu_exact=-1.0,
-                               occupations=np.ones(oracle._MAX_EPSILON + 1))
-        assert ens.epsilon_max == oracle._MAX_EPSILON
+        ens = DiscreteEnsemble(n_total=1, temperature=1.0, mu_exact=-1.0, epsilon_max=oracle._MAX_EPSILON)
+        assert ens.occupations.shape == (oracle._MAX_EPSILON + 1,)
+
+    def test_equal_solves_compare_and_hash_equal(self):
+        first, second = solve_mu_discrete(1000, 5.0), solve_mu_discrete(1000, 5.0)
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert len({first, second, solve_mu_discrete(1000, 6.0)}) == 2
+
+    @pytest.mark.parametrize("ens", [solve_mu_discrete(1000, 5.0), DiscreteEnsemble(1, 0.5, -1.0, 600)],
+                             ids=["solved", "deep-tail"])
+    def test_occupations_are_the_read_only_bose_formula(self, ens):
+        # bit for bit; past level 353 of the deep tail expm1 overflows and the state holds 0
+        eps = np.arange(ens.epsilon_max + 1.0)
+        with np.errstate(over="ignore"):
+            want = 1.0 / np.expm1((eps - ens.mu_exact) / ens.temperature)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            occ = ens.occupations
+        assert occ.tobytes() == want.tobytes()
+        assert occ is ens.occupations and not occ.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            occ[0] = 1.0
+
+    @pytest.mark.parametrize("occupations", [np.full(31, np.nan), np.full(31, -1.0)], ids=["nan", "negative"])
+    def test_free_occupations_cannot_be_built(self, occupations):
+        # the NaN and negative occupations that once gave NaN or plausible channels, all flagged valid
+        with pytest.raises(ValueError, match="epsilon_max must"):
+            DiscreteEnsemble(1000, 5.0, -0.1, occupations)
+        with pytest.raises(TypeError):
+            DiscreteEnsemble(1000, 5.0, -0.1, 30, occupations=occupations)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            DiscreteEnsemble(1000, 5.0, -0.1, 30).occupations = occupations
 
 
 class TestDefaultEpsilonMax:
@@ -320,8 +350,7 @@ def _channels(bd):
 def _bose_ensemble(emax):
     """Bose occupations at T = emax / 20, so the tail checks pass at any truncation."""
     t = emax / 20.0
-    occ = 1.0 / np.expm1((np.arange(emax + 1.0) + 0.1 * t) / t)
-    return DiscreteEnsemble(n_total=100_000, temperature=t, mu_exact=-0.1 * t, occupations=occ)
+    return DiscreteEnsemble(n_total=100_000, temperature=t, mu_exact=-0.1 * t, epsilon_max=emax)
 
 
 def _cell(ens, delta):
@@ -373,7 +402,8 @@ class TestExactBreakdowns:
         # at bound 0.2 delta = 10 first breaches at level 39: one ensemble
         # below it, one above, and a starved tail fails its whole row; the
         # delta = 0 identity, amplitude 1, breaches at level 0 in both untruncated rows
-        starved = DiscreteEnsemble(n_total=1, temperature=30.0, mu_exact=-0.01, occupations=np.full(361, 1e-3))
+        # starved: occupations[360] g(360) is about 0.40, far above 1e-4 N
+        starved = DiscreteEnsemble(n_total=1, temperature=30.0, mu_exact=-0.01, epsilon_max=360)
         monkeypatch.setattr(oscillator, "_AMPLITUDE_BOUND", 0.2)
         grid = exact_breakdowns([_bose_ensemble(30), _bose_ensemble(60), starved], [0.0, 10.0])
         kinds = [[type(cell).__name__ for cell in row] for row in grid]
@@ -405,6 +435,8 @@ class TestExactBreakdowns:
     @settings(max_examples=30, deadline=None)
     @example(entry=20, value=math.nan, emaxes=[10, 30, 60], deltas=[0.0, 1.0, 3.0])
     @example(entry=20, value=-math.inf, emaxes=[10, 30, 60], deltas=[0.0, 1.0, 9.0])
+    # a poisoning that stays within the bound at every level yet moves bose_0m
+    @example(entry=57, value=-300.0, emaxes=[57], deltas=[0.1015625])
     @given(st.integers(0, 120), st.sampled_from([math.nan, -math.inf, -300.0]),
            st.lists(st.integers(1, 120), min_size=1, max_size=4),
            st.lists(st.just(0.0) | st.floats(0.1, 12.0), min_size=1, max_size=5))
@@ -412,7 +444,8 @@ class TestExactBreakdowns:
         # ln k! set to nan, -inf or -300 at one k starts nan, +inf or huge amplitudes
         # at offset k, which the recurrence carries on (to -inf where 2n + k + 1 < x).
         # Each lane fails at the lowest level whose amplitude is not within
-        # -bound <= a <= bound; every cell below that level keeps its value
+        # -bound <= a <= bound.  Below that level a cell is a breakdown, and it
+        # keeps its value when the poisoned offset lies past its truncation
         ensembles = [_bose_ensemble(emax) for emax in emaxes]
         clean = exact_breakdowns(ensembles, deltas)
         real = oscillator._log_factorials
@@ -440,6 +473,8 @@ class TestExactBreakdowns:
                 if level <= ens.epsilon_max:
                     assert isinstance(got, PrecisionLossError)
                     assert f"at level {level}," in str(got)
+                elif entry <= ens.epsilon_max:
+                    assert isinstance(got, RateBreakdown)
                 else:
                     assert _channels(got) == _channels(before)
 

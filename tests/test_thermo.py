@@ -208,9 +208,6 @@ class TestTrapEnsemble:
         assert ens.n_excited == 800.0
 
 
-_OCC = np.full(31, 1e-3)
-
-
 @pytest.mark.parametrize("call,message", [
     (lambda: critical_temperature(math.nan), "n_total must"),
     (lambda: condensate_count(1000, math.nan), "temperature must"),
@@ -222,9 +219,9 @@ _OCC = np.full(31, 1e-3)
     (lambda: TrapEnsemble(1000, 5.0, -0.1, math.nan), "n_condensate must"),
     (lambda: TrapEnsemble.at_ratio(1000, math.nan), "t_over_tc must"),
     (lambda: TrapEnsemble.at_ratio(math.nan, 0.5), "n_total must"),
-    (lambda: DiscreteEnsemble(math.nan, 5.0, -0.1, _OCC), "n_total must"),
-    (lambda: DiscreteEnsemble(1000, math.nan, -0.1, _OCC), "temperature must"),
-    (lambda: DiscreteEnsemble(1000, 5.0, math.nan, _OCC), "mu_exact must"),
+    (lambda: DiscreteEnsemble(math.nan, 5.0, -0.1, 30), "n_total must"),
+    (lambda: DiscreteEnsemble(1000, math.nan, -0.1, 30), "temperature must"),
+    (lambda: DiscreteEnsemble(1000, 5.0, math.nan, 30), "mu_exact must"),
     (lambda: solve_mu_discrete(math.nan, 5.0), "n_total must"),
     # infinite and non-integral particle numbers, infinite temperatures
     pytest.param(lambda: chemical_potential(1000, math.inf), "temperature must",
@@ -249,11 +246,11 @@ _OCC = np.full(31, 1e-3)
                  id="TrapEnsemble.at_ratio-t_over_tc-inf"),
     pytest.param(lambda: TrapEnsemble.at_ratio(math.inf, 0.5), "n_total must",
                  id="TrapEnsemble.at_ratio-n_total-inf"),
-    pytest.param(lambda: DiscreteEnsemble(math.inf, 5.0, -0.1, _OCC), "n_total must",
+    pytest.param(lambda: DiscreteEnsemble(math.inf, 5.0, -0.1, 30), "n_total must",
                  id="DiscreteEnsemble-n_total-inf"),
-    pytest.param(lambda: DiscreteEnsemble(1000.5, 5.0, -0.1, _OCC), "n_total must",
+    pytest.param(lambda: DiscreteEnsemble(1000.5, 5.0, -0.1, 30), "n_total must",
                  id="DiscreteEnsemble-n_total-1000.5"),
-    pytest.param(lambda: DiscreteEnsemble(1000, math.inf, -1.0, _OCC), "temperature must",
+    pytest.param(lambda: DiscreteEnsemble(1000, math.inf, -1.0, 30), "temperature must",
                  id="DiscreteEnsemble-temperature-inf"),
     pytest.param(lambda: solve_mu_discrete(math.inf, 5.0), "n_total must",
                  id="solve_mu_discrete-n_total-inf"),
@@ -261,6 +258,10 @@ _OCC = np.full(31, 1e-3)
                  id="solve_mu_discrete-n_total-1000.5"),
     pytest.param(lambda: solve_mu_discrete(1000, math.inf), "temperature must",
                  id="solve_mu_discrete-temperature-inf"),
+    # the truncation level: a whole number of levels within the oracle's contraction width
+    *(pytest.param(lambda emax=emax: DiscreteEnsemble(1000, 5.0, -0.1, emax), "epsilon_max must",
+                   id=f"DiscreteEnsemble-epsilon_max-{emax}")
+      for emax in (math.nan, math.inf, -math.inf, 2.5, 30.0, -1, 601)),
     (lambda: quad.p_kernel(math.nan, 1.0), "p_kernel arguments a, b must"),
     (lambda: quad.p_kernel(np.array([1.0, 2.0]), np.array([0.5, math.nan])), "p_kernel arguments a, b must"),
     (lambda: quad.g_kernel(np.array([math.nan]), np.array([1.0])), "g_kernel arguments a, b must"),

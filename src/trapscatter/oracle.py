@@ -39,7 +39,7 @@ the ground<->excited channel.
 import bisect
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,20 +63,26 @@ _MAX_EPSILON = 600
 
 @dataclass(frozen=True)
 class DiscreteEnsemble:
-    """Grand-canonical thermal state on the spectrum up to epsilon_max: four numbers, equal by value."""
+    """Grand-canonical thermal state of (n_total, temperature, mu_exact), equal by value.
+
+    The spectrum stops at epsilon_max, derived from (n_total, temperature)
+    by `_default_epsilon_max`: a TruncationError when no level up to 600
+    controls the tail.  mu_exact must leave at most n_total atoms in level 0.
+    """
 
     n_total: int
     temperature: float
     mu_exact: float
-    epsilon_max: int
+    epsilon_max: int = field(init=False)
 
     def __post_init__(self):
         # comparisons with nan are false, so nan fails every check
         _check_state(self.n_total, self.temperature)
-        if not self.mu_exact < 0:
-            raise ValueError("mu_exact must be negative")
-        if not (isinstance(self.epsilon_max, (int, np.integer)) and 0 <= self.epsilon_max <= _MAX_EPSILON):
-            raise ValueError(f"epsilon_max must be an integer from 0 to {_MAX_EPSILON}")
+        # a solved mu_exact can leave level 0 one ulp above n_total (as at N = 253, T = 0.005)
+        n0 = _bose(0, self.mu_exact, self.temperature) if self.mu_exact < 0 else math.nan
+        if not n0 <= self.n_total * (1.0 + 1e-14):
+            raise ValueError("mu_exact must be negative and leave at most n_total atoms in level 0")
+        object.__setattr__(self, "epsilon_max", _default_epsilon_max(self.n_total, self.temperature))
 
     @functools.cached_property
     def occupations(self):
@@ -84,10 +90,6 @@ class DiscreteEnsemble:
         occ = _bose(np.arange(self.epsilon_max + 1.0), self.mu_exact, self.temperature)
         occ.flags.writeable = False
         return occ
-
-    @property
-    def n0_exact(self):
-        return float(self.occupations[0])
 
 
 def _bose(eps, mu, t):
@@ -119,7 +121,7 @@ def _boltzmann_tail(epsilon_max, temperature):
 
     Above epsilon_max the occupation is deep in the Boltzmann tail, so
     sum_{eps > emax} g(eps) e^{-eps/T} bounds it; the integral form of the
-    polynomial-times-exponential has a closed expression.  A solved mu < 0
+    polynomial-times-exponential has a closed expression.  Any mu < 0
     scales the tail by e^{mu/T} < 1, so the bound holds for every ensemble.
     """
     t = temperature
@@ -133,11 +135,10 @@ def _boltzmann_tail(epsilon_max, temperature):
 def solve_mu_discrete(n_total, temperature):
     """Chemical potential from the full discrete occupation sum, by Newton on ln N.
 
-    The levels run to epsilon_max, the smallest level >= max(30, 12 T)
-    whose occupation tail is below 1e-6 N; a TruncationError when no level
-    up to 600 reaches that.  Each occupation is log-convex in mu, as
-    `thermo.chemical_potential` needs.  Reproduces e^{-mu/T} = 1 + 1/N0 by
-    construction.
+    The levels run to the ensemble's derived epsilon_max, a TruncationError
+    when no level up to 600 controls the tail.  Each occupation is
+    log-convex in mu, as `thermo.chemical_potential` needs.  Reproduces
+    e^{-mu/T} = 1 + 1/N0 by construction.
     """
     _check_state(n_total, temperature)
     t = float(temperature)
@@ -152,7 +153,7 @@ def solve_mu_discrete(n_total, temperature):
         return float(level.sum()), float((level * (occ + 1.0)).sum()) / t
 
     mu = _solve_number_equation(population, n_total, t, "solve_mu_discrete")
-    return DiscreteEnsemble(int(n_total), t, mu, epsilon_max)
+    return DiscreteEnsemble(int(n_total), t, mu)
 
 
 def _projected_weights(occ):
@@ -209,10 +210,13 @@ def _streamed_sums(ensembles, deltas):
 def exact_breakdowns(ensembles, deltas):
     """exact_breakdown for every (ensemble, delta) pair: grid[i][j] for ensembles[i], deltas[j].
 
-    One recurrence serves the whole grid.  A cell holds the exception its
-    pair raised instead of a breakdown: a TruncationError for an
-    uncontrolled occupation tail, a PrecisionLossError when an amplitude
-    with n + k <= that ensemble's epsilon_max leaves its bound.
+    One recurrence serves the whole grid.  A cell holds a PrecisionLossError
+    instead of a breakdown when an amplitude with n + k <= that ensemble's
+    epsilon_max leaves its bound.  No cell needs a truncation verdict: the
+    derived epsilon_max >= 12 T keeps the tail integral, at least
+    T g(emax) e^{-emax/T}, below 1e-6 N, so the last level's share
+    g(emax) occ[emax] stays below 1e-4 N at every mu < 0 above T = 0.011
+    (and below e^{-2700} at colder T, where epsilon_max is 30).
     """
     # comparisons with nan are false, so nan fails too
     if not all(d >= 0 for d in deltas):
@@ -222,13 +226,10 @@ def exact_breakdowns(ensembles, deltas):
     grid = []
     for i, ens in enumerate(ensembles):
         occ, emax, n = ens.occupations, ens.epsilon_max, float(ens.n_total)
-        truncated = occ[emax] * (emax + 1) * (emax + 2) / 2.0 > 1e-4 * n
         w = _projected_weights(occ)
         row = []
         for j, delta in enumerate(deltas):
-            if truncated:
-                row.append(TruncationError("occupancy-weighted truncation tail exceeds 1e-4 of the sum"))
-            elif fail[j] <= emax:
+            if fail[j] <= emax:
                 row.append(PrecisionLossError(f"recurrence unstable at level {fail[j]}, delta={delta:g}"))
             else:
                 diffraction = float(np.dot(column[j, :emax + 1], w)) ** 2

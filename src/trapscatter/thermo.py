@@ -30,13 +30,10 @@ term alone is N, Newton falls onto the root without overshooting.
 import math
 from dataclasses import dataclass
 
-from . import ZETA3, critical_temperature, quad
+from . import critical_temperature, quad
 from .errors import ConvergenceError
 
 __all__ = ["TrapEnsemble", "condensate_count", "chemical_potential"]
-
-# Linearized slope of mu/T just above Tc: mu/T = -MU_SLOPE * (T - Tc)/Tc.
-MU_SLOPE = 18.0 * ZETA3 / math.pi**2
 
 _NEWTON_ITERATIONS = 100
 

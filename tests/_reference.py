@@ -326,8 +326,6 @@ def exact_breakdown_band(ens, delta):
     occ = ens.occupations
     emax = ens.epsilon_max
     n = float(ens.n_total)
-    if occ[emax] * (emax + 1) * (emax + 2) / 2.0 > 1e-4 * n:
-        raise TruncationError("occupancy-weighted truncation tail exceeds 1e-4 of the sum")
     w = _projected_weights(occ)
     band = overlap_band(emax, delta)
     column = band[:, 0].copy()

@@ -32,7 +32,6 @@ from trapscatter import (
 from trapscatter.cli import main as cli_main
 from trapscatter.oracle import _projected_weights
 from trapscatter.oscillator import diagonal_amplitude_column, ground_overlap_column, overlap_matrix
-from trapscatter.thermo import MU_SLOPE
 
 
 def report(criterion, ok, detail):
@@ -80,7 +79,7 @@ def test_criterion_3a_condensate_fraction():
     deviations = {}
     for ratio in (0.3, 0.5, 0.7, 0.9):
         ens = solve_mu_discrete(n, ratio * tc)
-        deviations[ratio] = abs(ens.n0_exact - condensate_count(n, ens.temperature)) / n
+        deviations[ratio] = abs(float(ens.occupations[0]) - condensate_count(n, ens.temperature)) / n
     ok = all(d <= 0.03 for d in deviations.values())
     detail = ", ".join(f"T/Tc={r}: {d:.3f}" for r, d in deviations.items())
     assert report("3a condensate fraction vs oracle (tol 0.03)", ok, detail)
@@ -101,7 +100,7 @@ def test_criterion_3c_mu_linearized_slope():
     tc = critical_temperature(n)
     t = 1.1 * tc
     mu = chemical_potential(n, t)
-    linear = -MU_SLOPE * 0.1 * t
+    linear = -18.0 * ZETA3 / math.pi**2 * 0.1 * t
     deviation = abs(mu / linear - 1.0)
     ok = deviation <= 0.15
     assert report(
@@ -128,7 +127,7 @@ def test_criterion_4b_excited_cloud_ft():
     for d2t in (20.0, 30.0, 44.0):
         delta = math.sqrt(d2t / t)
         amp = diagonal_amplitude_column(ens.epsilon_max, delta)
-        excited_ft = float(np.dot(amp, w)) - ens.n0_exact * amp[0]
+        excited_ft = float(np.dot(amp, w)) - float(ens.occupations[0]) * amp[0]
         ratios[d2t] = excited_ft / (4.0 * t / delta**4)
     ok = all(abs(r - 1.0) <= 0.10 for r in ratios.values())
     detail = ", ".join(f"d^2T={k:g}: ratio {v:.3f}" for k, v in ratios.items())

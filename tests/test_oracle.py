@@ -67,12 +67,12 @@ class TestSolveMuDiscrete:
         t = 0.01
         ens = solve_mu_discrete(1, t)
         assert_allclose(ens.mu_exact, -t * math.log(2.0), rtol=1e-10)
-        assert_allclose(ens.n0_exact, 1.0, rtol=1e-8)
+        assert_allclose(float(ens.occupations[0]), 1.0, rtol=1e-8)
 
     def test_ground_state_relation(self):
         ens = solve_mu_discrete(500, 0.6 * critical_temperature(500))
         lhs = math.expm1(-ens.mu_exact / ens.temperature)
-        assert_allclose(lhs, 1.0 / ens.n0_exact, rtol=1e-10)
+        assert_allclose(lhs, 1.0 / float(ens.occupations[0]), rtol=1e-10)
 
     def test_population_reproduced(self):
         ens = solve_mu_discrete(2000, 0.8 * critical_temperature(2000))
@@ -82,8 +82,7 @@ class TestSolveMuDiscrete:
         assert_allclose(total, 2000.0, rtol=1e-9)
 
     def test_condensate_vs_leading_order(self, discrete_1e4_05):
-        n0_exact = discrete_1e4_05.n0_exact
-        assert abs(n0_exact / 10_000 - 0.875) < 0.03
+        assert abs(float(discrete_1e4_05.occupations[0]) / 10_000 - 0.875) < 0.03
 
     def test_occupations_match_formula(self):
         ens = solve_mu_discrete(300, 4.0)
@@ -150,14 +149,72 @@ class TestSolveMuDiscrete:
         assert_allclose(ens.mu_exact, reference, rtol=1e-10)
 
 
+# (N, T) from 1 to 1e7 atoms and T = 0.005 to 200, mu_exact = -T: both sides of the 600-level guard
+_STATES = [(int(n), float(t)) for n in np.unique(np.geomspace(1, 1e7, 25).astype(int))
+           for t in np.geomspace(0.005, 200.0, 40)]
+
+
 class TestDiscreteEnsemble:
-    def test_occupations_fit_the_contraction_width(self):
-        # the oracle pads every ensemble to _MAX_EPSILON + 1 levels
-        with pytest.raises(ValueError, match="epsilon_max must be an integer from 0 to 600"):
-            DiscreteEnsemble(n_total=1, temperature=1.0, mu_exact=-1.0, epsilon_max=oracle._MAX_EPSILON + 1)
+    def test_truncation_is_derived_not_passed(self):
+        # (n_total, temperature, mu_exact) define the ensemble; epsilon_max is not an argument
+        with pytest.raises(TypeError):
+            DiscreteEnsemble(1000, 5.0, -0.1, 30)
+        with pytest.raises(TypeError):
+            DiscreteEnsemble(1000, 5.0, -0.1, epsilon_max=30)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            DiscreteEnsemble(1000, 5.0, -0.1).epsilon_max = 30
+
+    def test_truncation_matches_level_scan(self):
+        outcomes = {"level": 0, "raise": 0}
+        for n, t in _STATES:
+            try:
+                expected = default_epsilon_max_scan(n, t)
+            except TruncationError:
+                outcomes["raise"] += 1
+                with pytest.raises(TruncationError):
+                    DiscreteEnsemble(n, t, -t)
+            else:
+                outcomes["level"] += 1
+                assert DiscreteEnsemble(n, t, -t).epsilon_max == expected, (n, t)
+        assert min(outcomes.values()) > 100, outcomes
+
+    def test_uncontrollable_tail_refused_at_construction(self):
+        # no level up to 600 controls the tail of N = 2 at T = 50, whatever mu_exact
+        with pytest.raises(TruncationError, match="^no truncation below 600 "):
+            DiscreteEnsemble(2, 50.0, -25.0)
+        with pytest.raises(TruncationError, match="^no truncation below 600 "):
+            solve_mu_discrete(2, 50.0)
+
+    def test_derived_tail_below_the_retired_cell_verdict(self):
+        # the per-cell check occ[emax] g(emax) > 1e-4 N could never fire: its
+        # worst case, mu -> 0-, stays below the threshold at every derived truncation
+        worst = 0.0
+        for n, t in _STATES:
+            try:
+                emax = DiscreteEnsemble(n, t, -t).epsilon_max
+            except TruncationError:
+                continue
+            x = emax / t
+            tail = (emax + 1) * (emax + 2) / 2.0 * math.exp(-x) / -math.expm1(-x)
+            worst = max(worst, tail / (1e-4 * n))
+        assert 0.0 < worst <= 1.0, worst
+
+    def test_overfull_ground_state_refused(self):
+        # one atom cannot put inf, 1e300 or 999.5 atoms in level 0; refused without a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for mu in (-5e-324, -1e-300, -1e-3):
+                with pytest.raises(ValueError, match="^mu_exact must"):
+                    DiscreteEnsemble(1, 1.0, mu)
+            assert_allclose(DiscreteEnsemble(1, 1.0, -math.log(2.0)).occupations[0], 1.0, rtol=1e-15)
+
+    @pytest.mark.parametrize("n,t", [(253, 0.005), (996, 0.01)])
+    def test_solved_ground_state_one_ulp_over_accepted(self, n, t):
+        # the excited levels add less than one ulp of N, and level 0 rounds one ulp above it
+        assert solve_mu_discrete(n, t).occupations[0] == np.nextafter(float(n), math.inf)
 
     def test_widest_ensemble_accepted(self):
-        ens = DiscreteEnsemble(n_total=1, temperature=1.0, mu_exact=-1.0, epsilon_max=oracle._MAX_EPSILON)
+        ens = _bose_ensemble(oracle._MAX_EPSILON)
         assert ens.occupations.shape == (oracle._MAX_EPSILON + 1,)
 
     def test_equal_solves_compare_and_hash_equal(self):
@@ -166,10 +223,10 @@ class TestDiscreteEnsemble:
         assert first == second and hash(first) == hash(second)
         assert len({first, second, solve_mu_discrete(1000, 6.0)}) == 2
 
-    @pytest.mark.parametrize("ens", [solve_mu_discrete(1000, 5.0), DiscreteEnsemble(1, 0.5, -1.0, 600)],
+    @pytest.mark.parametrize("ens", [solve_mu_discrete(1000, 5.0), DiscreteEnsemble(1, 0.02, -1.0)],
                              ids=["solved", "deep-tail"])
     def test_occupations_are_the_read_only_bose_formula(self, ens):
-        # bit for bit; past level 353 of the deep tail expm1 overflows and the state holds 0
+        # bit for bit; past level 13 of the deep tail expm1 overflows and the state holds 0
         eps = np.arange(ens.epsilon_max + 1.0)
         with np.errstate(over="ignore"):
             want = 1.0 / np.expm1((eps - ens.mu_exact) / ens.temperature)
@@ -184,12 +241,12 @@ class TestDiscreteEnsemble:
     @pytest.mark.parametrize("occupations", [np.full(31, np.nan), np.full(31, -1.0)], ids=["nan", "negative"])
     def test_free_occupations_cannot_be_built(self, occupations):
         # the NaN and negative occupations that once gave NaN or plausible channels, all flagged valid
-        with pytest.raises(ValueError, match="epsilon_max must"):
+        with pytest.raises(TypeError):
             DiscreteEnsemble(1000, 5.0, -0.1, occupations)
         with pytest.raises(TypeError):
-            DiscreteEnsemble(1000, 5.0, -0.1, 30, occupations=occupations)
+            DiscreteEnsemble(1000, 5.0, -0.1, occupations=occupations)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            DiscreteEnsemble(1000, 5.0, -0.1, 30).occupations = occupations
+            DiscreteEnsemble(1000, 5.0, -0.1).occupations = occupations
 
 
 class TestDefaultEpsilonMax:
@@ -269,7 +326,7 @@ class TestExactBreakdown:
         delta = 1.9
         bd = exact_breakdown(ens, delta)
         x = 0.5 * delta * delta
-        direct = 2.0 * ens.n0_exact * sum(
+        direct = 2.0 * float(ens.occupations[0]) * sum(
             ens.occupations[m] * math.exp(-x + m * math.log(x) - math.lgamma(m + 1))
             for m in range(1, ens.epsilon_max + 1)
         )
@@ -348,16 +405,22 @@ def _channels(bd):
 
 
 def _bose_ensemble(emax):
-    """Bose occupations at T = emax / 20, so the tail checks pass at any truncation."""
-    t = emax / 20.0
-    return DiscreteEnsemble(n_total=100_000, temperature=t, mu_exact=-0.1 * t, epsilon_max=emax)
+    """An ensemble whose derived truncation is emax, from 30 to 600.
+
+    At N = 1e8 the 12 T floor alone sets the truncation up to level 600,
+    so T = (emax - 1/2) / 12 puts it at emax; mu_exact is -T / 10.
+    """
+    t = (emax - 0.5) / 12.0
+    ens = DiscreteEnsemble(n_total=10**8, temperature=t, mu_exact=-0.1 * t)
+    assert ens.epsilon_max == emax
+    return ens
 
 
 def _cell(ens, delta):
     """The stored-band reference for one pair, or the exception it raises."""
     try:
         return exact_breakdown_band(ens, delta)
-    except (TruncationError, PrecisionLossError) as exc:
+    except PrecisionLossError as exc:
         return exc
 
 
@@ -365,7 +428,7 @@ class TestExactBreakdowns:
     """One streamed recurrence serves every (ensemble, delta) pair of a grid."""
 
     @settings(max_examples=25, deadline=None)
-    @given(st.lists(st.integers(1, 600), min_size=1, max_size=4),
+    @given(st.lists(st.integers(30, 600), min_size=1, max_size=4),
            st.lists(st.just(0.0) | st.floats(0.1, 12.0), min_size=1, max_size=5))
     def test_grid_matches_per_pair_reference(self, emaxes, deltas):
         ensembles = [_bose_ensemble(emax) for emax in emaxes]
@@ -379,8 +442,8 @@ class TestExactBreakdowns:
                 assert_allclose(got.bose_mm, want.bose_mm, rtol=1e-14, atol=0.0)
 
     @settings(max_examples=25, deadline=None)
-    @example(bound=0.2, emaxes=[5, 20, 50, 100], deltas=[0.0, 8.0, 10.0, 12.0])
-    @given(st.floats(0.1, 0.35), st.lists(st.integers(1, 120), min_size=1, max_size=4),
+    @example(bound=0.2, emaxes=[30, 38, 50, 100], deltas=[0.0, 8.0, 10.0, 12.0])
+    @given(st.floats(0.1, 0.35), st.lists(st.integers(30, 120), min_size=1, max_size=4),
            st.lists(st.just(0.0) | st.floats(3.0, 12.0), min_size=1, max_size=5))
     def test_precision_loss_per_pair(self, bound, emaxes, deltas):
         # a lowered bound fails low levels first: each pair raises iff the band
@@ -400,27 +463,22 @@ class TestExactBreakdowns:
 
     def test_mixed_verdicts_in_one_grid(self, monkeypatch):
         # at bound 0.2 delta = 10 first breaches at level 39: one ensemble
-        # below it, one above, and a starved tail fails its whole row; the
-        # delta = 0 identity, amplitude 1, breaches at level 0 in both untruncated rows
-        # starved: occupations[360] g(360) is about 0.40, far above 1e-4 N
-        starved = DiscreteEnsemble(n_total=1, temperature=30.0, mu_exact=-0.01, epsilon_max=360)
+        # below it, one above; the delta = 0 identity, amplitude 1, breaches
+        # at level 0 in both rows
         monkeypatch.setattr(oscillator, "_AMPLITUDE_BOUND", 0.2)
-        grid = exact_breakdowns([_bose_ensemble(30), _bose_ensemble(60), starved], [0.0, 10.0])
+        grid = exact_breakdowns([_bose_ensemble(30), _bose_ensemble(60)], [0.0, 10.0])
         kinds = [[type(cell).__name__ for cell in row] for row in grid]
-        assert kinds == [["PrecisionLossError", "RateBreakdown"], ["PrecisionLossError"] * 2,
-                         ["TruncationError"] * 2]
+        assert kinds == [["PrecisionLossError", "RateBreakdown"], ["PrecisionLossError"] * 2]
         with pytest.raises(PrecisionLossError):
             exact_breakdown(_bose_ensemble(60), 10.0)
-        with pytest.raises(TruncationError):
-            exact_breakdown(starved, 0.0)
 
     @settings(max_examples=15, deadline=None)
-    @example(emaxes=[543, 60, 1], deltas=[0.0, np.float64(1e200), 0.7, 1.3, 3.0])
+    @example(emaxes=[543, 60, 30], deltas=[0.0, np.float64(1e200), 0.7, 1.3, 3.0])
     # pairs whose shallower cell once moved by 1 ulp when padded to the deeper truncation
-    @example(emaxes=[6, 9], deltas=[3.5])
-    @example(emaxes=[12, 13], deltas=[8.75])
-    @example(emaxes=[9, 6], deltas=[3.5])
-    @given(st.lists(st.integers(1, 600), min_size=2, max_size=4, unique=True),
+    @example(emaxes=[31, 32], deltas=[9.5])
+    @example(emaxes=[38, 39], deltas=[12.0])
+    @example(emaxes=[32, 31], deltas=[9.5])
+    @given(st.lists(st.integers(30, 600), min_size=2, max_size=4, unique=True),
            st.lists(st.sampled_from([0.0, np.float64(1e200)]) | st.floats(0.1, 12.0), min_size=1, max_size=5))
     def test_cells_independent_of_grid(self, emaxes, deltas):
         # bit for bit: a cell does not depend on which ensembles and deltas share its grid
@@ -433,12 +491,12 @@ class TestExactBreakdowns:
                     assert _channels(got) == _channels(exact_breakdowns([ens], [delta])[0][0])
 
     @settings(max_examples=30, deadline=None)
-    @example(entry=20, value=math.nan, emaxes=[10, 30, 60], deltas=[0.0, 1.0, 3.0])
-    @example(entry=20, value=-math.inf, emaxes=[10, 30, 60], deltas=[0.0, 1.0, 9.0])
+    @example(entry=40, value=math.nan, emaxes=[30, 45, 60], deltas=[0.0, 1.0, 3.0])
+    @example(entry=40, value=-math.inf, emaxes=[30, 45, 60], deltas=[0.0, 1.0, 9.0])
     # a poisoning that stays within the bound at every level yet moves bose_0m
     @example(entry=57, value=-300.0, emaxes=[57], deltas=[0.1015625])
     @given(st.integers(0, 120), st.sampled_from([math.nan, -math.inf, -300.0]),
-           st.lists(st.integers(1, 120), min_size=1, max_size=4),
+           st.lists(st.integers(30, 120), min_size=1, max_size=4),
            st.lists(st.just(0.0) | st.floats(0.1, 12.0), min_size=1, max_size=5))
     def test_non_finite_amplitudes_fail_their_level(self, entry, value, emaxes, deltas):
         # ln k! set to nan, -inf or -300 at one k starts nan, +inf or huge amplitudes
@@ -504,7 +562,7 @@ class TestFiniteSizeCorrections:
         coefficient = 1.6449340668482264 / (2.0 * 1.2020569031595943 ** (2.0 / 3.0))
         for ratio in (0.3, 0.5, 0.7, 0.9):
             ens = solve_mu_discrete(n, ratio * tc)
-            measured = (condensate_count(n, ens.temperature) - ens.n0_exact) / n
+            measured = (condensate_count(n, ens.temperature) - float(ens.occupations[0])) / n
             predicted = 3.0 * ratio**2 * coefficient * n ** (-1.0 / 3.0)
             assert 0.95 < measured / predicted < 1.25, (ratio, measured, predicted)
 
@@ -521,7 +579,7 @@ class TestFiniteSizeCorrections:
         def ratio_at(d2t):
             delta = math.sqrt(d2t / t)
             amp = diagonal_amplitude_column(ens.epsilon_max, delta)
-            excited_ft = float(np.dot(amp, w)) - ens.n0_exact * amp[0]
+            excited_ft = float(np.dot(amp, w)) - float(ens.occupations[0]) * amp[0]
             return excited_ft / (4.0 * t / delta**4)
 
         assert abs(ratio_at(4.0) - 1.0) < 0.10

@@ -19,7 +19,6 @@ from trapscatter import (
     solve_mu_discrete,
 )
 from trapscatter import quad, thermo
-from trapscatter.thermo import MU_SLOPE
 
 
 class TestCriticalTemperature:
@@ -101,12 +100,12 @@ class TestChemicalPotential:
         tc = critical_temperature(n)
         t = 1.1 * tc
         mu = chemical_potential(n, t)
-        linear = -MU_SLOPE * 0.1 * t
+        linear = -18.0 * ZETA3 / math.pi**2 * 0.1 * t
         assert abs(mu / linear - 1.0) < 0.15
 
     def test_slope_coefficient_value(self):
-        assert_allclose(MU_SLOPE, 18.0 * ZETA3 / math.pi**2, rtol=1e-15)
-        assert_allclose(MU_SLOPE, 2.1922889082043153, rtol=1e-12)
+        # mu/T = -(18 zeta(3)/pi^2) (T - Tc)/Tc just above Tc
+        assert_allclose(18.0 * ZETA3 / math.pi**2, 2.1922889082043153, rtol=1e-12)
 
     def test_finite_size_rounding_at_tc(self):
         # |mu(Tc)| ~ T (1.37 N)^(-1/2): small, and shrinking with N
@@ -219,9 +218,9 @@ class TestTrapEnsemble:
     (lambda: TrapEnsemble(1000, 5.0, -0.1, math.nan), "n_condensate must"),
     (lambda: TrapEnsemble.at_ratio(1000, math.nan), "t_over_tc must"),
     (lambda: TrapEnsemble.at_ratio(math.nan, 0.5), "n_total must"),
-    (lambda: DiscreteEnsemble(math.nan, 5.0, -0.1, 30), "n_total must"),
-    (lambda: DiscreteEnsemble(1000, math.nan, -0.1, 30), "temperature must"),
-    (lambda: DiscreteEnsemble(1000, 5.0, math.nan, 30), "mu_exact must"),
+    (lambda: DiscreteEnsemble(math.nan, 5.0, -0.1), "n_total must"),
+    (lambda: DiscreteEnsemble(1000, math.nan, -0.1), "temperature must"),
+    (lambda: DiscreteEnsemble(1000, 5.0, math.nan), "mu_exact must"),
     (lambda: solve_mu_discrete(math.nan, 5.0), "n_total must"),
     # infinite and non-integral particle numbers, infinite temperatures
     pytest.param(lambda: chemical_potential(1000, math.inf), "temperature must",
@@ -246,11 +245,11 @@ class TestTrapEnsemble:
                  id="TrapEnsemble.at_ratio-t_over_tc-inf"),
     pytest.param(lambda: TrapEnsemble.at_ratio(math.inf, 0.5), "n_total must",
                  id="TrapEnsemble.at_ratio-n_total-inf"),
-    pytest.param(lambda: DiscreteEnsemble(math.inf, 5.0, -0.1, 30), "n_total must",
+    pytest.param(lambda: DiscreteEnsemble(math.inf, 5.0, -0.1), "n_total must",
                  id="DiscreteEnsemble-n_total-inf"),
-    pytest.param(lambda: DiscreteEnsemble(1000.5, 5.0, -0.1, 30), "n_total must",
+    pytest.param(lambda: DiscreteEnsemble(1000.5, 5.0, -0.1), "n_total must",
                  id="DiscreteEnsemble-n_total-1000.5"),
-    pytest.param(lambda: DiscreteEnsemble(1000, math.inf, -1.0, 30), "temperature must",
+    pytest.param(lambda: DiscreteEnsemble(1000, math.inf, -1.0), "temperature must",
                  id="DiscreteEnsemble-temperature-inf"),
     pytest.param(lambda: solve_mu_discrete(math.inf, 5.0), "n_total must",
                  id="solve_mu_discrete-n_total-inf"),
@@ -258,10 +257,11 @@ class TestTrapEnsemble:
                  id="solve_mu_discrete-n_total-1000.5"),
     pytest.param(lambda: solve_mu_discrete(1000, math.inf), "temperature must",
                  id="solve_mu_discrete-temperature-inf"),
-    # the truncation level: a whole number of levels within the oracle's contraction width
-    *(pytest.param(lambda emax=emax: DiscreteEnsemble(1000, 5.0, -0.1, emax), "epsilon_max must",
-                   id=f"DiscreteEnsemble-epsilon_max-{emax}")
-      for emax in (math.nan, math.inf, -math.inf, 2.5, 30.0, -1, 601)),
+    # a mu_exact that overfills level 0: its occupation overflows to inf, or reaches 1e300
+    pytest.param(lambda: DiscreteEnsemble(1, 1.0, -5e-324), "mu_exact must",
+                 id="DiscreteEnsemble-mu_exact--5e-324"),
+    pytest.param(lambda: DiscreteEnsemble(1, 1.0, -1e-300), "mu_exact must",
+                 id="DiscreteEnsemble-mu_exact--1e-300"),
     (lambda: quad.p_kernel(math.nan, 1.0), "p_kernel arguments a, b must"),
     (lambda: quad.p_kernel(np.array([1.0, 2.0]), np.array([0.5, math.nan])), "p_kernel arguments a, b must"),
     (lambda: quad.g_kernel(np.array([math.nan]), np.array([1.0])), "g_kernel arguments a, b must"),

@@ -35,7 +35,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from types import SimpleNamespace
 
 # Every BLAS call the program makes is below OpenBLAS's threading thresholds;
 # set here, before the second stage loads numpy.
@@ -46,34 +46,19 @@ from .errors import ConfigError, ConvergenceError, PrecisionLossError, Truncatio
 
 __all__ = ["SweepConfig", "sweep_angle", "sweep_temperature", "oracle_compare", "main"]
 
-_METHODS = ("semiclassical", "oracle", "both")
-_FORMATS = ("csv", "json")
 
+class SweepConfig(SimpleNamespace):
+    """Validated sweep parameters: each `_CONFIG_FIELDS` field, at its default unless given."""
 
-@dataclass
-class SweepConfig:
-    """Validated sweep parameters shared by all subcommands."""
-
-    n_total: int = 1000
-    t: float = None
-    t_over_tc: float = None
-    k_incident: float = 100.0
-    delta_lo: float = 0.1
-    delta_hi: float = 10.0
-    points: int = 50
-    log_spacing: bool = False
-    method: str = "semiclassical"
-    out: str = "-"
-    fmt: str = "csv"
-    # sweep-temp only
-    delta_fixed: float = None
-    t_lo: float = None
-    t_hi: float = None
-    t_ratio_lo: float = None
-    t_ratio_hi: float = None
+    def __init__(self, **fields):
+        defaults = {field: default for field, default, *_ in _CONFIG_FIELDS.values()}
+        unknown = fields.keys() - defaults.keys()
+        if unknown:
+            raise TypeError(f"SweepConfig() got an unexpected keyword argument {min(unknown)!r}")
+        super().__init__(**{**defaults, **fields})
 
     def validate_common(self):
-        for key, (field_name, cast, *_) in _CONFIG_FIELDS.items():
+        for key, (field_name, _, cast, *_) in _CONFIG_FIELDS.items():
             value = getattr(self, field_name)
             if cast is float and value is not None and not math.isfinite(value):
                 raise ConfigError(key.replace("_", "-"), "must be finite")
@@ -89,10 +74,9 @@ class SweepConfig:
             raise ConfigError("k-incident", "must be positive")
         if self.points < 2:
             raise ConfigError("points", "must be >= 2")
-        if self.method not in _METHODS:
-            raise ConfigError("method", f"must be one of {_METHODS}")
-        if self.fmt not in _FORMATS:
-            raise ConfigError("format", f"must be one of {_FORMATS}")
+        for key, choices in _CHOICES.items():
+            if getattr(self, _CONFIG_FIELDS[key][0]) not in choices:
+                raise ConfigError(key, f"must be one of {choices}")
 
     @property
     def semiclassical(self):
@@ -285,27 +269,27 @@ _ALL = tuple(_SUBCOMMANDS)
 _GRID = ("sweep-angle", "oracle-compare")
 _TEMP = ("sweep-temp",)
 
-# config key -> (SweepConfig field, cast, subcommands taking --key, help); the
-# flag is the key with '_' as '-', listed in --help in this order
+# config key -> (SweepConfig field, default, cast, subcommands taking --key,
+# help); the flag is the key with '_' as '-', listed in --help in this order
 _CONFIG_FIELDS = {
-    "n": ("n_total", int, _ALL, "particle number N"),
-    "t": ("t", float, _GRID, "temperature in trap units"),
-    "t_over_tc": ("t_over_tc", float, _GRID, "temperature as a fraction of Tc"),
-    "k_incident": ("k_incident", float, _ALL, "incident photon momentum in trap units"),
-    "method": ("method", str, _ALL, None),
-    "out": ("out", str, _ALL, "output path ('-' for stdout)"),
-    "format": ("fmt", str, _ALL, None),
-    "delta_lo": ("delta_lo", float, _GRID, None),
-    "delta_hi": ("delta_hi", float, _GRID, None),
-    "delta": ("delta_fixed", float, _TEMP, "fixed momentum transfer"),
-    "t_lo": ("t_lo", float, _TEMP, None),
-    "t_hi": ("t_hi", float, _TEMP, None),
-    "t_over_tc_lo": ("t_ratio_lo", float, _TEMP, None),
-    "t_over_tc_hi": ("t_ratio_hi", float, _TEMP, None),
-    "points": ("points", int, _ALL, None),
-    "log": ("log_spacing", _parse_bool, _ALL, "log-spaced grid"),
+    "n": ("n_total", 1000, int, _ALL, "particle number N"),
+    "t": ("t", None, float, _GRID, "temperature in trap units"),
+    "t_over_tc": ("t_over_tc", None, float, _GRID, "temperature as a fraction of Tc"),
+    "k_incident": ("k_incident", 100.0, float, _ALL, "incident photon momentum in trap units"),
+    "method": ("method", "semiclassical", str, _ALL, None),
+    "out": ("out", "-", str, _ALL, "output path ('-' for stdout)"),
+    "format": ("fmt", "csv", str, _ALL, None),
+    "delta_lo": ("delta_lo", 0.1, float, _GRID, None),
+    "delta_hi": ("delta_hi", 10.0, float, _GRID, None),
+    "delta": ("delta_fixed", None, float, _TEMP, "fixed momentum transfer"),
+    "t_lo": ("t_lo", None, float, _TEMP, None),
+    "t_hi": ("t_hi", None, float, _TEMP, None),
+    "t_over_tc_lo": ("t_ratio_lo", None, float, _TEMP, None),
+    "t_over_tc_hi": ("t_ratio_hi", None, float, _TEMP, None),
+    "points": ("points", 50, int, _ALL, None),
+    "log": ("log_spacing", False, _parse_bool, _ALL, "log-spaced grid"),
 }
-_CHOICES = {"method": _METHODS, "format": _FORMATS}
+_CHOICES = {"method": ("semiclassical", "oracle", "both"), "format": ("csv", "json")}
 
 
 def build_config(args):
@@ -315,7 +299,7 @@ def build_config(args):
         for key, text in parse_config_file(args.config).items():
             if key not in _CONFIG_FIELDS:
                 raise ConfigError("config", f"unknown key {key!r}")
-            field_name, cast, takers, _ = _CONFIG_FIELDS[key]
+            field_name, _, cast, takers, _ = _CONFIG_FIELDS[key]
             if args.subcommand not in takers:
                 raise ConfigError("config", f"{args.subcommand} takes no key {key!r}")
             try:
@@ -339,7 +323,7 @@ def build_parser():
     for name, text in _SUBCOMMANDS.items():
         commands[name] = sub.add_parser(name, help=text)
         commands[name].add_argument("--config", default=None, help="key=value config file")
-    for key, (_, cast, names, text) in _CONFIG_FIELDS.items():
+    for key, (_, _, cast, names, text) in _CONFIG_FIELDS.items():
         if cast is _parse_bool:
             kind = {"action": argparse.BooleanOptionalAction}
         else:

@@ -67,7 +67,8 @@ class DiscreteEnsemble:
 
     The spectrum stops at epsilon_max, derived from (n_total, temperature)
     by `_default_epsilon_max`: a TruncationError when no level up to 600
-    controls the tail.  mu_exact must leave at most n_total atoms in level 0.
+    controls the tail.  mu_exact must leave more than 0 and at most n_total
+    atoms in level 0, the most occupied level.
     """
 
     n_total: int
@@ -78,10 +79,11 @@ class DiscreteEnsemble:
     def __post_init__(self):
         # comparisons with nan are false, so nan fails every check
         _check_state(self.n_total, self.temperature)
-        # a solved mu_exact can leave level 0 one ulp above n_total (as at N = 253, T = 0.005)
+        # a solved mu_exact can leave level 0 one ulp above n_total (as at N = 253, T = 0.005);
+        # an empty level 0 (mu_exact = -inf, or far below -T) leaves every level empty
         n0 = _bose(0, self.mu_exact, self.temperature) if self.mu_exact < 0 else math.nan
-        if not n0 <= self.n_total * (1.0 + 1e-14):
-            raise ValueError("mu_exact must be negative and leave at most n_total atoms in level 0")
+        if not 0 < n0 <= self.n_total * (1.0 + 1e-14):
+            raise ValueError("mu_exact must be negative and leave more than 0 and at most n_total atoms in level 0")
         object.__setattr__(self, "epsilon_max", _default_epsilon_max(self.n_total, self.temperature))
 
     @functools.cached_property

@@ -8,7 +8,7 @@ takes the checked configuration and the values its checks returned.
 """
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,7 @@ def load_oracle():
 
 
 def _config_echo(config):
-    return {k: v for k, v in asdict(config).items() if v is not None}
+    return {k: v for k, v in vars(config).items() if v is not None}
 
 
 def _spaced(config, lo, hi):
@@ -129,7 +129,7 @@ def temperature_table(config, delta_fixed, bounds):
 def compare_report(config, temperature, bounds):
     """Deviation statistics of sweep-angle's --method both rows, and scaling fits."""
     oracle = load_oracle()
-    _, grid, pairs = _angle_rows(replace(config, method="both"), temperature, bounds)
+    _, grid, pairs = _angle_rows(type(config)(**{**vars(config), "method": "both"}), temperature, bounds)
 
     deviations = {ch: [] for ch in CHANNELS}
     rows = []

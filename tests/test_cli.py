@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import tempfile
@@ -175,6 +176,24 @@ class TestConfigPlumbing:
         assert by_flag == by_file
         got = getattr(by_flag, field)
         assert got == value != getattr(SweepConfig(), field) and type(got) is type(value)
+
+    def test_config_fields_and_defaults_come_from_the_table(self):
+        assert vars(SweepConfig()) == {field: default for field, default, *_ in _CONFIG_FIELDS.values()}
+        # an unknown name, and a config key that is not a field name
+        for fields in ({"bogus": 1}, {"n": 400}):
+            with pytest.raises(TypeError):
+                SweepConfig(**fields)
+
+    @pytest.mark.parametrize("subcommand", _ALL)
+    def test_help_lists_the_table_flags(self, capsys, subcommand):
+        # a subcommand's --help lists --config, then every flag whose subcommands name it, in table order
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([subcommand, "--help"])
+        assert exit_info.value.code == 0
+        listed = re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, flags=re.MULTILINE)
+        flags = ["--" + key.replace("_", "-")
+                 for key, (*_, takers, _) in _CONFIG_FIELDS.items() if subcommand in takers]
+        assert listed == ["--config"] + flags
 
     def test_truncation_level_not_settable(self, tmp_path, capsys):
         # the oracle derives its truncation from (N, T): neither a flag nor a key sets it
@@ -921,7 +940,7 @@ import contextlib, io, json, os, sys
 os.chdir({str(tmp_path)!r})
 import trapscatter.cli
 model = {_MODEL!r}
-report = [[m for m in model if m in sys.modules]]
+report = [[m for m in model if m in sys.modules], [m for m in ("dataclasses", "inspect") if m in sys.modules]]
 for argv in {[argv for argv, _, _ in _STAGE_ONE_EXITS]!r}:
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -932,8 +951,10 @@ for argv in {[argv for argv, _, _ in _STAGE_ONE_EXITS]!r}:
     report.append([code, stdout.getvalue(), stderr.getvalue(), [m for m in model if m in sys.modules]])
 print(json.dumps(report))
 """
-    imported, *runs = json.loads(_run_fresh("-c", script).splitlines()[-1])
+    imported, declared_by, *runs = json.loads(_run_fresh("-c", script).splitlines()[-1])
     assert imported == []
+    # the options are declared by one table, with no dataclass machinery
+    assert declared_by == []
     for (argv, code, err), (got_code, got_out, got_err, loaded) in zip(_STAGE_ONE_EXITS, runs, strict=True):
         assert (got_code, loaded) == (code, []), argv
         if err is None:  # --help

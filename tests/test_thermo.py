@@ -262,6 +262,11 @@ class TestTrapEnsemble:
                  id="DiscreteEnsemble-mu_exact--5e-324"),
     pytest.param(lambda: DiscreteEnsemble(1, 1.0, -1e-300), "mu_exact must",
                  id="DiscreteEnsemble-mu_exact--1e-300"),
+    # one that empties level 0, the most occupied, and with it the whole ensemble
+    pytest.param(lambda: DiscreteEnsemble(1000, 5.0, -math.inf), "mu_exact must",
+                 id="DiscreteEnsemble-mu_exact--inf"),
+    pytest.param(lambda: DiscreteEnsemble(1000, 5.0, -1e6), "mu_exact must",
+                 id="DiscreteEnsemble-mu_exact--1e6"),
     (lambda: quad.p_kernel(math.nan, 1.0), "p_kernel arguments a, b must"),
     (lambda: quad.p_kernel(np.array([1.0, 2.0]), np.array([0.5, math.nan])), "p_kernel arguments a, b must"),
     (lambda: quad.g_kernel(np.array([math.nan]), np.array([1.0])), "g_kernel arguments a, b must"),

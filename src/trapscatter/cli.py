@@ -271,22 +271,23 @@ _TEMP = ("sweep-temp",)
 
 # config key -> (SweepConfig field, default, cast, subcommands taking --key,
 # help); the flag is the key with '_' as '-', listed in --help in this order
+# with its help and the default where there is one
 _CONFIG_FIELDS = {
     "n": ("n_total", 1000, int, _ALL, "particle number N"),
     "t": ("t", None, float, _GRID, "temperature in trap units"),
     "t_over_tc": ("t_over_tc", None, float, _GRID, "temperature as a fraction of Tc"),
     "k_incident": ("k_incident", 100.0, float, _ALL, "incident photon momentum in trap units"),
-    "method": ("method", "semiclassical", str, _ALL, None),
-    "out": ("out", "-", str, _ALL, "output path ('-' for stdout)"),
-    "format": ("fmt", "csv", str, _ALL, None),
-    "delta_lo": ("delta_lo", 0.1, float, _GRID, None),
-    "delta_hi": ("delta_hi", 10.0, float, _GRID, None),
+    "method": ("method", "semiclassical", str, _ALL, "semiclassical formulas, the exact discrete oracle, or both"),
+    "out": ("out", "-", str, _ALL, "output path, '-' for stdout"),
+    "format": ("fmt", "csv", str, _ALL, "table format; oracle-compare writes json only"),
+    "delta_lo": ("delta_lo", 0.1, float, _GRID, "lowest momentum transfer"),
+    "delta_hi": ("delta_hi", 10.0, float, _GRID, "highest momentum transfer, at most 2 k-incident"),
     "delta": ("delta_fixed", None, float, _TEMP, "fixed momentum transfer"),
-    "t_lo": ("t_lo", None, float, _TEMP, None),
-    "t_hi": ("t_hi", None, float, _TEMP, None),
-    "t_over_tc_lo": ("t_ratio_lo", None, float, _TEMP, None),
-    "t_over_tc_hi": ("t_ratio_hi", None, float, _TEMP, None),
-    "points": ("points", 50, int, _ALL, None),
+    "t_lo": ("t_lo", None, float, _TEMP, "lowest temperature in trap units"),
+    "t_hi": ("t_hi", None, float, _TEMP, "highest temperature in trap units"),
+    "t_over_tc_lo": ("t_ratio_lo", None, float, _TEMP, "lowest temperature as a fraction of Tc"),
+    "t_over_tc_hi": ("t_ratio_hi", None, float, _TEMP, "highest temperature as a fraction of Tc"),
+    "points": ("points", 50, int, _ALL, "number of grid points"),
     "log": ("log_spacing", False, _parse_bool, _ALL, "log-spaced grid"),
 }
 _CHOICES = {"method": ("semiclassical", "oracle", "both"), "format": ("csv", "json")}
@@ -323,7 +324,9 @@ def build_parser():
     for name, text in _SUBCOMMANDS.items():
         commands[name] = sub.add_parser(name, help=text)
         commands[name].add_argument("--config", default=None, help="key=value config file")
-    for key, (_, _, cast, names, text) in _CONFIG_FIELDS.items():
+    for key, (_, default, cast, names, text) in _CONFIG_FIELDS.items():
+        if default is not None:
+            text += f" (default: {default})"
         if cast is _parse_bool:
             kind = {"action": argparse.BooleanOptionalAction}
         else:

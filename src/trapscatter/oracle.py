@@ -63,28 +63,35 @@ _MAX_EPSILON = 600
 
 @dataclass(frozen=True)
 class DiscreteEnsemble:
-    """Grand-canonical thermal state of (n_total, temperature, mu_exact), equal by value.
+    """Grand-canonical thermal state of (n_total, temperature), equal by value.
 
     The spectrum stops at epsilon_max, derived from (n_total, temperature)
     by `_default_epsilon_max`: a TruncationError when no level up to 600
-    controls the tail.  mu_exact must leave more than 0 and at most n_total
-    atoms in level 0, the most occupied level.
+    controls the tail.  mu_exact solves the level sum to epsilon_max for
+    n_total by Newton on ln N; each occupation is log-convex in mu, as
+    `thermo._solve_number_equation` needs.
     """
 
     n_total: int
     temperature: float
-    mu_exact: float
+    mu_exact: float = field(init=False)
     epsilon_max: int = field(init=False)
 
     def __post_init__(self):
         # comparisons with nan are false, so nan fails every check
         _check_state(self.n_total, self.temperature)
-        # a solved mu_exact can leave level 0 one ulp above n_total (as at N = 253, T = 0.005);
-        # an empty level 0 (mu_exact = -inf, or far below -T) leaves every level empty
-        n0 = _bose(0, self.mu_exact, self.temperature) if self.mu_exact < 0 else math.nan
-        if not 0 < n0 <= self.n_total * (1.0 + 1e-14):
-            raise ValueError("mu_exact must be negative and leave more than 0 and at most n_total atoms in level 0")
-        object.__setattr__(self, "epsilon_max", _default_epsilon_max(self.n_total, self.temperature))
+        n, t = int(self.n_total), float(self.temperature)
+        eps = np.arange(0, _default_epsilon_max(n, t) + 1, dtype=float)
+        g = (eps + 1.0) * (eps + 2.0) / 2.0
+
+        def population(mu):
+            occ = _bose(eps, mu, t)
+            level = g * occ
+            return float(level.sum()), float((level * (occ + 1.0)).sum()) / t
+
+        mu = _solve_number_equation(population, n, t, "solve_mu_discrete")
+        for name, value in (("n_total", n), ("temperature", t), ("mu_exact", mu), ("epsilon_max", eps.size - 1)):
+            object.__setattr__(self, name, value)
 
     @functools.cached_property
     def occupations(self):
@@ -135,27 +142,8 @@ def _boltzmann_tail(epsilon_max, temperature):
 
 
 def solve_mu_discrete(n_total, temperature):
-    """Chemical potential from the full discrete occupation sum, by Newton on ln N.
-
-    The levels run to the ensemble's derived epsilon_max, a TruncationError
-    when no level up to 600 controls the tail.  Each occupation is
-    log-convex in mu, as `thermo.chemical_potential` needs.  Reproduces
-    e^{-mu/T} = 1 + 1/N0 by construction.
-    """
-    _check_state(n_total, temperature)
-    t = float(temperature)
-    epsilon_max = _default_epsilon_max(n_total, t)
-
-    eps = np.arange(0, epsilon_max + 1, dtype=float)
-    g = (eps + 1.0) * (eps + 2.0) / 2.0
-
-    def population(mu):
-        occ = _bose(eps, mu, t)
-        level = g * occ
-        return float(level.sum()), float((level * (occ + 1.0)).sum()) / t
-
-    mu = _solve_number_equation(population, n_total, t, "solve_mu_discrete")
-    return DiscreteEnsemble(int(n_total), t, mu)
+    """The DiscreteEnsemble of (n_total, temperature), which solves the level sum for mu_exact."""
+    return DiscreteEnsemble(n_total, temperature)
 
 
 def _projected_weights(occ):

@@ -88,20 +88,20 @@ def _table(config, lead_columns, leads, rows, meta):
 
 
 def _angle_rows(config, temperature, bounds):
-    """sweep-angle's semiclassical ensemble, delta grid and rows."""
+    """sweep-angle's delta grid and rows."""
     # Python floats: a delta^2 beyond the float range is inf without a numpy warning
     grid = _spaced(config, *bounds).tolist()
-    ensemble = TrapEnsemble.solve(config.n_total, temperature)
-    # one discrete ensemble for every row; failing to solve it fails the sweep
+    # one ensemble per method for every row; failing to solve one fails the sweep
+    ensemble = TrapEnsemble.solve(config.n_total, temperature) if config.semiclassical else None
     discrete = load_oracle().solve_mu_discrete(config.n_total, temperature) if config.oracle else None
-    return ensemble, grid, _rows(config, [ensemble] * len(grid), grid, [discrete] * len(grid))
+    return grid, _rows(config, [ensemble] * len(grid), grid, [discrete] * len(grid))
 
 
 def angle_table(config, temperature, bounds):
     """Channel table over the delta grid between `bounds` at temperature T."""
-    ensemble, grid, rows = _angle_rows(config, temperature, bounds)
+    grid, rows = _angle_rows(config, temperature, bounds)
     meta = {"command": "sweep-angle", "config": _config_echo(config),
-            "temperature": temperature, "t_critical": ensemble.t_critical}
+            "temperature": temperature, "t_critical": critical_temperature(config.n_total)}
     return _table(config, ["delta", "theta"], ([d, d / config.k_incident] for d in grid), rows, meta)
 
 
@@ -129,7 +129,7 @@ def temperature_table(config, delta_fixed, bounds):
 def compare_report(config, temperature, bounds):
     """Deviation statistics of sweep-angle's --method both rows, and scaling fits."""
     oracle = load_oracle()
-    _, grid, pairs = _angle_rows(type(config)(**{**vars(config), "method": "both"}), temperature, bounds)
+    grid, pairs = _angle_rows(type(config)(**{**vars(config), "method": "both"}), temperature, bounds)
 
     deviations = {ch: [] for ch in CHANNELS}
     rows = []

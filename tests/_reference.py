@@ -10,7 +10,8 @@ band's bits, the level-by-level truncation scan is the reference for the
 oracle's bisected default epsilon_max, the stored-band breakdown is the
 per-pair reference for the oracle's streamed grid, and the bisection at the
 very end, the program's earlier root finder, is the reference for both
-Newton solves of the number equation.
+Newton solves of the number equation; the untruncated Bose-series level
+sum beside it checks the oracle's mu independently of its truncation.
 
 The semiclassical element for two highly excited states, `overlap_wkb`, is
 the stationary phase result; it tracks the oscillating exact element's
@@ -370,6 +371,24 @@ def discrete_population(mu, t, epsilon_max):
     eps = np.arange(epsilon_max + 1.0)
     with np.errstate(over="ignore"):
         return float(((eps + 1.0) * (eps + 2.0) / 2.0 / np.expm1((eps - mu) / t)).sum())
+
+
+def bose_series_population(mu, t):
+    """The untruncated level sum n0 + sum_{j>=1} z^j [(1 - w_j)^{-3} - 1], z = e^{mu/T}, w_j = e^{-j/T}.
+
+    Each excited occupation is sum_j z^j e^{-j eps/T}, and the degeneracies
+    (eps+1)(eps+2)/2 summed over every eps >= 1 give (1 - w)^{-3} - 1 =
+    w (3 - 3w + w^2) / (1 - w)^3, written so to keep its digits when w is
+    small.  The sum stops at j = ceil(40 T) + 40, past which every bracket
+    is below e^{-40} of the first.  Standard library only, nothing from the
+    program.
+    """
+    n0 = 1.0 / math.expm1(-mu / t)
+    terms = []
+    for j in range(1, math.ceil(40.0 * t) + 41):
+        w = math.exp(-j / t)
+        terms.append(math.exp(j * mu / t) * w * (3.0 - 3.0 * w + w * w) / (-math.expm1(-j / t)) ** 3)
+    return n0 + math.fsum(terms)
 
 
 def chemical_potential_bisection(n_total, temperature, population):

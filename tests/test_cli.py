@@ -186,14 +186,22 @@ class TestConfigPlumbing:
 
     @pytest.mark.parametrize("subcommand", _ALL)
     def test_help_lists_the_table_flags(self, capsys, subcommand):
-        # a subcommand's --help lists --config, then every flag whose subcommands name it, in table order
+        # a subcommand's --help lists --config, then every flag whose subcommands name it, in table order,
+        # each with its table help and, where the table has one, its table default
         with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args([subcommand, "--help"])
         assert exit_info.value.code == 0
-        listed = re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, flags=re.MULTILINE)
-        flags = ["--" + key.replace("_", "-")
-                 for key, (*_, takers, _) in _CONFIG_FIELDS.items() if subcommand in takers]
-        assert listed == ["--config"] + flags
+        options = capsys.readouterr().out.split("\noptions:\n")[1]
+        # one entry per flag: its line and the wrapped help lines under it, whitespace collapsed
+        entries = [" ".join(entry.split()) for entry in re.split(r"\n(?=  -)", options)]
+        listed = {entry.split()[0].rstrip(","): entry for entry in entries}
+        table = {"--" + key.replace("_", "-"): (default, text)
+                 for key, (_, default, _, takers, text) in _CONFIG_FIELDS.items() if subcommand in takers}
+        assert list(listed) == ["-h", "--config"] + list(table)
+        for flag, (default, text) in table.items():
+            printed = re.findall(r"\(default: ([^)]*)\)", listed[flag])
+            assert printed == ([] if default is None else [str(default)]), flag
+            assert text and " ".join(text.split()) in listed[flag], flag
 
     def test_truncation_level_not_settable(self, tmp_path, capsys):
         # the oracle derives its truncation from (N, T): neither a flag nor a key sets it
@@ -476,6 +484,33 @@ class TestSweepAngle:
         assert err.startswith("numerical-failure: TruncationError: no truncation below 600 ")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("method,solves", [("oracle", 0), ("both", 1)])
+    def test_only_the_semiclassical_method_solves_a_continuum_ensemble(self, tmp_path, monkeypatch, method, solves):
+        # an oracle-only sweep reads t_critical from N and solves only the discrete ensemble
+        from trapscatter.thermo import TrapEnsemble
+
+        calls, real = [], TrapEnsemble.solve
+        monkeypatch.setattr(TrapEnsemble, "solve", classmethod(lambda cls, *args: calls.append(args) or real(*args)))
+        out = tmp_path / "angle.json"
+        assert run_main([
+            "sweep-angle", "--n", "300", "--t-over-tc", "0.6", "--method", method,
+            "--delta-lo", "1", "--delta-hi", "4", "--points", "3", "--format", "json", "--out", str(out),
+        ]) == 0
+        assert len(calls) == solves
+        assert json.loads(out.read_text())["meta"]["t_critical"] == trapscatter.critical_temperature(300)
+
+    def test_oracle_failure_before_rows_at_an_overflowing_temperature(self, capsys):
+        # without the semiclassical method no continuum T^3 overflows: the oracle's truncation fails first
+        code = run_main([
+            "sweep-angle", "--n", "1000", "--t", "1e103", "--method", "oracle",
+            "--delta-lo", "1", "--delta-hi", "2", "--points", "2", "--k-incident", "100",
+        ])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err == ("numerical-failure: TruncationError: no truncation below 600 "
+                                "controls the tail for N=1000, T=1e+103\n")
+        assert captured.out == ""
 
     def test_python_m_matches_main(self, tmp_path):
         # run as __main__, the CLI module must still recognise the second

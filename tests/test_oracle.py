@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from _reference import (
+    bose_series_population,
     chemical_potential_bisection,
     default_epsilon_max_scan,
     discrete_population,
@@ -137,6 +138,14 @@ class TestSolveMuDiscrete:
         assert_allclose(ens.mu_exact, reference, rtol=1e-10, atol=0)
         assert_allclose(discrete_population(ens.mu_exact, t, ens.epsilon_max), n, rtol=1e-13)
 
+    @pytest.mark.parametrize("n,ratio", [(1000, 0.5), (10_000, 0.2), (10_000, 0.7), (10_000, 1.1),
+                                         (10_000, 1.38), (100_000, 0.7), (300, 0.79), (2, 0.01)])
+    def test_mu_holds_n_total_in_the_untruncated_level_sum(self, n, ratio):
+        # the untruncated sum adds the levels past epsilon_max, whose tail the truncation keeps below 1e-6 N
+        ens = DiscreteEnsemble(n, ratio * critical_temperature(n))
+        excess = bose_series_population(ens.mu_exact, ens.temperature) / n - 1.0
+        assert -1e-12 <= excess < 1e-6, excess
+
     @pytest.mark.parametrize("n", [23, 49, 93])
     def test_cold_start_rounding_short_of_n(self, n):
         # at these N the ground term at mu0 = -T ln(1 + 1/N) rounds below N,
@@ -149,20 +158,31 @@ class TestSolveMuDiscrete:
         assert_allclose(ens.mu_exact, reference, rtol=1e-10)
 
 
-# (N, T) from 1 to 1e7 atoms and T = 0.005 to 200, mu_exact = -T: both sides of the 600-level guard
+# (N, T) from 1 to 1e7 atoms and T = 0.005 to 200: both sides of the 600-level guard
 _STATES = [(int(n), float(t)) for n in np.unique(np.geomspace(1, 1e7, 25).astype(int))
            for t in np.geomspace(0.005, 200.0, 40)]
 
 
 class TestDiscreteEnsemble:
     def test_truncation_is_derived_not_passed(self):
-        # (n_total, temperature, mu_exact) define the ensemble; epsilon_max is not an argument
+        # (n_total, temperature) define the ensemble; mu_exact and epsilon_max are not arguments
+        for derived in ("mu_exact", "epsilon_max"):
+            with pytest.raises(TypeError):
+                DiscreteEnsemble(1000, 5.0, **{derived: 30})
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(DiscreteEnsemble(1000, 5.0), derived, 30)
         with pytest.raises(TypeError):
-            DiscreteEnsemble(1000, 5.0, -0.1, 30)
+            DiscreteEnsemble(1000, 5.0, 30)
+        # the triple that once held 261.8 atoms for its n_total of 1000
         with pytest.raises(TypeError):
-            DiscreteEnsemble(1000, 5.0, -0.1, epsilon_max=30)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            DiscreteEnsemble(1000, 5.0, -0.1).epsilon_max = 30
+            DiscreteEnsemble(1000, 5.0, -0.1)
+
+    def test_constructor_is_the_solve(self):
+        ens = DiscreteEnsemble(1000, 5.0)
+        assert ens == solve_mu_discrete(1000, 5.0) and hash(ens) == hash(solve_mu_discrete(1000, 5.0))
+        assert (ens.n_total, ens.temperature) == (1000, 5.0)
+        assert (type(ens.n_total), type(ens.temperature)) == (int, float)
+        assert DiscreteEnsemble(1000.0, np.float64(5.0)) == ens
 
     def test_truncation_matches_level_scan(self):
         outcomes = {"level": 0, "raise": 0}
@@ -172,16 +192,16 @@ class TestDiscreteEnsemble:
             except TruncationError:
                 outcomes["raise"] += 1
                 with pytest.raises(TruncationError):
-                    DiscreteEnsemble(n, t, -t)
+                    DiscreteEnsemble(n, t)
             else:
                 outcomes["level"] += 1
-                assert DiscreteEnsemble(n, t, -t).epsilon_max == expected, (n, t)
+                assert DiscreteEnsemble(n, t).epsilon_max == expected, (n, t)
         assert min(outcomes.values()) > 100, outcomes
 
     def test_uncontrollable_tail_refused_at_construction(self):
-        # no level up to 600 controls the tail of N = 2 at T = 50, whatever mu_exact
+        # no level up to 600 controls the tail of N = 2 at T = 50
         with pytest.raises(TruncationError, match="^no truncation below 600 "):
-            DiscreteEnsemble(2, 50.0, -25.0)
+            DiscreteEnsemble(2, 50.0)
         with pytest.raises(TruncationError, match="^no truncation below 600 "):
             solve_mu_discrete(2, 50.0)
 
@@ -191,22 +211,13 @@ class TestDiscreteEnsemble:
         worst = 0.0
         for n, t in _STATES:
             try:
-                emax = DiscreteEnsemble(n, t, -t).epsilon_max
+                emax = _default_epsilon_max(n, t)
             except TruncationError:
                 continue
             x = emax / t
             tail = (emax + 1) * (emax + 2) / 2.0 * math.exp(-x) / -math.expm1(-x)
             worst = max(worst, tail / (1e-4 * n))
         assert 0.0 < worst <= 1.0, worst
-
-    def test_overfull_ground_state_refused(self):
-        # one atom cannot put inf, 1e300 or 999.5 atoms in level 0; refused without a numpy warning
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for mu in (-5e-324, -1e-300, -1e-3):
-                with pytest.raises(ValueError, match="^mu_exact must"):
-                    DiscreteEnsemble(1, 1.0, mu)
-            assert_allclose(DiscreteEnsemble(1, 1.0, -math.log(2.0)).occupations[0], 1.0, rtol=1e-15)
 
     @pytest.mark.parametrize("n,t", [(253, 0.005), (996, 0.01)])
     def test_solved_ground_state_one_ulp_over_accepted(self, n, t):
@@ -223,10 +234,10 @@ class TestDiscreteEnsemble:
         assert first == second and hash(first) == hash(second)
         assert len({first, second, solve_mu_discrete(1000, 6.0)}) == 2
 
-    @pytest.mark.parametrize("ens", [solve_mu_discrete(1000, 5.0), DiscreteEnsemble(1, 0.02, -1.0)],
+    @pytest.mark.parametrize("ens", [solve_mu_discrete(1000, 5.0), DiscreteEnsemble(1, 0.02)],
                              ids=["solved", "deep-tail"])
     def test_occupations_are_the_read_only_bose_formula(self, ens):
-        # bit for bit; past level 13 of the deep tail expm1 overflows and the state holds 0
+        # bit for bit; past level 14 of the deep tail expm1 overflows and the state holds 0
         eps = np.arange(ens.epsilon_max + 1.0)
         with np.errstate(over="ignore"):
             want = 1.0 / np.expm1((eps - ens.mu_exact) / ens.temperature)
@@ -242,11 +253,11 @@ class TestDiscreteEnsemble:
     def test_free_occupations_cannot_be_built(self, occupations):
         # the NaN and negative occupations that once gave NaN or plausible channels, all flagged valid
         with pytest.raises(TypeError):
-            DiscreteEnsemble(1000, 5.0, -0.1, occupations)
+            DiscreteEnsemble(1000, 5.0, occupations)
         with pytest.raises(TypeError):
-            DiscreteEnsemble(1000, 5.0, -0.1, occupations=occupations)
+            DiscreteEnsemble(1000, 5.0, occupations=occupations)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            DiscreteEnsemble(1000, 5.0, -0.1).occupations = occupations
+            DiscreteEnsemble(1000, 5.0).occupations = occupations
 
 
 class TestDefaultEpsilonMax:
@@ -405,13 +416,13 @@ def _channels(bd):
 
 
 def _bose_ensemble(emax):
-    """An ensemble whose derived truncation is emax, from 30 to 600.
+    """The solved ensemble whose derived truncation is emax, from 30 to 600.
 
     At N = 1e8 the 12 T floor alone sets the truncation up to level 600,
-    so T = (emax - 1/2) / 12 puts it at emax; mu_exact is -T / 10.
+    so T = (emax - 1/2) / 12 puts it at emax.
     """
     t = (emax - 0.5) / 12.0
-    ens = DiscreteEnsemble(n_total=10**8, temperature=t, mu_exact=-0.1 * t)
+    ens = DiscreteEnsemble(n_total=10**8, temperature=t)
     assert ens.epsilon_max == emax
     return ens
 

@@ -69,7 +69,8 @@ class DiscreteEnsemble:
     by `_default_epsilon_max`: a TruncationError when no level up to 600
     controls the tail.  mu_exact solves the level sum to epsilon_max for
     n_total by Newton on ln N; each occupation is log-convex in mu, as
-    `thermo._solve_number_equation` needs.
+    `thermo._solve_number_equation` needs.  A ConvergenceError from that
+    solve carries the context "solve_mu_discrete", the name the CLI prints.
     """
 
     n_total: int

@@ -221,7 +221,8 @@ class TestDiscreteEnsemble:
 
     @pytest.mark.parametrize("n,t", [(253, 0.005), (996, 0.01)])
     def test_solved_ground_state_one_ulp_over_accepted(self, n, t):
-        # the excited levels add less than one ulp of N, and level 0 rounds one ulp above it
+        # pins a rounding result: the excited levels add less than one ulp of N,
+        # and the solved level 0 rounds one ulp above N
         assert solve_mu_discrete(n, t).occupations[0] == np.nextafter(float(n), math.inf)
 
     def test_widest_ensemble_accepted(self):
@@ -486,9 +487,9 @@ class TestExactBreakdowns:
     @settings(max_examples=15, deadline=None)
     @example(emaxes=[543, 60, 30], deltas=[0.0, np.float64(1e200), 0.7, 1.3, 3.0])
     # pairs whose shallower cell once moved by 1 ulp when padded to the deeper truncation
-    @example(emaxes=[31, 32], deltas=[9.5])
-    @example(emaxes=[38, 39], deltas=[12.0])
-    @example(emaxes=[32, 31], deltas=[9.5])
+    @example(emaxes=[30, 32], deltas=[9.5])
+    @example(emaxes=[32, 33], deltas=[12.0])
+    @example(emaxes=[34, 32], deltas=[11.0])
     @given(st.lists(st.integers(30, 600), min_size=2, max_size=4, unique=True),
            st.lists(st.sampled_from([0.0, np.float64(1e200)]) | st.floats(0.1, 12.0), min_size=1, max_size=5))
     def test_cells_independent_of_grid(self, emaxes, deltas):

@@ -1,19 +1,19 @@
 """Run the tier-1 test suite and pass only when it fails exactly where it is expected to.
 
-    python3 tools/tier1_gate.py [PYTEST_ARG ...]
+    python3 tools/tier1_gate.py
 
 runs the tier-1 command of ROADMAP.md,
 
     PYTHONPATH=src python -m pytest -q --continue-on-collection-errors
 
-from the repository root with any extra arguments appended, and reads the
-JUnit XML report it writes to a temporary directory.  README.md lists three
-acceptance clauses under "Expected acceptance failures" (3a, 4b and 6b):
-published claims that the model's measured behaviour disproves, kept as
-stated.  The gate exits 0 only when the failed and errored tests are
-exactly those three.  Otherwise it prints every other failure or error
-(a collection error included), and each of the three that passed or did not
-run, and exits 1.  It changes no test and no marker.
+from the repository root, and reads the JUnit XML report it writes to a
+temporary directory.  README.md lists three acceptance clauses under
+"Expected acceptance failures" (3a, 4b and 6b): published claims that the
+model's measured behaviour disproves, kept as stated.  The gate exits 0 only
+when the failed and errored tests are exactly those three.  Otherwise it
+prints every other failure or error (a collection error included), and each
+of the three that passed or did not run, and exits 1.  It changes no test
+and no marker.
 """
 
 import os
@@ -47,13 +47,13 @@ def verdict(cases):
     return sorted(failed - EXPECTED), sorted(EXPECTED - failed)
 
 
-def main(argv):
+def main():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     with tempfile.TemporaryDirectory() as tmp:
         report = Path(tmp) / "tier1.xml"
         command = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
-                   f"--junitxml={report}", *argv]
+                   f"--junitxml={report}"]
         subprocess.run(command, cwd=ROOT, env=env, check=False)
         if not report.exists():
             print("tier-1 gate: pytest wrote no report")
@@ -71,4 +71,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

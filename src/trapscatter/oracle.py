@@ -266,6 +266,9 @@ def scaling_probe(process, n_values, t_over_tc, delta):
 
     ensembles = [solve_mu_discrete(n, t_over_tc * critical_temperature(n)) for n in n_values]
     rates = [getattr(_unwrap(row[0]), process) for row in exact_breakdowns(ensembles, [float(delta)])]
+    for n, rate in zip(n_values, rates):
+        if not 0.0 < rate < math.inf:  # nan fails too
+            raise ValueError(f"{process} rate {rate} at N={n} is not positive and finite: no power law to fit")
 
     log_n = np.log(np.asarray(n_values, dtype=float))
     log_r = np.log(np.asarray(rates))

@@ -123,7 +123,8 @@ def diffraction_differential(ensemble, delta):
 
     The square keeps the condensate-cloud cross term.  Below the
     delta^2 T >= 1 regime the excited term is an extrapolation; `decompose`
-    flags it there.  delta = inf gives the limit 0.
+    flags it there.  delta = inf gives the limit 0, a delta whose delta^4
+    underflows the limit inf.
     """
     quad._check_delta(delta)
     t = ensemble.temperature
@@ -133,6 +134,8 @@ def diffraction_differential(ensemble, delta):
         amplitude += 4.0 * t / delta**4 * z
     except OverflowError:
         pass  # delta^4 beyond the float range: 4T/delta^4 < 1e-205 squares to 0
+    except ZeroDivisionError:
+        return math.inf  # delta^4 below the float range
     return amplitude * amplitude
 
 
@@ -146,10 +149,13 @@ def bose_0m_differential(ensemble, delta):
     """Ground<->excited stimulated rate 2 N0 / (e^{delta^2/2T} - 1).
 
     Limits: 4 N0 T / delta^2 for delta^2 << 2T, and 2 N0 e^{-delta^2/2T}
-    in the thermal tail, 0 at delta = inf.
+    in the thermal tail, 0 at delta = inf; where delta^2/2T underflows, the
+    small-delta limit: inf, or 0 without a condensate.
     """
     quad._check_delta(delta)
     arg = 0.5 * delta * delta / ensemble.temperature
+    if arg == 0.0:
+        return math.inf if ensemble.n_condensate > 0 else 0.0
     if arg > 500.0:
         # expm1 would overflow; the rate is a clean Boltzmann tail here.
         return 2.0 * ensemble.n_condensate * math.exp(-arg)
@@ -290,7 +296,7 @@ def bose_mm_differential(ensemble, delta):
     """Excited<->excited stimulated rate T^3 f(delta^2/2T, -mu/T), f evaluated directly; 0 at delta = inf."""
     quad._check_delta(delta)
     t = ensemble.temperature
-    a = 0.5 * delta * delta / t
+    a = max(0.5 * delta * delta / t, math.ulp(0.0))  # an a that underflows to 0: f(0, nu), as below _SHAPE_TINY
     return t**3 * excited_pair_shape(a, -ensemble.mu / t)
 
 

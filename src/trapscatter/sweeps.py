@@ -92,7 +92,7 @@ def _angle_rows(config, temperature, bounds):
     # Python floats: a delta^2 beyond the float range is inf without a numpy warning
     grid = _spaced(config, *bounds).tolist()
     # one ensemble per method for every row; failing to solve one fails the sweep
-    ensemble = TrapEnsemble.solve(config.n_total, temperature) if config.semiclassical else None
+    ensemble = TrapEnsemble(config.n_total, temperature) if config.semiclassical else None
     discrete = load_oracle().solve_mu_discrete(config.n_total, temperature) if config.oracle else None
     return grid, _rows(config, [ensemble] * len(grid), grid, [discrete] * len(grid))
 
@@ -116,7 +116,7 @@ def temperature_table(config, delta_fixed, bounds):
     """Channel table over the temperature grid between `bounds` at fixed delta."""
     grid = _spaced(config, *bounds)
     tc = critical_temperature(config.n_total)
-    ensembles = [TrapEnsemble.solve(config.n_total, t) for t in grid]
+    ensembles = [TrapEnsemble(config.n_total, t) for t in grid]
     # solved one row at a time, so a failure is flagged on that row only
     discretes = [_discrete_or_error(config.n_total, t) if config.oracle else None for t in grid]
     leads = ([t, t / tc, e.mu, e.n_condensate, e.n_excited] for t, e in zip(grid, ensembles))

@@ -28,7 +28,7 @@ term alone is N, Newton falls onto the root without overshooting.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import critical_temperature, quad
 from .errors import ConvergenceError
@@ -108,17 +108,18 @@ def chemical_potential(n_total, temperature):
 
 @dataclass(frozen=True)
 class TrapEnsemble:
-    """Thermal state of the trapped gas in trap units.
+    """Thermal state of (n_total, temperature) in trap units, equal by value.
 
-    n_condensate follows the leading-order split (exactly 0 above Tc);
-    mu comes from the combined number equation and is always negative.
-    t_critical and n_excited follow from n_total and n_condensate.
+    mu solves the combined number equation (`chemical_potential`) and is
+    always negative; n_condensate follows the leading-order split (exactly
+    0 above Tc).  t_critical and n_excited follow from n_total and
+    n_condensate.
     """
 
     n_total: int
     temperature: float
-    mu: float
-    n_condensate: float
+    mu: float = field(init=False)
+    n_condensate: float = field(init=False)
 
     @property
     def t_critical(self):
@@ -131,25 +132,14 @@ class TrapEnsemble:
     def __post_init__(self):
         # comparisons with nan are false, so nan fails every check
         _check_state(self.n_total, self.temperature)
-        if not self.mu < 0:
-            raise ValueError("mu must be negative")
-        if not 0 <= self.n_condensate <= self.n_total:
-            raise ValueError("n_condensate must lie in [0, n_total]")
-
-    @classmethod
-    def solve(cls, n_total, temperature):
-        """Build the ensemble for N particles at temperature T."""
-        _check_state(n_total, temperature)
-        return cls(
-            n_total=int(n_total),
-            temperature=float(temperature),
-            mu=chemical_potential(n_total, temperature),
-            n_condensate=condensate_count(n_total, temperature),
-        )
+        n, t = int(self.n_total), float(self.temperature)
+        for name, value in (("n_total", n), ("temperature", t), ("mu", chemical_potential(n, t)),
+                            ("n_condensate", condensate_count(n, t))):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def at_ratio(cls, n_total, t_over_tc):
         """Build the ensemble at a given T/Tc."""
         if not 0 < t_over_tc < math.inf:
             raise ValueError("t_over_tc must be positive and finite")
-        return cls.solve(n_total, t_over_tc * critical_temperature(n_total))
+        return cls(n_total, t_over_tc * critical_temperature(n_total))

@@ -11,7 +11,8 @@ oracle's bisected default epsilon_max, the stored-band breakdown is the
 per-pair reference for the oracle's streamed grid, and the bisection at the
 very end, the program's earlier root finder, is the reference for both
 Newton solves of the number equation; the untruncated Bose-series level
-sum beside it checks the oracle's mu independently of its truncation.
+sum beside it checks the oracle's mu independently of its truncation, and
+the Bose-series channel sums check its channels the same way.
 
 The semiclassical element for two highly excited states, `overlap_wkb`, is
 the stationary phase result; it tracks the oscillating exact element's
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from trapscatter import (
     ConvergenceError,
@@ -389,6 +390,72 @@ def bose_series_population(mu, t):
         w = math.exp(-j / t)
         terms.append(math.exp(j * mu / t) * w * (3.0 - 3.0 * w + w * w) / (-math.expm1(-j / t)) ** 3)
     return n0 + math.fsum(terms)
+
+
+def bose_series_channels(n_total, temperature, mu, deltas):
+    """The four channels of the untruncated level sums at (mu, T), as sums over Bose indices.
+
+    Each occupation is n(eps) = sum_{j>=1} z^j e^{-j eps/T}, so with z = e^{mu/T},
+    n0 = 1/(e^{-mu/T} - 1), w_j = e^{-j/T}, u_j = 1 - w_j and x = delta^2/2
+    every channel is a sum of closed-form oscillator traces (ROADMAP item 3):
+
+    - diffraction (sum_i n_i M_ii)^2, sum_i n_i M_ii = e^{-x/2} sum_j z^j
+      e^{-x w_j/u_j}/u_j^3 by the Laguerre generating function (DLMF 18.12.13);
+    - bose_0m = 2 n0 sum_j z^j [e^{-x u_j} - e^{-x}] (Poisson);
+    - bose_mm = sum_{j,l} z^{j+l} [F_jl - e^{-x u_j} - e^{-x u_l} + e^{-x}]
+      - sum_{s>=2} (s-1) z^s [D_s - e^{-x}], with the 1-D displacement trace
+      times the transverse one, F_jl = e^{-x u_j u_l/u_{j+l}}/u_{j+l}^3, and
+      the diagonal trace D_s = e^{-x (1 - w_s^{1/2})^2/u_s}
+      I0e(2x w_s^{1/2}/u_s)/u_s^3 (Hille-Hardy, DLMF 18.18.27).
+
+    Every bracket is O(e^{-(j+l)/T}), so the sums stop at j + l <= J = 32T
+    (e^{-32} = 1.3e-14).  The diffraction sum has no bracket: its terms
+    beyond J, z^j (1 + O(w_j)), add up to z^J n0, so every term is positive
+    and nothing cancels.  The (j, l) triangle is one array.  Returns a dict
+    of channel name to an array over the deltas.  numpy and scipy only,
+    nothing from the program.
+    """
+    t = float(temperature)
+    x = 0.5 * np.square(np.asarray(deltas, dtype=float))[:, None]
+    top = max(2, math.ceil(32.0 * t))
+    s = np.arange(1.0, top + 1.0)
+    zs, ws, us = np.exp(s * mu / t), np.exp(-s / t), -np.expm1(-s / t)
+    n0 = 1.0 / math.expm1(-mu / t)
+    amplitude = np.exp(-0.5 * x[:, 0]) * (np.exp(-x * ws / us) @ (zs / us**3) + zs[-1] * n0)
+    bose_0m = 2.0 * n0 * np.exp(-x[:, 0]) * (np.expm1(x * ws) @ zs)
+    # the triangle j + l <= J, flattened: index j - 1, l - 1 and s - 1 = j + l - 1
+    j, l = np.nonzero(np.add.outer(s, s) <= top)
+    pair = j + l + 1
+    q = us[j] * us[l] / us[pair]
+    diagonal = np.exp(-x * np.expm1(-s / (2.0 * t)) ** 2 / us) * special.i0e(2.0 * x * np.sqrt(ws) / us) / us**3
+    bose_mm = np.array([
+        np.dot(zs[pair], np.exp(-xd * q) / us[pair] ** 3 - np.exp(-xd * us[j]) - np.exp(-xd * us[l]) + np.exp(-xd))
+        - np.dot((s[1:] - 1.0) * zs[1:], d[1:] - np.exp(-xd))
+        for xd, d in zip(x[:, 0], diagonal)
+    ])
+    return {"rayleigh": np.full(x.shape[0], float(n_total)), "diffraction": amplitude**2,
+            "bose_0m": bose_0m, "bose_mm": bose_mm}
+
+
+def bose_series_diffraction_mpmath(temperature, mu, deltas, dps=60):
+    """The diffraction sum of `bose_series_channels` at `dps` digits, in item 3's bracketed form.
+
+    n0 e^{-x/2} + sum_j z^j e^{-x/2} [e^{-x w_j/u_j}/u_j^3 - 1] for each delta,
+    to j = 60T + 60, past which every bracket is below e^{-60} of the first.
+    """
+    with mpmath.workdps(dps):
+        t, mu = mpmath.mpf(temperature), mpmath.mpf(mu)
+        n0 = 1 / mpmath.expm1(-mu / t)
+        terms = []  # (z^j, w_j/u_j, ln u_j)
+        for j in range(1, math.ceil(60.0 * float(temperature)) + 61):
+            u = -mpmath.expm1(-j / t)
+            terms.append((mpmath.exp(j * mu / t), (1 - u) / u, mpmath.log(u)))
+        out = []
+        for delta in deltas:
+            x = mpmath.mpf(delta) ** 2 / 2
+            total = n0 + mpmath.fsum(zj * mpmath.expm1(-x * r - 3 * log_u) for zj, r, log_u in terms)
+            out.append(float((mpmath.exp(-x / 2) * total) ** 2))
+        return out
 
 
 def chemical_potential_bisection(n_total, temperature, population):

@@ -487,11 +487,12 @@ class TestSweepAngle:
 
     @pytest.mark.parametrize("method,solves", [("oracle", 0), ("both", 1)])
     def test_only_the_semiclassical_method_solves_a_continuum_ensemble(self, tmp_path, monkeypatch, method, solves):
-        # an oracle-only sweep reads t_critical from N and solves only the discrete ensemble
-        from trapscatter.thermo import TrapEnsemble
+        # an oracle-only sweep reads t_critical from N and solves only the discrete ensemble;
+        # a TrapEnsemble solves its mu at construction, through thermo.chemical_potential
+        from trapscatter import thermo
 
-        calls, real = [], TrapEnsemble.solve
-        monkeypatch.setattr(TrapEnsemble, "solve", classmethod(lambda cls, *args: calls.append(args) or real(*args)))
+        calls, real = [], thermo.chemical_potential
+        monkeypatch.setattr(thermo, "chemical_potential", lambda *args: calls.append(args) or real(*args))
         out = tmp_path / "angle.json"
         assert run_main([
             "sweep-angle", "--n", "300", "--t-over-tc", "0.6", "--method", method,

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from _reference import (
+    bose_series_channels,
+    bose_series_diffraction_mpmath,
     bose_series_population,
     chemical_potential_bisection,
     default_epsilon_max_scan,
@@ -436,6 +438,35 @@ def _cell(ens, delta):
         return exc
 
 
+class TestBoseSeriesChannels:
+    """The oracle's channels against the untruncated Bose-series sums at its own mu (ROADMAP item 14)."""
+
+    DELTAS = [1.0, 3.0, 5.0]
+
+    @pytest.fixture(scope="class", params=[(10_000, 0.7), (10_000, 1.1), (100_000, 0.7)], ids=str)
+    def pair(self, request):
+        n, ratio = request.param
+        ens = solve_mu_discrete(n, ratio * critical_temperature(n))
+        return ens, bose_series_channels(n, ens.temperature, ens.mu_exact, self.DELTAS)
+
+    def test_bose_channels_match_the_oracle(self, pair):
+        # the oracle's truncation costs these non-negative sums only its tail:
+        # measured at most 1.2e-14 (bose_0m) and 3.7e-12 (bose_mm)
+        ens, series = pair
+        cells = exact_breakdowns([ens], self.DELTAS)[0]
+        assert_allclose([c.bose_0m for c in cells], series["bose_0m"], rtol=1e-13)
+        assert_allclose([c.bose_mm for c in cells], series["bose_mm"], rtol=1e-10)
+        assert_allclose([c.rayleigh for c in cells], series["rayleigh"], rtol=0)
+
+    def test_diffraction_matches_60_digits(self, pair):
+        # measured at most 7e-16: the float sum has only positive terms; the
+        # oracle's truncated diffraction is not asserted (off by 3.3e-7 to 0.45
+        # at 1.1 Tc, ROADMAP item 3)
+        ens, series = pair
+        exact = bose_series_diffraction_mpmath(ens.temperature, ens.mu_exact, self.DELTAS)
+        assert_allclose(series["diffraction"], exact, rtol=1e-13)
+
+
 class TestExactBreakdowns:
     """One streamed recurrence serves every (ensemble, delta) pair of a grid."""
 
@@ -611,3 +642,9 @@ class TestScalingProbe:
             scaling_probe("rayleigh", [100, 200, 400], 0.5, 1.0)  # under a decade
         with pytest.raises(ValueError):
             scaling_probe("nope", [100, 400, 1200], 0.5, 1.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_rate_refused_before_the_log(self):
+        # bose_0m is exactly 0 at delta = 0: no power law, and no log of 0 (its warning is an error here)
+        with pytest.raises(ValueError, match=r"^bose_0m rate 0\.0 at N=100 is not positive and finite"):
+            scaling_probe("bose_0m", [100, 300, 1000], 0.7, 0.0)

@@ -29,6 +29,7 @@ from trapscatter import (
     bose_0m_total,
     bose_mm_differential,
     bose_mm_total,
+    critical_temperature,
     decompose,
     diffraction_differential,
     diffraction_total,
@@ -49,13 +50,13 @@ from trapscatter.scattering import (
 
 
 def synthetic_ensemble(n_total, temperature, n_condensate, mu=-1e-12):
-    """Hand-built thermal state for formula-level checks."""
-    return TrapEnsemble(
-        n_total=n_total,
-        temperature=temperature,
-        mu=mu,
-        n_condensate=n_condensate,
-    )
+    """A thermal state set by hand, off the solved (N, T) model, for formula-level checks.
+
+    It has a TrapEnsemble's attributes, but mu and n_condensate are free:
+    a TrapEnsemble derives both from (n_total, temperature).
+    """
+    return SimpleNamespace(n_total=n_total, temperature=temperature, mu=mu, n_condensate=n_condensate,
+                           t_critical=critical_temperature(n_total), n_excited=n_total - n_condensate)
 
 
 class TestRateBreakdown:
@@ -565,7 +566,7 @@ class TestDecompose:
     def test_huge_delta_rates_underflow(self, delta):
         # delta^4 (and from 1e154 also delta^2) is beyond the float range;
         # every delta-dependent rate is 0 in double there, and valid
-        bd = decompose(TrapEnsemble.solve(1000, 5.0), delta)
+        bd = decompose(TrapEnsemble(1000, 5.0), delta)
         assert (bd.diffraction, bd.bose_0m, bd.bose_mm, bd.total) == (0.0, 0.0, 0.0, 1000.0)
         assert all(bd.valid.values()) and bd.errors == {}
 
@@ -586,16 +587,16 @@ class TestDecomposeRows:
     def test_sweep_temp_rows(self):
         # 60 ensembles across Tc at one delta
         tc = (10_000 / ZETA3) ** (1.0 / 3.0)
-        ensembles = [TrapEnsemble.solve(10_000, t) for t in np.linspace(0.2 * tc, 1.4 * tc, 60)]
+        ensembles = [TrapEnsemble(10_000, t) for t in np.linspace(0.2 * tc, 1.4 * tc, 60)]
         batch, single = self._rows(ensembles, [1.0] * len(ensembles))
         assert batch == single
 
     def test_flagged_and_failed_rows(self):
         # an empty thermal cloud, a huge delta and a row whose f inputs fail
         ens = TrapEnsemble.at_ratio(1000, 0.7)
-        # a stand-in: a TrapEnsemble refuses a nan mu
-        bad = SimpleNamespace(n_total=1000, temperature=5.0, mu=math.nan, n_condensate=500.0, n_excited=500.0)
-        ensembles = [ens, bad, ens, TrapEnsemble.solve(1000, 5.0)]
+        # a stand-in: a TrapEnsemble derives a negative mu
+        bad = synthetic_ensemble(1000, 5.0, 500.0, mu=math.nan)
+        ensembles = [ens, bad, ens, TrapEnsemble(1000, 5.0)]
         deltas = [2.0, 2.0, 0.5, 1e300]
         batch, single = self._rows(ensembles, deltas)
         assert batch == single
@@ -698,3 +699,17 @@ class TestDeltaDomain:
         else:
             with pytest.raises(ValueError, match="^delta must be positive$"):
                 call()
+
+    @pytest.mark.parametrize("ratio", [0.7, 1.3])
+    @pytest.mark.parametrize("delta", [1e-100, 1e-170, 5e-324])
+    def test_underflowing_delta_gives_the_small_delta_limit(self, delta, ratio):
+        # delta^4 underflows below about 1e-81 and delta^2 below about 1e-162:
+        # each rate then gives its float limit instead of dividing by zero
+        ens = TrapEnsemble.at_ratio(1000, ratio)
+        assert diffraction_differential(ens, delta) == math.inf
+        n0, t = ens.n_condensate, ens.temperature
+        # 4 N0 T / delta^2, inf where delta^2 underflows, 0 without a condensate
+        limit = 0.0 if n0 == 0.0 else 4.0 * n0 * t / delta**2 if delta**2 > 0.0 else math.inf
+        assert bose_0m_differential(ens, delta) == pytest.approx(limit, rel=1e-12)
+        # T^3 f(0, nu): below _SHAPE_TINY f is its a -> 0 limit, bit for bit
+        assert bose_mm_differential(ens, delta) == t**3 * excited_pair_shape(1e-30, -ens.mu / t)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import product
 
@@ -176,7 +177,7 @@ class TestChemicalPotential:
 
 class TestTrapEnsemble:
     def test_population_split(self):
-        ens = TrapEnsemble.solve(10_000, 10.0)
+        ens = TrapEnsemble(10_000, 10.0)
         assert ens.n_condensate + ens.n_excited == 10_000
         assert ens.mu < 0
         assert ens.t_critical == critical_temperature(10_000)
@@ -194,17 +195,27 @@ class TestTrapEnsemble:
     def test_validation(self):
         with pytest.raises(ValueError):
             TrapEnsemble.at_ratio(1000, -0.5)
-        with pytest.raises(ValueError):
-            TrapEnsemble(1000, 5.0, 0.1, 500.0)
-        with pytest.raises(ValueError):
-            TrapEnsemble(1000, 5.0, -0.1, 1000.5)  # more condensate than particles
+        with pytest.raises(TypeError):
+            TrapEnsemble(1000, 5.0, -0.1, 500.0)  # a state off the model: mu and n_condensate are derived
+
+    def test_state_is_solved_from_n_total_and_temperature(self):
+        # (n_total, temperature) define the ensemble; mu and n_condensate are not arguments
+        ens = TrapEnsemble(1000, 5.0)
+        assert (ens.mu, ens.n_condensate) == (-0.00587900646502572, 849.7428871050506)
+        assert (ens.mu, ens.n_condensate) == (chemical_potential(1000, 5.0), condensate_count(1000, 5.0))
+        assert ens == TrapEnsemble(1000.0, 5) and hash(ens) == hash(TrapEnsemble(1000.0, 5))
+        for derived in ("mu", "n_condensate"):
+            with pytest.raises(TypeError):
+                TrapEnsemble(1000, 5.0, **{derived: -0.1})
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(ens, derived, -0.1)
 
     def test_derived_fields_follow_a_hand_built_ensemble(self):
-        # t_critical and n_excited are computed from n_total and n_condensate,
-        # so a hand-built ensemble cannot contradict them
-        ens = TrapEnsemble(2000, 25.0, -1e-12, 1200.0)
+        # t_critical and n_excited are computed from n_total and the solved
+        # n_condensate, so an ensemble built from (N, T) cannot contradict them
+        ens = TrapEnsemble(2000, 8.0)
         assert ens.t_critical == critical_temperature(2000)
-        assert ens.n_excited == 800.0
+        assert ens.n_excited == 2000 - condensate_count(2000, 8.0)
 
 
 @pytest.mark.parametrize("call,message", [
@@ -212,10 +223,8 @@ class TestTrapEnsemble:
     (lambda: condensate_count(1000, math.nan), "temperature must"),
     (lambda: condensate_count(math.nan, 5.0), "n_total must"),
     (lambda: chemical_potential(math.nan, 5.0), "n_total must"),
-    (lambda: TrapEnsemble(math.nan, 5.0, -0.1, 500.0), "n_total must"),
-    (lambda: TrapEnsemble(1000, math.nan, math.nan, 500.0), "temperature must"),
-    (lambda: TrapEnsemble(1000, 5.0, math.nan, 500.0), "mu must"),
-    (lambda: TrapEnsemble(1000, 5.0, -0.1, math.nan), "n_condensate must"),
+    (lambda: TrapEnsemble(math.nan, 5.0), "n_total must"),
+    (lambda: TrapEnsemble(1000, math.nan), "temperature must"),
     (lambda: TrapEnsemble.at_ratio(1000, math.nan), "t_over_tc must"),
     (lambda: TrapEnsemble.at_ratio(math.nan, 0.5), "n_total must"),
     (lambda: DiscreteEnsemble(math.nan, 5.0), "n_total must"),
@@ -226,20 +235,12 @@ class TestTrapEnsemble:
                  id="chemical_potential-temperature-inf"),
     pytest.param(lambda: chemical_potential(math.inf, 5.0), "n_total must",
                  id="chemical_potential-n_total-inf"),
-    pytest.param(lambda: TrapEnsemble(math.inf, 5.0, -0.1, 500.0), "n_total must",
+    pytest.param(lambda: TrapEnsemble(math.inf, 5.0), "n_total must",
                  id="TrapEnsemble-n_total-inf"),
-    pytest.param(lambda: TrapEnsemble(1000.5, 5.0, -0.1, 500.0), "n_total must",
+    pytest.param(lambda: TrapEnsemble(1000.5, 5.0), "n_total must",
                  id="TrapEnsemble-n_total-1000.5"),
-    pytest.param(lambda: TrapEnsemble(1000, math.inf, -1.0, 0.0), "temperature must",
+    pytest.param(lambda: TrapEnsemble(1000, math.inf), "temperature must",
                  id="TrapEnsemble-temperature-inf"),
-    pytest.param(lambda: TrapEnsemble.solve(math.inf, 5.0), "n_total must",
-                 id="TrapEnsemble.solve-n_total-inf"),
-    pytest.param(lambda: TrapEnsemble.solve(math.nan, 5.0), "n_total must",
-                 id="TrapEnsemble.solve-n_total-nan"),
-    pytest.param(lambda: TrapEnsemble.solve(1000.5, 5.0), "n_total must",
-                 id="TrapEnsemble.solve-n_total-1000.5"),
-    pytest.param(lambda: TrapEnsemble.solve(1000, math.inf), "temperature must",
-                 id="TrapEnsemble.solve-temperature-inf"),
     pytest.param(lambda: TrapEnsemble.at_ratio(1000, math.inf), "t_over_tc must",
                  id="TrapEnsemble.at_ratio-t_over_tc-inf"),
     pytest.param(lambda: TrapEnsemble.at_ratio(math.inf, 0.5), "n_total must",

@@ -19,12 +19,16 @@ output then standard error.  The commands are:
   lists every field set;
 - a sweep read from a key=value config file, with one flag overriding it;
 - three refused configurations (exit 2): `method = bogus` in a config
-  file, `--t-over-tc nan`, and `sweep-temp` without `--delta`.
+  file, `--t-over-tc nan`, and `sweep-temp` without `--delta`;
+- the python block under README.md's `## Library`, run as `python -c` in
+  the same way, followed by the `repr` of each name the block assigns,
+  sorted by name (label `readme-library`).
 
 Every command that writes a table writes it to standard output.  Run the
 tool on two trees and diff the two listings.
 """
 
+import ast
 import hashlib
 import os
 import subprocess
@@ -69,6 +73,15 @@ def readme_commands():
             yield argv
 
 
+def readme_library():
+    """README.md's library block, then a print of the repr of each name it assigns, sorted by name."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    names = sorted({target.id for node in ast.walk(ast.parse(block)) if isinstance(node, ast.Assign)
+                    for target in node.targets if isinstance(target, ast.Name)})
+    return block + "".join(f"print({name!r}, repr({name}))\n" for name in names)
+
+
 def commands():
     """(label, argv) of every command, in output order."""
     for name in workloads.NAMES:
@@ -82,6 +95,7 @@ def commands():
         yield f"help-{name}", [name, "--help"]
     for label, line in OPTION_RUNS:
         yield label, line.split()
+    yield "readme-library", ["-c", readme_library()]
 
 
 def main(argv):
@@ -93,8 +107,8 @@ def main(argv):
         for name, text in CONFIG_FILES.items():
             Path(workdir, name).write_text(text)
         for label, args in commands():
-            run = subprocess.run([sys.executable, "-m", "trapscatter.cli", *args], env=env, cwd=workdir,
-                                 capture_output=True)
+            args = args if label == "readme-library" else ["-m", "trapscatter.cli", *args]
+            run = subprocess.run([sys.executable, *args], env=env, cwd=workdir, capture_output=True)
             print(f"{hashlib.sha256(run.stdout + run.stderr).hexdigest()}  {run.returncode}  {label}", flush=True)
 
 

@@ -90,7 +90,8 @@ class DiscreteEnsemble:
             level = g * occ
             return float(level.sum()), float((level * (occ + 1.0)).sum()) / t
 
-        mu = _solve_number_equation(population, n, t, "solve_mu_discrete")
+        with np.errstate(over="ignore"):  # an overflowing population is the solve's ConvergenceError
+            mu = _solve_number_equation(population, n, t, "solve_mu_discrete")
         for name, value in (("n_total", n), ("temperature", t), ("mu_exact", mu), ("epsilon_max", eps.size - 1)):
             object.__setattr__(self, name, value)
 

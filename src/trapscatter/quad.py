@@ -322,7 +322,7 @@ def _k2_scaled(x):
     t = step * np.arange(int(math.acosh(1.0 + cutoff / x) / step) + 1)
     half = np.sinh(0.5 * t)
     f = np.exp(-2.0 * x * half * half) * np.cosh(2.0 * t)
-    return step * (float(np.sum(f)) - 0.5 * f[0])
+    return step * (float(np.sum(f)) - 0.5 * float(f[0]))
 
 
 def _check_delta(delta):

@@ -54,7 +54,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quad
-from .errors import ConvergenceError
 
 __all__ = [
     "CHANNELS",
@@ -100,7 +99,6 @@ class RateBreakdown:
     bose_0m: float
     bose_mm: float
     valid: dict = field(default_factory=lambda: dict.fromkeys(CHANNELS, True))
-    errors: dict = field(default_factory=dict)
 
     @property
     def total(self):
@@ -205,14 +203,6 @@ def _shape_nodes(h, nu):
     return (half * (_GAUSS_NODES + 1.0) + edges[:-1, None]).ravel(), (half * _GAUSS_WEIGHTS).ravel()
 
 
-def _checked_shape_args(a, nu):
-    if not np.all(a > 0):
-        raise ValueError("a must be positive")
-    if not np.all(nu >= 0):
-        raise ValueError("nu must be >= 0")
-    return a, nu
-
-
 def excited_pair_shape(a, nu=0.0):
     """Dimensionless shape function f(a, nu) of the excited<->excited rate.
 
@@ -225,7 +215,11 @@ def excited_pair_shape(a, nu=0.0):
     `quad.g_kernel` call and each row is summed over its own slice, so each
     element equals the scalar call bit for bit.
     """
-    a, nu = _checked_shape_args(*np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(nu, dtype=float)))
+    a, nu = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(nu, dtype=float))
+    if not np.all(a > 0):
+        raise ValueError("a must be positive")
+    if not np.all(nu >= 0):
+        raise ValueError("nu must be >= 0")
     scalar = a.ndim == 0
     a, nu = a.reshape(-1), nu.reshape(-1)
     out = np.zeros(a.size)  # an infinite a or nu keeps 0: f ~ e^{-a/2 - 2 nu}/16 is 0 from a ~ 1480
@@ -330,56 +324,36 @@ def channel_validity(ensemble, delta):
     }
 
 
-def _guarded(valid, errors, name, fn):
-    """fn() for a valid channel, else 0.0; a numerical failure flags the channel and gives 0.0."""
-    if not valid[name]:
-        return 0.0
-    try:
-        return fn()
-    except (ConvergenceError, ValueError, ArithmeticError) as exc:
-        valid[name] = False
-        errors[name] = f"{type(exc).__name__}: {exc}"
-        return 0.0
-
-
 def decompose_rows(ensembles, deltas):
     """`decompose` of each (ensemble, delta) pair; lists of unequal length are a ValueError.
 
-    Row by row come the validity flags, the other three channels and the
-    checked inputs of f; then one `excited_pair_shape` call gives f for every
-    row whose bose_mm is still valid, and a failure of it flags each of them.
+    Row by row come the validity flags and the other three channels; then
+    one `excited_pair_shape` call gives f for every row whose bose_mm is valid.
     """
-    rows = []
+    rows, shape = [], []
     for ensemble, delta in zip(ensembles, deltas, strict=True):
         t = ensemble.temperature
         quad._check_delta(delta)
-        valid, errors = channel_validity(ensemble, delta), {}
+        valid = channel_validity(ensemble, delta)
         values = [
-            _guarded(valid, errors, "rayleigh", lambda: rayleigh(ensemble)[0]),
-            _guarded(valid, errors, "diffraction", lambda: diffraction_differential(ensemble, delta)),
-            _guarded(valid, errors, "bose_0m", lambda: bose_0m_differential(ensemble, delta)),
-            # (T^3, a, nu) of bose_mm = T^3 f(a, nu), checked as f checks them
-            _guarded(valid, errors, "bose_mm",
-                     lambda: (t**3, *_checked_shape_args(0.5 * delta * delta / t, -ensemble.mu / t))),
+            rayleigh(ensemble)[0],
+            diffraction_differential(ensemble, delta) if valid["diffraction"] else 0.0,
+            bose_0m_differential(ensemble, delta) if valid["bose_0m"] else 0.0,
+            0.0,
         ]
-        rows.append((values, valid, errors))
-    shape = [row for row in rows if row[1]["bose_mm"]]
-    try:
-        f = excited_pair_shape(*np.array([values[3][1:] for values, _, _ in shape]).reshape(-1, 2).T)
-    except (ConvergenceError, ValueError, ArithmeticError) as exc:
-        for values, valid, errors in shape:
-            values[3], valid["bose_mm"], errors["bose_mm"] = 0.0, False, f"{type(exc).__name__}: {exc}"
-    else:
-        for (values, _, _), value in zip(shape, f.tolist()):
-            values[3] = values[3][0] * value
-    return [RateBreakdown(*values, valid=valid, errors=errors) for values, valid, errors in rows]
+        if valid["bose_mm"]:  # (row, T^3, a, nu) of bose_mm = T^3 f(a, nu)
+            shape.append((values, t**3, 0.5 * delta * delta / t, -ensemble.mu / t))
+        rows.append((values, valid))
+    f = excited_pair_shape(*np.array([row[2:] for row in shape]).reshape(-1, 2).T)
+    for (values, cube, _, _), value in zip(shape, f.tolist()):
+        values[3] = cube * value
+    return [RateBreakdown(*values, valid=valid) for values, valid in rows]
 
 
 def decompose(ensemble, delta):
     """All four differential channels at one momentum transfer: one row of `decompose_rows`.
 
     Channels outside their validity window are reported as 0 with
-    valid=False.  A channel that fails numerically is reported as 0 with
-    its error recorded; the other channels still run.
+    valid=False.
     """
     return decompose_rows([ensemble], [delta])[0]

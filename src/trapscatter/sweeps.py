@@ -75,9 +75,7 @@ def _table(config, lead_columns, leads, rows, meta):
         cells, flags = [], "ok"
         if semi is not None:
             cells = [getattr(semi, name) for name in names]
-            failed = [f"{ch}:invalid" for ch in CHANNELS if not semi.valid.get(ch, True)]
-            failed += [f"{ch}:error" for ch in sorted(semi.errors)]
-            flags = ";".join(failed) or "ok"
+            flags = ";".join(f"{ch}:invalid" for ch in CHANNELS if not semi.valid.get(ch, True)) or "ok"
         if isinstance(exact, Exception):
             cells += [math.nan] * len(names)
             flags = f"oracle:error:{type(exact).__name__}"

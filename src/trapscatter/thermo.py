@@ -72,10 +72,13 @@ def _solve_number_equation(population, n_total, t, context):
 
     `population(mu)` returns N(mu) and dN/dmu, ln N increasing and convex
     (module docstring).  Starts at mu0 = -T ln(1 + 1/N) and stops once a
-    step is below 1e-15 T or no longer lowers the iterate.  A population
-    that overflows, or leaves (0, inf), is a ConvergenceError.
+    step is below 1e-15 T or no longer lowers the iterate.  A mu0 that
+    underflows to 0 (a T near the smallest float), or a population that
+    overflows or leaves (0, inf), is a ConvergenceError.
     """
     mu = -t * math.log1p(1.0 / n_total)
+    if not mu < 0.0:
+        raise ConvergenceError(f"{context}: the start point mu0={mu} is not below 0 at T={t}")
     for iteration in range(_NEWTON_ITERATIONS):
         try:
             value, slope = population(mu)

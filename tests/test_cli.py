@@ -411,30 +411,6 @@ class TestSweepAngle:
         assert code == 2
         assert "config-invalid" in capsys.readouterr().err
 
-    def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
-        from trapscatter import sweeps
-        from trapscatter.scattering import RateBreakdown
-
-        def broken(ensembles, kinematics):
-            return [RateBreakdown(
-                float(ensemble.n_total), 0.0, 0.0, 0.0,
-                valid={c: False for c in ("rayleigh", "diffraction", "bose_0m", "bose_mm")},
-                errors={"diffraction": "ConvergenceError: synthetic"},
-            ) for ensemble in ensembles]
-
-        # the sweeps call decompose_rows by the name trapscatter.sweeps imported
-        monkeypatch.setattr(sweeps, "decompose_rows", broken)
-        out = tmp_path / "fail.csv"
-        code = run_main([
-            "sweep-angle", "--n", "300", "--t-over-tc", "0.6",
-            "--delta-lo", "1.0", "--delta-hi", "4", "--points", "3",
-            "--out", str(out),
-        ])
-        assert code == 3
-        _, rows = read_rows(out)  # table still written
-        assert len(rows) == 3
-        assert "diffraction:error" in rows[0]["flags"]
-
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_oracle_precision_loss_fails_one_row(self, tmp_path, monkeypatch, fmt):
         from trapscatter import oracle
@@ -511,6 +487,24 @@ class TestSweepAngle:
         captured = capsys.readouterr()
         assert captured.err == ("numerical-failure: TruncationError: no truncation below 600 "
                                 "controls the tail for N=1000, T=1e+103\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("args,context", [
+        (["sweep-angle", "--t", "1e-323", "--delta-lo", "1", "--delta-hi", "2"], "chemical_potential"),
+        (["sweep-temp", "--t-lo", "1e-323", "--t-hi", "1e-322", "--delta", "1", "--method", "both"],
+         "chemical_potential"),
+        (["sweep-angle", "--t", "1e-323", "--delta-lo", "1", "--delta-hi", "2", "--method", "oracle"],
+         "solve_mu_discrete"),
+    ])
+    def test_failure_before_rows_at_a_tiny_temperature(self, capsys, args, context):
+        # mu0 = -T ln(1 + 1/N) underflows to -0.0: the solve refuses its start point, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_main([*args, "--n", "1000", "--points", "2"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err == (f"numerical-failure: ConvergenceError: {context}: "
+                                "the start point mu0=-0.0 is not below 0 at T=1e-323\n")
         assert captured.out == ""
 
     def test_python_m_matches_main(self, tmp_path):
@@ -891,7 +885,7 @@ codes = [
 ]
 ens = TrapEnsemble.at_ratio(1000, 0.7)
 assert bose_mm_total(ens, 100.0) > 0.0
-assert decompose(ens, 2.0).errors == {{}}
+assert decompose(ens, 2.0).total > 0.0
 print(codes)
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 print("numpy.polynomial" in sys.modules)
@@ -900,6 +894,22 @@ print("numpy.polynomial" in sys.modules)
     assert codes == "[0, 0, 0]"
     assert loaded == "[]"
     assert polynomial == "False"
+
+
+@pytest.mark.parametrize("args,stderr", [
+    # the oracle's population overflows at mu0: a ConvergenceError, not a numpy overflow warning
+    (["--n", str(10**308), "--t", "1e-10", "--delta-lo", "1", "--delta-hi", "2", "--method", "oracle"],
+     "numerical-failure: ConvergenceError: solve_mu_discrete: population 1.0000012515059665e+308 "
+     "with slope inf at mu=-1e-318\n"),
+    # a diffraction amplitude beyond the float range squares to inf without a warning
+    (["--n", "459000", "--t", "1.1e78", "--delta-lo", "1e-39", "--delta-hi", "2e-39", "--k-incident", "100"],
+     ""),
+])
+def test_extreme_inputs_print_no_warning(args, stderr):
+    # a fresh interpreter: numpy's warnings print once per process and call site
+    done = subprocess.run([sys.executable, "-m", "trapscatter.cli", "sweep-angle", *args, "--points", "2"],
+                          env=_fresh_env(), capture_output=True, text=True, timeout=300)
+    assert (done.returncode, done.stderr) == (3 if stderr else 0, stderr)
 
 
 _SMALL_SWEEP = ["sweep-angle", "--n", "300", "--t", "5", "--points", "2"]

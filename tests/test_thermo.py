@@ -169,6 +169,15 @@ class TestChemicalPotential:
         with pytest.raises(ConvergenceError, match="below the root"):
             thermo._solve_number_equation(lambda mu: (0.5, 1.0), 100, 1.0, "test")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("ensemble,context", [(TrapEnsemble, "chemical_potential"),
+                                                  (DiscreteEnsemble, "solve_mu_discrete")])
+    def test_solver_refuses_a_start_point_that_underflows(self, ensemble, context):
+        # mu0 = -T ln(1 + 1/N) rounds to -0.0 at T = 1e-323; one check serves both number equations
+        message = f"^{context}: the start point mu0=-0.0 is not below 0 at T=1e-323$"
+        with pytest.raises(ConvergenceError, match=message):
+            ensemble(1000, 1e-323)
+
     def test_solver_budget(self, monkeypatch):
         monkeypatch.setattr(thermo, "_NEWTON_ITERATIONS", 2)
         with pytest.raises(ConvergenceError, match="budget"):

@@ -20,6 +20,11 @@ output then standard error.  The commands are:
 - a sweep read from a key=value config file, with one flag overriding it;
 - three refused configurations (exit 2): `method = bogus` in a config
   file, `--t-over-tc nan`, and `sweep-temp` without `--delta`;
+- four extreme inputs: `sweep-angle` and `sweep-temp --method both` at
+  T = 1e-323, whose mu0 underflows (exit 3); `sweep-angle --method oracle`
+  at N = 10**308, whose discrete population overflows (exit 3); and
+  `sweep-angle` at T = 1.1e78 and delta = 1e-39, whose diffraction is inf
+  (exit 0).  None of them prints a numpy warning;
 - the python block under README.md's `## Library`, run as `python -c` in
   the same way, followed by the `repr` of each name the block assigns,
   sorted by name (label `readme-library`).
@@ -60,6 +65,16 @@ OPTION_RUNS = [
     ("invalid-t-over-tc-nan", "sweep-angle --t-over-tc nan --out -"),
     ("invalid-sweep-temp-without-delta", "sweep-temp --t-over-tc-lo 0.5 --t-over-tc-hi 1.2 --out -"),
 ]
+# (label, command line) of the inputs at the edges of the float range
+EXTREME_RUNS = [
+    ("tiny-t-sweep-angle", "sweep-angle --n 1000 --t 1e-323 --points 2 --delta-lo 1 --delta-hi 2 --out -"),
+    ("tiny-t-sweep-temp", "sweep-temp --n 1000 --t-lo 1e-323 --t-hi 1e-322 --delta 1 --points 2 "
+                          "--method both --out -"),
+    ("huge-n-oracle", f"sweep-angle --n {10**308} --t 1e-10 --points 2 --delta-lo 1 --delta-hi 2 "
+                      "--method oracle --out -"),
+    ("huge-t-tiny-delta", "sweep-angle --n 459000 --t 1.1e78 --delta-lo 1e-39 --delta-hi 2e-39 --points 2 "
+                          "--k-incident 100 --out -"),
+]
 
 
 def readme_commands():
@@ -93,7 +108,7 @@ def commands():
     yield "help", ["--help"]
     for name in SUBCOMMANDS:
         yield f"help-{name}", [name, "--help"]
-    for label, line in OPTION_RUNS:
+    for label, line in OPTION_RUNS + EXTREME_RUNS:
         yield label, line.split()
     yield "readme-library", ["-c", readme_library()]
 

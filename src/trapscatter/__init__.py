@@ -28,7 +28,7 @@ def critical_temperature(n_total):
 # Public names by defining submodule.  They are imported on first access
 # (PEP 562), so `import trapscatter` itself loads the standard library only.
 _EXPORTS = {
-    "errors": ("ConfigError", "ConvergenceError", "PrecisionLossError", "TruncationError"),
+    "errors": ("ConfigError", "ConvergenceError", "TruncationError"),
     "thermo": ("TrapEnsemble", "condensate_count", "chemical_potential"),
     "quad": ("polylog3", "diffraction_z_integral"),
     "scattering": ("CHANNELS", "RateBreakdown", "rayleigh",

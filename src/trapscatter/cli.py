@@ -42,7 +42,7 @@ from types import SimpleNamespace
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__, critical_temperature
-from .errors import ConfigError, ConvergenceError, PrecisionLossError, TruncationError
+from .errors import ConfigError, ConvergenceError, TruncationError
 
 __all__ = ["SweepConfig", "sweep_angle", "sweep_temperature", "oracle_compare", "main"]
 
@@ -355,7 +355,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config-invalid: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, TruncationError, PrecisionLossError) as exc:
+    except (ConvergenceError, TruncationError) as exc:
         print(f"numerical-failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -9,10 +9,6 @@ class TruncationError(RuntimeError):
     """A discrete-spectrum sum was truncated too early for the requested accuracy."""
 
 
-class PrecisionLossError(RuntimeError):
-    """A recurrence left its stability envelope; the result would be unreliable."""
-
-
 class ConfigError(ValueError):
     """Invalid sweep configuration. Carries the offending field name."""
 

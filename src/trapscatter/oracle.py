@@ -23,11 +23,11 @@ every term is non-negative and nothing is subtracted.  A sweep streams one
 recurrence over all its deltas, storing no band: O(epsilon_max^2 #delta)
 time, where the truncation epsilon_max is derived from (N, T), never set.
 The stream is level-major: the rows and both running sums are
-(level, delta) buffers, so each step's passes (square, one max against the
-squared bound, two running-sum adds) run over one contiguous block, and
-only the contraction with the occupations, at the fixed width W =
-_MAX_EPSILON + 1 in every grid, reads a delta-major copy: O(epsilon_max W
-#ensemble #delta) time and O(W (#ensemble + #delta)) memory.
+(level, delta) buffers, so each step's passes (square, two running-sum
+adds) run over one contiguous block, and only the contraction with the
+occupations, at the fixed width W = _MAX_EPSILON + 1 in every grid, reads
+a delta-major copy: O(epsilon_max W #ensemble #delta) time and
+O(W (#ensemble + #delta)) memory.
 
 The ensemble is grand-canonical, <n_i n_f> = <n_i><n_f> for i != f: this
 module is the oracle for the spectral sums, not for the occupation
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import critical_temperature, oscillator
-from .errors import PrecisionLossError, TruncationError
+from .errors import TruncationError
 from .scattering import RateBreakdown
 from .thermo import _check_state, _solve_number_equation
 
@@ -157,85 +157,64 @@ def _projected_weights(occ):
 
 
 def _streamed_sums(ensembles, deltas):
-    """Column 0, squared row 0, bose_mm / 2 and the lowest level n + k out of bounds, per delta.
+    """Column 0, squared row 0 and bose_mm / 2 of every (ensemble, delta) pair.
 
     c1 and c2 are the running sums of the module docstring (row n of c2 is
     C[n]), level-major like the recurrence's rows.  Each step squares its
-    rows once, compares the largest square with the squared bound (and
-    scans the lanes for the failing level only when that trips), adds the
-    squares into c1 and c1 into c2, and contracts a delta-major copy of
-    c2[1:W - n] with every ensemble's occupations past level n, zero-padded
-    to W = _MAX_EPSILON + 1 levels.  A cell's sum has W - n - 1 terms in
-    any grid and a level past its truncation adds an exact +0: by
-    construction each cell is the float it would be in a grid of its own.
+    rows once, adds the squares into c1 and c1 into c2, and contracts a
+    delta-major copy of c2[1:W - n] with every ensemble's occupations past
+    level n, zero-padded to W = _MAX_EPSILON + 1 levels.  A cell's sum has
+    W - n - 1 terms in any grid and a level past its truncation adds an
+    exact +0: by construction each cell is the float it would be in a grid
+    of its own.
     """
     m_max = max(ens.epsilon_max for ens in ensembles)
     width = _MAX_EPSILON + 1
     occ = np.array([np.concatenate([ens.occupations, np.zeros(width - ens.occupations.size)]) for ens in ensembles])
     column, square, c1, c2 = np.zeros((4, width, len(deltas)))
     half_mm = np.zeros((len(ensembles), len(deltas)))
-    fail = np.full(len(deltas), m_max + 1)
-    bound, tainted = oscillator._AMPLITUDE_BOUND, False
     for n, rows in oscillator._overlap_rows(m_max, deltas):
         w = m_max + 1 - n
         column[n] = rows[0]
         squares = np.square(rows, out=square[:w])
-        # |a| <= bound exactly when a^2 <= bound^2; comparisons with nan are false, so nan fails too
-        if not squares.max() <= bound * bound:
-            bad = ~(np.abs(rows) <= bound)
-            np.minimum(fail, np.where(bad.any(axis=0), n + bad.argmax(axis=0), fail), out=fail)
-            tainted = True
         c1[:w] += squares
         c2[:w] += c1[:w]
         if n == 0:
             ground = squares.T.copy()  # row 0 holds the ground pairs of bose_0m
             continue
         lanes = np.ascontiguousarray(c2[1:width - n].T)  # a view for one delta
-        if tainted:
-            # a non-finite sum sits at a level past every truncation that still
-            # trusts its lane, where the padded occupation is 0
-            lanes = np.where(np.isfinite(lanes), lanes, 0.0)
         half_mm += occ[:, n:n + 1] * np.einsum("ek,dk->ed", occ[:, n + 1:], lanes)
-    return column.T.copy(), ground, half_mm, fail
+    return column.T.copy(), ground, half_mm
 
 
 def exact_breakdowns(ensembles, deltas):
     """exact_breakdown for every (ensemble, delta) pair: grid[i][j] for ensembles[i], deltas[j].
 
-    One recurrence serves the whole grid.  A cell holds a PrecisionLossError
-    instead of a breakdown when an amplitude with n + k <= that ensemble's
-    epsilon_max leaves its bound.  No cell needs a truncation verdict: the
-    derived epsilon_max >= 12 T keeps the tail integral, at least
-    T g(emax) e^{-emax/T}, below 1e-6 N, so the last level's share
-    g(emax) occ[emax] stays below 1e-4 N at every mu < 0 above T = 0.011
-    (and below e^{-2700} at colder T, where epsilon_max is 30).
+    One recurrence serves the whole grid, and every cell is a breakdown:
+    up to level _MAX_EPSILON no amplitude leaves its bound |A| <= 1 by
+    more than rounding (`oscillator.overlap_band`).  No cell needs a
+    truncation verdict either: the derived epsilon_max >= 12 T keeps the
+    tail integral, at least T g(emax) e^{-emax/T}, below 1e-6 N, so the
+    last level's share g(emax) occ[emax] stays below 1e-4 N at every
+    mu < 0 above T = 0.011 (and below e^{-2700} at colder T, where
+    epsilon_max is 30).
     """
     # comparisons with nan are false, so nan fails too
     if not all(d >= 0 for d in deltas):
         raise ValueError("delta must be >= 0")
     if len(ensembles) and len(deltas):
-        column, ground, half_mm, fail = _streamed_sums(ensembles, deltas)
+        column, ground, half_mm = _streamed_sums(ensembles, deltas)
     grid = []
     for i, ens in enumerate(ensembles):
         occ, emax, n = ens.occupations, ens.epsilon_max, float(ens.n_total)
         w = _projected_weights(occ)
         row = []
-        for j, delta in enumerate(deltas):
-            if fail[j] <= emax:
-                row.append(PrecisionLossError(f"recurrence unstable at level {fail[j]}, delta={delta:g}"))
-            else:
-                diffraction = float(np.dot(column[j, :emax + 1], w)) ** 2
-                bose_0m = 2.0 * float(occ[0]) * float(np.dot(occ[1:], ground[j, 1:emax + 1]))
-                row.append(RateBreakdown(n, diffraction, bose_0m, 2.0 * float(half_mm[i, j])))
+        for j in range(len(deltas)):
+            diffraction = float(np.dot(column[j, :emax + 1], w)) ** 2
+            bose_0m = 2.0 * float(occ[0]) * float(np.dot(occ[1:], ground[j, 1:emax + 1]))
+            row.append(RateBreakdown(n, diffraction, bose_0m, 2.0 * float(half_mm[i, j])))
         grid.append(row)
     return grid
-
-
-def _unwrap(cell):
-    """The breakdown in a cell of exact_breakdowns, or its pair's exception raised."""
-    if isinstance(cell, Exception):
-        raise cell
-    return cell
 
 
 def exact_breakdown(ens, delta):
@@ -243,7 +222,7 @@ def exact_breakdown(ens, delta):
 
     delta = 0 runs the same recurrence, the identity there: diffraction N^2, Bose channels 0.
     """
-    return _unwrap(exact_breakdowns([ens], [delta])[0][0])
+    return exact_breakdowns([ens], [delta])[0][0]
 
 
 @dataclass(frozen=True)
@@ -266,7 +245,7 @@ def scaling_probe(process, n_values, t_over_tc, delta):
         raise ValueError("particle numbers must span at least one decade")
 
     ensembles = [solve_mu_discrete(n, t_over_tc * critical_temperature(n)) for n in n_values]
-    rates = [getattr(_unwrap(row[0]), process) for row in exact_breakdowns(ensembles, [float(delta)])]
+    rates = [getattr(row[0], process) for row in exact_breakdowns(ensembles, [float(delta)])]
     for n, rate in zip(n_values, rates):
         if not 0.0 < rate < math.inf:  # nan fails too
             raise ValueError(f"{process} rate {rate} at N={n} is not positive and finite: no power law to fit")

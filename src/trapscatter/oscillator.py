@@ -21,8 +21,11 @@ with the starting value in log space:
 
 Unitarity bounds every A_n by 1, so the recurrence cannot overflow and its
 absolute error stays near machine precision (validated against direct
-quadrature of Hermite-function overlaps in the test suite).  Every element
-comes from this one recurrence, streamed by `_overlap_rows`:
+quadrature of Hermite-function overlaps in the test suite).  The computed
+amplitudes stay finite and exceed the bound by rounding alone
+(`overlap_band` gives the measured excess); a test pins that, so nothing
+checks it at run time.  Every element comes from this one recurrence,
+streamed by `_overlap_rows`:
 `ground_overlap_column` is its start row n = 0, squared, and
 `diagonal_amplitude_column` its column k = 0.  The stream holds its rows
 level-major, offset k by delta, in O(m_max #delta) memory, so a step is
@@ -35,18 +38,12 @@ import sys
 
 import numpy as np
 
-from .errors import PrecisionLossError
-
 __all__ = [
     "ground_overlap_column",
     "diagonal_amplitude_column",
     "overlap_band",
     "overlap_matrix",
 ]
-
-# |A_n| <= 1 in exact arithmetic; a breach beyond rounding noise means the
-# recurrence has left its stability envelope.
-_AMPLITUDE_BOUND = 1.0 + 1e-9
 
 
 def _log_factorials(size):
@@ -102,6 +99,12 @@ def overlap_band(m_max, delta):
     The rows of `_overlap_rows` for one delta, collected: row n holds the
     m_max + 1 - n pairs that start at level n and is 0 beyond them.  Cost is
     O(m_max^2) time and memory; the oracle streams the rows instead.
+
+    Every amplitude is finite, and max |A| - 1, the rounding past the
+    exact bound |A| <= 1, peaks at k = 0, n = m_max and delta of 3e-8 to 7e-8.
+    Over scans of delta it was measured at 1.4e-12 for m_max = 600,
+    6.1e-12 at 1200, 2.1e-11 at 2500 and 7.9e-11 at 5000: it grows about
+    as m_max^2, so the test that pins it at 600 does not cover deeper bands.
     """
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
@@ -110,11 +113,6 @@ def overlap_band(m_max, delta):
     band = np.zeros((m_max + 1, m_max + 1))
     for n, rows in _overlap_rows(m_max, [delta]):
         band[n, :m_max + 1 - n] = rows[:, 0]
-    # comparisons with nan are false, so nan fails too
-    if not (band.max() <= _AMPLITUDE_BOUND and band.min() >= -_AMPLITUDE_BOUND):
-        raise PrecisionLossError(
-            f"overlap recurrence unstable at m_max={m_max}, delta={delta:g}"
-        )
     return band
 
 

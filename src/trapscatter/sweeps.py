@@ -50,8 +50,8 @@ def _rows(config, ensembles, deltas, discretes):
     discrete ensemble, the exception that failed to solve it (the row's cell
     then), or None without the oracle.  All other cells come from one
     exact_breakdowns grid over the distinct solved ensembles and deltas, so
-    a cell is a breakdown or the exception that failed its pair, and all
-    semiclassical breakdowns from one decompose_rows call.
+    a cell is a breakdown or the exception that failed its ensemble's
+    solve, and all semiclassical breakdowns from one decompose_rows call.
     """
     solved = [d for d in dict.fromkeys(discretes) if d is not None and not isinstance(d, Exception)]
     lanes = {delta: j for j, delta in enumerate(dict.fromkeys(deltas))}
@@ -131,8 +131,7 @@ def compare_report(config, temperature, bounds):
 
     deviations = {ch: [] for ch in CHANNELS}
     rows = []
-    for delta, (semi, cell) in zip(grid, pairs):
-        exact = oracle._unwrap(cell)
+    for delta, (semi, exact) in zip(grid, pairs):
         row = {"delta": float(delta)}
         for ch in CHANNELS:
             s, o = getattr(semi, ch), getattr(exact, ch)

@@ -411,42 +411,6 @@ class TestSweepAngle:
         assert code == 2
         assert "config-invalid" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_oracle_precision_loss_fails_one_row(self, tmp_path, monkeypatch, fmt):
-        from trapscatter import oracle
-        from trapscatter.errors import PrecisionLossError
-
-        real_breakdowns = oracle.exact_breakdowns
-
-        def breakdowns(ensembles, deltas):
-            return [[PrecisionLossError("synthetic") if delta == 2.5 else cell
-                     for delta, cell in zip(deltas, row)] for row in real_breakdowns(ensembles, deltas)]
-
-        # the sweeps read exact_breakdowns from the oracle module at each call
-        monkeypatch.setattr(oracle, "exact_breakdowns", breakdowns)
-        out = tmp_path / f"rows.{fmt}"
-        code = run_main([
-            "sweep-angle", "--n", "300", "--t-over-tc", "0.6", "--method", "oracle",
-            "--delta-lo", "1", "--delta-hi", "4", "--points", "3",
-            "--format", fmt, "--out", str(out),
-        ])
-        assert code == 3
-        if fmt == "csv":
-            header, rows = read_rows(out)
-            cells = [[float(row[c]) for c in header if c.endswith("_oracle")] for row in rows]
-            flags = [row["flags"] for row in rows]
-            failed = [math.isnan(c) for c in cells[1]]
-        else:
-            payload = json.loads(out.read_text())
-            oracle = [i for i, c in enumerate(payload["columns"]) if c.endswith("_oracle")]
-            rows = payload["rows"]
-            cells = [[row[i] for i in oracle] for row in rows]
-            flags = [row[-1] for row in rows]
-            failed = [c is None for c in cells[1]]
-        assert flags == ["ok", "oracle:error:PrecisionLossError", "ok"]
-        assert len(failed) == 5 and all(failed)
-        assert all(math.isfinite(c) for row in (cells[0], cells[2]) for c in row)
-
     def test_failure_before_rows_exit_code(self, tmp_path, capsys):
         # no truncation up to 600 controls the tail at N = 1e5, T = 0.9 Tc:
         # the shared discrete ensemble cannot be solved

@@ -20,11 +20,13 @@ output then standard error.  The commands are:
 - a sweep read from a key=value config file, with one flag overriding it;
 - three refused configurations (exit 2): `method = bogus` in a config
   file, `--t-over-tc nan`, and `sweep-temp` without `--delta`;
-- four extreme inputs: `sweep-angle` and `sweep-temp --method both` at
+- five extreme inputs: `sweep-angle` and `sweep-temp --method both` at
   T = 1e-323, whose mu0 underflows (exit 3); `sweep-angle --method oracle`
-  at N = 10**308, whose discrete population overflows (exit 3); and
+  at N = 10**308, whose discrete population overflows (exit 3);
   `sweep-angle` at T = 1.1e78 and delta = 1e-39, whose diffraction is inf
-  (exit 0).  None of them prints a numpy warning;
+  (exit 0); and `sweep-angle --method both` over 40 deltas from 1e-6 to
+  2e6, every oracle cell a breakdown (exit 0).  None of them prints a
+  numpy warning;
 - the python block under README.md's `## Library`, run as `python -c` in
   the same way, followed by the `repr` of each name the block assigns,
   sorted by name (label `readme-library`).
@@ -74,6 +76,8 @@ EXTREME_RUNS = [
                       "--method oracle --out -"),
     ("huge-t-tiny-delta", "sweep-angle --n 459000 --t 1.1e78 --delta-lo 1e-39 --delta-hi 2e-39 --points 2 "
                           "--k-incident 100 --out -"),
+    ("extreme-delta-oracle", "sweep-angle --n 1000 --t-over-tc 0.7 --method both --k-incident 1e6 "
+                             "--delta-lo 1e-6 --delta-hi 2e6 --log --points 40 --out -"),
 ]
 
 

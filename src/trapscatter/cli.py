@@ -155,23 +155,15 @@ def oracle_compare(config):
     return _load_model(True).compare_report(config, temperature, bounds)
 
 
-# entrypoint() sets this for the CLI process, which runs one command and exits
-_freeze_when_loaded = False
-
-
 def _load_model(oracle):
     """The second stage: `trapscatter.sweeps`, which imports numpy, thermo and scattering.
 
-    The oracle, with its oscillator, loads only if `oracle` is true.  In the
-    CLI process the heap is frozen here: the loaded modules' objects live to
-    the end, so no later collection, exit's included, needs to walk them.
+    The oracle, with its oscillator, loads only if `oracle` is true.
     """
     from . import sweeps
 
     if oracle:
         sweeps.load_oracle()
-    if _freeze_when_loaded:
-        gc.freeze()
     return sweeps
 
 
@@ -361,10 +353,18 @@ def main(argv=None):
 
 
 def entrypoint():
-    """`main` on sys.argv, freezing the heap once the command's modules are loaded."""
-    global _freeze_when_loaded
-    _freeze_when_loaded = True
-    raise SystemExit(main())
+    """`main` on sys.argv, in a process that runs one command and exits.
+
+    The garbage collector is off for the command: reference counting frees
+    its temporaries, the few reference cycles it leaves end with the process,
+    and every collection would walk the objects numpy and the package create
+    at import.  The heap is frozen once the command is done, so that the
+    collection at interpreter exit does not walk them either.
+    """
+    gc.disable()
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -88,7 +88,8 @@ class DiscreteEnsemble:
         def population(mu):
             occ = _bose(eps, mu, t)
             level = g * occ
-            return float(level.sum()), float((level * (occ + 1.0)).sum()) / t
+            value = float(level.sum())
+            return value, float((level * (occ + 1.0)).sum()) / t / value
 
         with np.errstate(over="ignore"):  # an overflowing population is the solve's ConvergenceError
             mu = _solve_number_equation(population, n, t, "solve_mu_discrete")

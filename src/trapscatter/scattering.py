@@ -31,14 +31,16 @@ the 2-D one gives, with h = sqrt(a)/2,
 
     f(a, nu) = pi^(-1/2) int_0^inf G(nu + (h + r)^2, nu + (h - r)^2) dr,
 
-G the closed-form kernel `quad.g_kernel`.  One Gauss-Legendre sum evaluates
-it: its panels break at r = h, where G has the t^(3/2) branch point of
-Li_{5/2}(e^{-t}) on the axis at nu = 0 and sqrt(nu) off it otherwise, grow
-geometrically away from that point and end at r = 5, since the integrand is
-below 16 G(0, 0) e^{-2 r^2} f.  Every differential rate evaluates f at its
-own a and nu directly (`decompose_rows` for all its rows in one call), and
-every angle-integrated total is a closed form: that of bose_mm reads
-S(nu) = int_0^inf f(a, nu) da (`_shape_integral`).
+G the closed-form kernel `quad.g_kernel`.  One fixed tanh-sinh sum evaluates
+it, the same for every nu: 91 nodes on each of [0, min(h, 5)] and
+[min(h, 5), 5].  At r = h, an end of both intervals, G has the t^(3/2)
+branch point of Li_{5/2}(e^{-t}), on the axis at nu = 0 and sqrt(nu) off it
+otherwise; the rule's nodes crowd double-exponentially into the ends, so it
+needs no grading toward that point.  The range ends at r = 5, since the
+integrand is below 16 G(0, 0) e^{-2 r^2} f.  Every differential rate
+evaluates f at its own a and nu directly (`decompose_rows` for all its rows
+in one call), and every angle-integrated total is a closed form: that of
+bose_mm reads S(nu) = int_0^inf f(a, nu) da (`_shape_integral`).
 
 Semiclassical validity: the continuum treatment of excited states breaks
 down at small momentum transfer.  `decompose` flags the diffraction
@@ -72,22 +74,6 @@ __all__ = [
 ]
 
 CHANNELS = ("rayleigh", "diffraction", "bose_0m", "bose_mm")
-
-# The r-rule of f: the 12-point Gauss-Legendre rule of each panel, mirrored from
-# its positive half and equal to numpy's leggauss(12) bit for bit; the end of the
-# range; the panels' growth away from r = h; and the grading floor: a branch point
-# closer to the axis than _SHAPE_FLOOR h is taken as on it, moving f by < 1e-14.
-_GAUSS_NODES = np.array([0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
-                         0.7699026741943047, 0.9041172563704748, 0.9815606342467192])
-_GAUSS_WEIGHTS = np.array([0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
-                           0.16007832854334642, 0.10693932599531907, 0.04717533638651141])
-_GAUSS_NODES = np.concatenate([-_GAUSS_NODES[::-1], _GAUSS_NODES])
-_GAUSS_WEIGHTS = np.concatenate([_GAUSS_WEIGHTS[::-1], _GAUSS_WEIGHTS])
-_SHAPE_R_MAX = 5.0
-_SHAPE_GROWTH = 3.0
-_SHAPE_FLOOR = 2.0**-12
-# Below this a, f is its limit f(0, nu), off by about (a/12) ln(1/a) < 1e-16 relative.
-_SHAPE_TINY = 1e-18
 
 
 @dataclass(frozen=True)
@@ -176,44 +162,42 @@ def bose_0m_total(ensemble, k_incident):
 # Pair-transfer shape function f(a, nu)
 # ---------------------------------------------------------------------------
 
-def _shape_nodes(h, nu):
-    """Nodes and weights of the Gauss-Legendre panels of the r-integral of f.
+def _tanh_sinh(step, reach):
+    """Nodes and weights of the tanh-sinh rule on [0, 1] (Takahasi & Mori, Publ. RIMS 9 (1974) 721).
 
-    The first panel on either side of r = h is sqrt(nu) wide (h when the
-    branch point is within _SHAPE_FLOOR h of the axis), and each next one
-    _SHAPE_GROWTH times wider, at most 1: every panel then lies a fixed
-    multiple of its width from the branch points at r = +-h +- i sqrt(nu).
-    For h >= _SHAPE_R_MAX the branch points lie beyond the range, and unit
-    panels cover it.
+    Nodes (1 + tanh(pi/2 sinh t))/2 at t = step k, |k| <= reach, except those
+    that round to an end.  They crowd double-exponentially into both ends,
+    so a branch point of the integrand at an end needs no grading toward it.
     """
-    if h >= _SHAPE_R_MAX:
-        edges = np.arange(0.0, _SHAPE_R_MAX + 0.5)
-    else:
-        root = math.sqrt(nu)
-        width = root if root > _SHAPE_FLOOR * h else h
-        offsets = [0.0]
-        while offsets[-1] < max(h, _SHAPE_R_MAX - h):
-            offsets.append(offsets[-1] + min(width, 1.0))
-            width *= _SHAPE_GROWTH
-        offsets = np.array(offsets[1:])
-        right = h + offsets
-        right = right[:np.searchsorted(right, _SHAPE_R_MAX) + 1]
-        edges = np.concatenate([[0.0], h - offsets[offsets < h][::-1], [h], right])
-    half = 0.5 * np.diff(edges)[:, None]
-    return (half * (_GAUSS_NODES + 1.0) + edges[:-1, None]).ravel(), (half * _GAUSS_WEIGHTS).ravel()
+    t = step * np.arange(-reach, reach + 1)
+    u = 0.5 * math.pi * np.sinh(t)
+    x = np.tanh(u)
+    inside = np.abs(x) < 1.0
+    return 0.5 * (1.0 + x[inside]), (0.25 * math.pi * step * np.cosh(t) / np.cosh(u) ** 2)[inside]
+
+
+# The r-rule of f on each of [0, min(h, R)] and [min(h, R), R], R = _SHAPE_R_MAX:
+# 91 nodes, whose weights sum to 1 exactly.
+_SHAPE_NODES, _SHAPE_WEIGHTS = _tanh_sinh(0.07, 60)
+_SHAPE_R_MAX = 5.0
+# Below this a, f is its limit f(0, nu), off by about (a/12) ln(1/a) < 1e-16 relative.
+_SHAPE_TINY = 1e-18
 
 
 def excited_pair_shape(a, nu=0.0):
     """Dimensionless shape function f(a, nu) of the excited<->excited rate.
 
     a = delta^2/(2T); nu = -mu/T >= 0 shifts both occupation factors.  One
-    fixed Gauss-Legendre sum over the graded panels of `_shape_nodes`, within
-    2e-13 of 30-digit mpmath for a in [1e-3, 200] (1.52e-13 at a = 3e-3,
-    nu = 0.7, the largest measured) and 4e-13 down to a = 1e-4; below _SHAPE_TINY
-    the limit f(0, nu).  An infinite a or nu gives 0.  a and nu are scalars
-    or 1-D arrays, broadcast together.  All rows' nodes go through one
-    `quad.g_kernel` call and each row is summed over its own slice, so each
-    element equals the scalar call bit for bit.
+    fixed tanh-sinh sum over the r-integral of the module docstring, within
+    2e-13 of 30-digit mpmath for a in [1e-4, 200] (1.05e-13 at a = 4e-4,
+    nu = 0.6, the largest measured).  Below a = 1e-4 `quad.g_kernel`'s
+    divided difference just past its near-pair switch costs digits: at
+    nu = 0 f is up to 1e-12 off down to a = 1e-6, 2e-11 down to 1e-9,
+    7e-10 down to 1e-12 and 4e-7 down to _SHAPE_TINY, below which it is the
+    limit f(0, nu).  An infinite a or nu gives 0.  a and nu are scalars or
+    1-D arrays, broadcast together.  All rows' nodes go through one
+    `quad.g_kernel` call and one row-wise sum, so each element equals the
+    scalar call bit for bit.
     """
     a, nu = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(nu, dtype=float))
     if not np.all(a > 0):
@@ -230,13 +214,13 @@ def excited_pair_shape(a, nu=0.0):
                         else quad.polylog2(x) - quad.polylog3(x))
     rows = np.flatnonzero(finite & (a >= _SHAPE_TINY))
     if rows.size:
-        h = 0.5 * np.sqrt(a[rows])
-        r, weights = zip(*map(_shape_nodes, h.tolist(), nu[rows].tolist()))
-        counts = [x.size for x in r]
-        h, shift, r = np.repeat(h, counts), np.repeat(nu[rows], counts), np.concatenate(r)
-        g = np.split(quad.g_kernel(shift + (h + r) ** 2, shift + (h - r) ** 2), np.cumsum(counts)[:-1])
-        out[rows] = [np.dot(w, x) for w, x in zip(weights, g)]
-        out[rows] /= math.sqrt(math.pi)
+        h = 0.5 * np.sqrt(a[rows])[:, None]
+        cut = np.minimum(h, _SHAPE_R_MAX)  # the branch point r = h, as an end of both intervals
+        r = np.concatenate([cut * _SHAPE_NODES, cut + (_SHAPE_R_MAX - cut) * _SHAPE_NODES], axis=1)
+        weights = np.concatenate([cut * _SHAPE_WEIGHTS, (_SHAPE_R_MAX - cut) * _SHAPE_WEIGHTS], axis=1)
+        shift = nu[rows][:, None]
+        g = quad.g_kernel((shift + (h + r) ** 2).ravel(), (shift + (h - r) ** 2).ravel())
+        out[rows] = np.sum(g.reshape(r.shape) * weights, axis=1) / math.sqrt(math.pi)
     return float(out[0]) if scalar else out
 
 

@@ -61,20 +61,26 @@ def condensate_count(n_total, temperature):
 
 
 def _population(mu, t):
-    """N(mu) and dN/dmu: discrete ground state plus continuum excited states."""
+    """N(mu) and d ln N/dmu: discrete ground state plus continuum excited states.
+
+    The ground term's share of the slope is (n0/T) (n0 + 1)/N, never the
+    product n0 (n0 + 1)/T, which overflows long before the slope does.
+    """
     n0 = 1.0 / math.expm1(-mu / t)
     z = math.exp(mu / t)
-    return n0 + t**3 * quad.polylog3(z), n0 * (n0 + 1.0) / t + t * t * quad.polylog2(z)
+    value = n0 + t**3 * quad.polylog3(z)
+    return value, n0 / t * ((n0 + 1.0) / value) + t * t * quad.polylog2(z) / value
 
 
 def _solve_number_equation(population, n_total, t, context):
     """Root mu < 0 of N(mu) = n_total by Newton's method on ln N(mu).
 
-    `population(mu)` returns N(mu) and dN/dmu, ln N increasing and convex
-    (module docstring).  Starts at mu0 = -T ln(1 + 1/N) and stops once a
-    step is below 1e-15 T or no longer lowers the iterate.  A mu0 that
-    underflows to 0 (a T near the smallest float), or a population that
-    overflows or leaves (0, inf), is a ConvergenceError.
+    `population(mu)` returns N(mu) and d ln N/dmu, ln N increasing and
+    convex (module docstring).  Starts at mu0 = -T ln(1 + 1/N) and steps by
+    ln(N/n_total)/(d ln N/dmu) until a step is below 1e-15 T or no longer
+    lowers the iterate.  A mu0 that underflows to 0 (a T near the smallest
+    float), or a population or slope that overflows or leaves (0, inf), is
+    a ConvergenceError.
     """
     mu = -t * math.log1p(1.0 / n_total)
     if not mu < 0.0:
@@ -89,7 +95,7 @@ def _solve_number_equation(population, n_total, t, context):
         # rounding can leave the ground term at mu0 up to 2 ulps short of N
         if iteration == 0 and value < n_total * (1.0 - 1e-14):
             raise ConvergenceError(f"{context}: the start point lies below the root")
-        step = math.log(value / n_total) * value / slope
+        step = math.log(value / n_total) / slope
         if step < 1e-15 * t or not mu - step < mu:
             return min(mu, mu - step)
         mu -= step

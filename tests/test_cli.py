@@ -889,39 +889,41 @@ _FREEZE_COMMANDS = [
 
 
 def test_entrypoint_freezes_the_import_heap(tmp_path):
-    # the CLI process keeps numpy's and the model's import-time objects out of
-    # every later collection: entrypoint() freezes once they are loaded, before
-    # the table is written, and no package module loads after the freeze;
-    # main() called from Python leaves the heap alone
+    # the CLI process runs its one command with the collector off and
+    # freezes the heap once the table is written, so that no collection,
+    # the one at interpreter exit included, walks numpy's and the model's
+    # import-time objects; main() called from Python leaves both alone
     for i, argv in enumerate(_FREEZE_COMMANDS):
         by_main = f"""
 import gc, json, sys
 from trapscatter import cli
 code = cli.main({argv + ["--out", str(tmp_path / f"main{i}.out")]!r})
-print(json.dumps([code, "numpy" in sys.modules, gc.get_freeze_count()]))
+print(json.dumps([code, "numpy" in sys.modules, gc.isenabled(), gc.get_freeze_count()]))
 """
-        assert json.loads(_run_fresh("-c", by_main).splitlines()[-1]) == [0, True, 0], argv
+        assert json.loads(_run_fresh("-c", by_main).splitlines()[-1]) == [0, True, True, 0], argv
         out = str(tmp_path / f"entrypoint{i}.out")
         by_entrypoint = f"""
 import gc, json, os, sys
 from trapscatter import cli
-freezes, frozen_modules, freeze = [], set(), gc.freeze
-def recorded():
-    freezes.append(["numpy" in sys.modules, "trapscatter.scattering" in sys.modules, os.path.exists({out!r})])
-    frozen_modules.update(sys.modules)
+during, freezes, main, freeze = [], [], cli.main, gc.freeze
+def recorded_main(argv=None):
+    during.append([gc.isenabled(), gc.get_freeze_count()])
+    code = main(argv)
+    during.append([gc.isenabled(), gc.get_freeze_count(), "numpy" in sys.modules])
+    return code
+def recorded_freeze():
+    freezes.append(os.path.exists({out!r}))
     freeze()
-gc.freeze = recorded
+cli.main, gc.freeze = recorded_main, recorded_freeze
 sys.argv = ["trapscatter", *{argv + ["--out", out]!r}]
-before = "numpy" in sys.modules
 try:
     cli.entrypoint()
 except SystemExit as done:
     code = done.code
-late = sorted(m for m in sys.modules if m.startswith("trapscatter") and m not in frozen_modules)
-print(json.dumps([code, before, freezes, gc.get_freeze_count() > 0, os.path.exists({out!r}), late]))
+print(json.dumps([code, during, freezes, gc.isenabled(), gc.get_freeze_count() > 0]))
 """
         report = json.loads(_run_fresh("-c", by_entrypoint).splitlines()[-1])
-        assert report == [0, False, [[True, True, False]], True, True, []], argv
+        assert report == [0, [[False, 0], [False, 0, True]], [True], False, True], argv
 
 
 # (a command line stopped before any computing, its exit code, the last line

@@ -160,7 +160,7 @@ class TestChemicalPotential:
 
         def ground(mu):
             n0 = 1.0 / math.expm1(-mu / t)
-            return n0, n0 * (n0 + 1.0) / t
+            return n0, (n0 + 1.0) / t
 
         with pytest.raises(ConvergenceError):
             thermo._solve_number_equation(ground, 100, t, "test")
@@ -177,6 +177,17 @@ class TestChemicalPotential:
         message = f"^{context}: the start point mu0=-0.0 is not below 0 at T=1e-323$"
         with pytest.raises(ConvergenceError, match=message):
             ensemble(1000, 1e-323)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n,t", [(3757636147301653777613037471214811572379221753856, 1.827e-259),
+                                     (359_100_000, 1.093e102)])
+    def test_solves_where_dn_dmu_overflows(self, n, t):
+        # Newton steps by ln(N/n) / (d ln N/dmu).  dN/dmu itself overflows at
+        # the first, as n0 (n0 + 1)/T = N^2/T, and ln(N/n) N at the second's
+        # start, where N(mu0) ~ T^3 zeta(3) = 1.6e306; d ln N/dmu is finite at both
+        mu = chemical_potential(n, t)
+        assert -math.inf < mu < 0.0
+        assert_allclose(continuum_population(mu, t), float(n), rtol=1e-13)
 
     def test_solver_budget(self, monkeypatch):
         monkeypatch.setattr(thermo, "_NEWTON_ITERATIONS", 2)

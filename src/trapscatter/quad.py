@@ -16,9 +16,11 @@ function of `scattering`,
 
     G(a, b) = sum_{n, m >= 1} e^{-n a - m b} / (n + m)^{5/2},
 
-is the same closed form with Li_{5/2} in place of Li2, whose expansion
-uses hard-coded zeta(5/2 - k).  All are deterministic: identical inputs
-give bit-identical outputs.
+is a divided difference of M(t) = e^t Li_{5/2}(e^{-t}) - 1: of its
+expansion about t = 0 (DLMF 25.12.12, with hard-coded zeta(5/2 - k))
+below t = 1/2 and of its power series in e^{-t} beyond, both free of
+cancellation.  All are deterministic: identical inputs give bit-identical
+outputs.
 """
 
 import math
@@ -58,7 +60,7 @@ def polylog3(x):
 
     Direct power series for x <= 1/2; for x > 1/2 the expansion of
     Li3(e^{-y}) in y = -ln x, whose quadratic term carries the ln y
-    singularity.  Both branches are accurate to machine precision.
+    singularity.  Within 1e-15 of mpmath on all of [0, 1].
     """
     x = float(x)
     if not 0.0 <= x <= 1.0:
@@ -75,7 +77,7 @@ def polylog3(x):
 
 
 def polylog2(x):
-    """Dilogarithm Li2(x) for x in [0, 1]: the branches of `polylog3`, differentiated."""
+    """Dilogarithm Li2(x) for x in [0, 1]: the branches of `polylog3`, differentiated, as accurate."""
     x = float(x)
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"polylog2 requires 0 <= x <= 1, got {x}")
@@ -206,105 +208,82 @@ def p_kernel(a, b):
     return float(value) if value.ndim == 0 else value
 
 
-# zeta(5/2 - k) for k = 0..25, the values of 40-digit mpmath rounded to
-# double.  Shifted by j they are the coefficients of
-# Li_{5/2-j}(e^{-t}) = (-d/dt)^j Li_{5/2}(e^{-t}).
+# zeta(5/2 - k) for k = 0..20, the values of 40-digit mpmath rounded to double.
 _ZETA_HALF = (
-    1.341487257250917, 2.612375348685488, -1.4603545088095868, -0.20788622497735457,
-    -0.025485201889833036, 0.008516928777850331, 0.004441011335479432, -0.0030916692472158338,
-    -0.0026714580198992244, 0.0027467679395368687, 0.00326903957260022, -0.00441603287300489,
-    -0.006672172296466641, 0.011146122473942813, 0.02039697871594279, -0.04057496748119458,
-    -0.08717525590621725, 0.2011740493842269, 0.4962712199120576, -1.303229250705114,
-    -3.629759299774574, 10.687327069021993, 33.168325785694606, -108.21747505877606,
-    -370.3018783754786, 1326.0458117490157,
+    1.341487257250917, 2.612375348685488, -1.4603545088095868, -0.20788622497735457, -0.025485201889833036,
+    0.008516928777850331, 0.004441011335479432, -0.0030916692472158338, -0.0026714580198992244,
+    0.0027467679395368687, 0.00326903957260022, -0.00441603287300489, -0.006672172296466641,
+    0.011146122473942813, 0.02039697871594279, -0.04057496748119458, -0.08717525590621725,
+    0.2011740493842269, 0.4962712199120576, -1.303229250705114, -3.629759299774574,
 )
 
-# For t <= 1, Li_{5/2-j}(e^{-t}) = Gamma(j - 3/2) t^{3/2-j}
-# + sum_k zeta(5/2-j-k) (-t)^k/k! (DLMF 25.12.12), j = 0..5, through k = 19
-# (the next term of Li_{5/2} is below 2e-18).  For t > 1 the power series in
-# z = e^{-t} runs over N = 2..35 (the next term is below 1e-17 relative).
-_HALF_SERIES = np.array([[_ZETA_HALF[j + k] / math.factorial(k) for j in range(6)] for k in range(20)])
-_HALF_GAMMA = math.sqrt(math.pi) * np.array([4.0 / 3.0, -2.0, 1.0, 0.5, 0.75, 1.875])
-_HALF_ORDERS = 1.5 - np.arange(6.0)
-_HALF_N = np.arange(2.0, 36.0)
-_HALF_POWER = _HALF_N**-2.5
-# power-series coefficients of the three midpoint terms of `_half_midpoint`
-_HALF_MIDPOINT = np.stack([
-    (_HALF_N - 1.0) * _HALF_N**-2.5,
-    (_HALF_N - 1.0) * (_HALF_N - 2.0) * _HALF_N**-1.5 / 24.0,
-    (3.0 * _HALF_N**4 - 15.0 * _HALF_N**3 + 20.0 * _HALF_N**2 - 8.0) * _HALF_N**-1.5 / 5760.0,
-], axis=1)
-
-# Pairs of G with |a - b| below this fraction of min(m, 1), m their midpoint,
-# take the midpoint expansion through d^4, whose d^6 remainder stays below
-# 1e-14 there; the divided difference beyond keeps 3e-16/|a - b|.
-_HALF_NEAR = 1e-2
+# G is made of divided differences of M(t) = sum_{N>=2} e^{-(N-1) t}/N^{5/2}.  Up to
+# _PIVOT, M = Gamma(-3/2) t^{3/2} e^t + Q(t), with Q(t) = e^t sum_k zeta(5/2-k) (-t)^k/k! - 1
+# (DLMF 25.12.12) through t^20 (the next term is below 1e-20); beyond, M is its power
+# series sum_{N=2}^{75} z^{N-1}/N^{5/2} in z = e^{-t} (the next term is below 1e-18 relative).
+_PIVOT = 0.5
+_BRANCH_GAMMA = 4.0 / 3.0 * math.sqrt(math.pi)
+_Q_COEFFS = np.convolve([_ZETA_HALF[k] * (-1.0) ** k / math.factorial(k) for k in range(21)],
+                        [1.0 / math.factorial(i) for i in range(21)])[:21]
+_Q_COEFFS[0] -= 1.0
+_Z_COEFFS = np.concatenate([[0.0], np.arange(2.0, 76.0) ** -2.5])
 
 
-def _li52_excess(t):
-    """M(z) = (Li_{5/2}(z) - z)/z = sum_{N>=2} z^{N-1}/N^{5/2} at z = e^{-t}, t >= 0.
+def _exprel(d):
+    """expm1(d)/d, 1 at d = 0."""
+    return np.divide(np.expm1(d), d, out=np.ones_like(d), where=d != 0.0)
 
-    The expansion in t for t <= 1, exact at t = 0, and the power series
-    beyond, each on its own elements and each by Horner's rule.  Relative
-    error below 4e-14 against mpmath, most of it from the cancelling
-    expansion near t = 1.
+
+def _divided_difference(x, y, coefficients):
+    """(p(x) - p(y))/(x - y), p'(x) at x = y, of p(t) = sum_j coefficients[j] t^j.
+
+    Horner's rule with two accumulators: `value` runs p's rule at x, and
+    `slope` the rule at y of the quotient of p by (t - x).
     """
-    out = np.empty_like(t)
-    near = t <= 1.0
-    y = t[near]
-    li = _series(-y, _HALF_SERIES[:, 0]) + _HALF_GAMMA[0] * y * np.sqrt(y)
-    out[near] = li * np.exp(y) - 1.0
-    z = np.exp(-t[~near])
-    out[~near] = z * _series(z, _HALF_POWER)
-    return out
-
-
-def _half_midpoint(m):
-    """Rows (c0, c1, c2) of G(m - d/2, m + d/2) = c0 + c1 d^2 + c2 d^4 + O(d^6).
-
-    The pairs with n + n' = N sum to z^N sinh(u d/2)/sinh(d/2), u = N - 1,
-    z = e^{-m}, which expands as u [1 + (u^2 - 1) d^2/24
-    + (u^2 - 1)(3u^2 - 7) d^4/5760].  Hence c0 = Li_{3/2} - Li_{5/2},
-    c1 = (Li_{-1/2} - 3 Li_{1/2} + 2 Li_{3/2})/24 and
-    c2 = (3 Li_{-5/2} - 15 Li_{-3/2} + 20 Li_{-1/2} - 8 Li_{3/2})/5760,
-    from the expansions in m for m <= 1 and as power series beyond.
-    """
-    out = np.empty((m.size, 3))
-    small = m <= 1.0
-    y = m[small]
-    li = _series(-y, _HALF_SERIES) + _HALF_GAMMA * y[:, None] ** _HALF_ORDERS
-    out[small, 0] = li[:, 1] - li[:, 0]
-    out[small, 1] = (li[:, 3] - 3.0 * li[:, 2] + 2.0 * li[:, 1]) / 24.0
-    out[small, 2] = (3.0 * li[:, 5] - 15.0 * li[:, 4] + 20.0 * li[:, 3] - 8.0 * li[:, 1]) / 5760.0
-    z = np.exp(-m[~small])
-    out[~small] = (z * z)[:, None] * _series(z, _HALF_MIDPOINT)
-    return out
+    value = np.full_like(x, coefficients[-1])
+    slope = np.zeros_like(x)
+    for c in coefficients[-2::-1]:
+        slope *= y
+        slope += value
+        value *= x
+        value += c
+    return slope
 
 
 def g_kernel(a, b):
     """G(a, b) = sum_{n, m >= 1} e^{-n a - m b}/(n + m)^{5/2} for 1-D arrays a, b >= 0.
 
-    The sum over n at fixed n + m is geometric, so as for `p_kernel`
+    The sum over n at fixed n + m is geometric, so with lo, hi = min(a, b), max(a, b)
 
-        G(a, b) = |M(e^{-a}) - M(e^{-b})| e^{-min(a, b)} / expm1(|a - b|),
+        G(a, b) = e^{-lo} (-M[lo, hi]) / exprel(hi - lo),
 
-    now with M(z) = (Li_{5/2}(z) - z)/z.  Pairs with |a - b| <
-    _HALF_NEAR min(m, 1), m the midpoint, take the midpoint expansion.
-    Symmetric, positive and decreasing in each argument.
+    M[lo, hi] the divided difference of M(t) above (M'(lo) at a = b) and
+    exprel(d) = expm1(d)/d.  M[lo, hi] is split at _PIVOT, each side
+    weighted by its share of hi - lo.  Below, Gamma(-3/2) times the divided
+    difference of t^{3/2} e^t, e^x (x + sqrt(xy) + y)/(sqrt(x) + sqrt(y))
+    + y^{3/2} e^x exprel(y - x) for x <= y, adds to Q's; above, that of M
+    in z, times -e^{-x} exprel(x - y), has terms of one sign.  So no pair
+    loses digits at any gap: within 2e-14 of 80-digit mpmath.  Symmetric,
+    positive and decreasing in each argument.
     """
     if not (np.all(a >= 0) and np.all(b >= 0)):  # comparisons with nan are false, so nan fails too
         raise ValueError("g_kernel arguments a, b must be non-negative")
-    gap = np.abs(a - b)
-    mid = 0.5 * (a + b)
-    near = gap < _HALF_NEAR * np.minimum(mid, 1.0)
-    excess = _li52_excess(np.concatenate([a, b]))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        value = np.abs(excess[:a.size] - excess[a.size:]) * np.exp(-np.minimum(a, b)) / np.expm1(gap)
-    if np.any(near):
-        c = _half_midpoint(mid[near])
-        d2 = gap[near] ** 2
-        value[near] = c[:, 0] + d2 * (c[:, 1] + d2 * c[:, 2])
-    return value
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    gap = hi - lo
+    x, y = np.minimum(lo, _PIVOT), np.minimum(hi, _PIVOT)
+    share = np.divide(y - x, gap, out=(lo < _PIVOT).astype(float), where=gap > 0.0)
+    slope = np.zeros_like(gap)
+    part = share > 0.0
+    x, y = x[part], y[part]
+    sx, sy = np.sqrt(x), np.sqrt(y)
+    power = np.divide(x + sx * sy + y, sx + sy, out=np.zeros_like(x), where=y > 0.0) + y * sy * _exprel(y - x)
+    slope[part] = share[part] * (_BRANCH_GAMMA * np.exp(x) * power + _divided_difference(x, y, _Q_COEFFS))
+    part = share < 1.0
+    x, y = np.maximum(lo[part], _PIVOT), hi[part]
+    z = np.exp(-x)
+    slope[part] -= (1.0 - share[part]) * z * _exprel(x - y) * _divided_difference(z, np.exp(-y), _Z_COEFFS)
+    with np.errstate(over="ignore"):  # exprel(gap) = inf beyond gap ~ 710, an infinite one included: G is 0
+        return np.exp(-lo) * -slope / _exprel(np.minimum(gap, 1e3))
 
 
 def _k2_scaled(x):

@@ -180,8 +180,6 @@ def _tanh_sinh(step, reach):
 # 91 nodes, whose weights sum to 1 exactly.
 _SHAPE_NODES, _SHAPE_WEIGHTS = _tanh_sinh(0.07, 60)
 _SHAPE_R_MAX = 5.0
-# Below this a, f is its limit f(0, nu), off by about (a/12) ln(1/a) < 1e-16 relative.
-_SHAPE_TINY = 1e-18
 
 
 def excited_pair_shape(a, nu=0.0):
@@ -189,15 +187,13 @@ def excited_pair_shape(a, nu=0.0):
 
     a = delta^2/(2T); nu = -mu/T >= 0 shifts both occupation factors.  One
     fixed tanh-sinh sum over the r-integral of the module docstring, within
-    2e-13 of 30-digit mpmath for a in [1e-4, 200] (1.05e-13 at a = 4e-4,
-    nu = 0.6, the largest measured).  Below a = 1e-4 `quad.g_kernel`'s
-    divided difference just past its near-pair switch costs digits: at
-    nu = 0 f is up to 1e-12 off down to a = 1e-6, 2e-11 down to 1e-9,
-    7e-10 down to 1e-12 and 4e-7 down to _SHAPE_TINY, below which it is the
-    limit f(0, nu).  An infinite a or nu gives 0.  a and nu are scalars or
-    1-D arrays, broadcast together.  All rows' nodes go through one
-    `quad.g_kernel` call and one row-wise sum, so each element equals the
-    scalar call bit for bit.
+    2e-13 of 30-digit mpmath for a in [1e-4, 200] and 3.5e-13 below, where
+    it runs continuously into the limit f(0, nu) = [Li2(e^{-nu}) -
+    Li3(e^{-nu})]/2 (the worst near nu = 3e-6, where the rule resolves the
+    branch point r = h +- i sqrt(nu)).  An infinite a or nu gives 0.  a
+    and nu are scalars or 1-D arrays, broadcast together.  All rows' nodes
+    go through one `quad.g_kernel` call and one row-wise sum, so each
+    element equals the scalar call bit for bit.
     """
     a, nu = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(nu, dtype=float))
     if not np.all(a > 0):
@@ -207,12 +203,7 @@ def excited_pair_shape(a, nu=0.0):
     scalar = a.ndim == 0
     a, nu = a.reshape(-1), nu.reshape(-1)
     out = np.zeros(a.size)  # an infinite a or nu keeps 0: f ~ e^{-a/2 - 2 nu}/16 is 0 from a ~ 1480
-    finite = (a < math.inf) & (nu < math.inf)
-    for i in np.flatnonzero(finite & (a < _SHAPE_TINY)):
-        x = math.exp(-nu[i])  # f(0, nu) = [Li2(x) - Li3(x)]/2, as its series where the two cancel
-        out[i] = 0.5 * (float(np.sum(x**quad._K * (quad._K - 1) / quad._K_CUBED)) if x <= 0.5
-                        else quad.polylog2(x) - quad.polylog3(x))
-    rows = np.flatnonzero(finite & (a >= _SHAPE_TINY))
+    rows = np.flatnonzero((a < math.inf) & (nu < math.inf))
     if rows.size:
         h = 0.5 * np.sqrt(a[rows])[:, None]
         cut = np.minimum(h, _SHAPE_R_MAX)  # the branch point r = h, as an end of both intervals
@@ -235,7 +226,7 @@ _SHAPE_SWITCH = 0.1
 
 
 def _shape_integral(nu):
-    """S(nu) = int_0^inf f(a, nu) da = sum_{n>=2} H_{n-1} e^{-n nu}/n^3, within 3e-16 of mpmath.
+    """S(nu) = int_0^inf f(a, nu) da = sum_{n>=2} H_{n-1} e^{-n nu}/n^3, within 5e-16 of mpmath.
 
     Nielsen's S_{2,2}(e^{-nu}) (Koelbig, SIAM J. Math. Anal. 17 (1986) 1232).
     Beyond _SHAPE_SWITCH the series runs to n = 40/nu + 1 (e^{-n nu} < 1e-17).
@@ -274,7 +265,7 @@ def bose_mm_differential(ensemble, delta):
     """Excited<->excited stimulated rate T^3 f(delta^2/2T, -mu/T), f evaluated directly; 0 at delta = inf."""
     quad._check_delta(delta)
     t = ensemble.temperature
-    a = max(0.5 * delta * delta / t, math.ulp(0.0))  # an a that underflows to 0: f(0, nu), as below _SHAPE_TINY
+    a = max(0.5 * delta * delta / t, math.ulp(0.0))  # an a that underflows to 0: f there is f(0, nu)
     return t**3 * excited_pair_shape(a, -ensemble.mu / t)
 
 

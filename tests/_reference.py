@@ -138,8 +138,11 @@ def pair_shape_mpmath(a, nu, dps=25):
     f = pi^{-1/2} int_0^inf G(nu + (h + r)^2, nu + (h - r)^2) dr, h = sqrt(a)/2,
     with G(A, B) = e^{-B} [M(B) - M(A)]/expm1(A - B) for A > B and
     M(t) = e^t Li_{5/2}(e^{-t}) - 1: the expansion in t with mpmath's zeta
-    values up to t = 3/2, the power series beyond.  Breakpoints at r = h,
-    at h +- sqrt(nu) 4^k and at the integers.
+    values up to t = 3/2, the power series beyond.  A node whose pair rounds
+    to the diagonal takes G(B, B) = Li_{3/2}(e^{-B}) - Li_{5/2}(e^{-B}).
+    mpmath's quadrature stops on an absolute error, so the integrand is
+    scaled by e^{a/2}, which keeps it of order 1 where f ~ e^{-a/2}/16 is
+    not.  Breakpoints at r = h, at h +- sqrt(nu) 4^k and at the integers.
     """
     with mpmath.workdps(dps + 5):
         mpf = mpmath.mpf
@@ -165,17 +168,21 @@ def pair_shape_mpmath(a, nu, dps=25):
             big, small = nu + (h + r) ** 2, nu + (h - r) ** 2
             if big < small:
                 big, small = small, big
-            return mpmath.exp(-small) * (excess(small) - excess(big)) / mpmath.expm1(big - small)
+            if big == small:
+                z = mpmath.exp(-small)
+                return scale * (mpmath.polylog(1.5, z) - mpmath.polylog(2.5, z))
+            return scale * mpmath.exp(-small) * (excess(small) - excess(big)) / mpmath.expm1(big - small)
 
         a, nu = mpf(a), mpf(nu)
         h = mpmath.sqrt(a) / 2
+        scale = mpmath.exp(a / 2)
         points = {mpf(0), h, h + 7}
         points.update(mpf(k) for k in range(int(h) + 8))
         step = mpmath.sqrt(nu) if nu > 0 else h
         while step < 7:
             points.update(p for p in (h - step, h + step) if p > 0)
             step *= 4
-        value = mpmath.quad(kernel, sorted(points)) / mpmath.sqrt(mpmath.pi)
+        value = mpmath.quad(kernel, sorted(points)) / (scale * mpmath.sqrt(mpmath.pi))
         return float(value)
 
 
@@ -189,12 +196,17 @@ def shape_integral_series(nu):
 
 
 def shape_integral_mpmath(nu, dps=30):
-    """int_0^inf f(a, nu) da as (1/2) int_0^inf z ln^2(1 - e^{-z-nu}) dz, by dps-digit mpmath."""
+    """int_0^inf f(a, nu) da as (1/2) int_0^inf z ln^2(1 - e^{-z-nu}) dz, by dps-digit mpmath.
+
+    The integrand is scaled by e^{2 nu}, which keeps it of order 1, since
+    mpmath's quadrature stops on an absolute error.
+    """
     with mpmath.workdps(dps):
         nu = mpmath.mpf(nu)
-        value = mpmath.quad(lambda z: z * mpmath.log(-mpmath.expm1(-z - nu)) ** 2,
+        scale = mpmath.exp(2 * nu)
+        value = mpmath.quad(lambda z: scale * z * mpmath.log(-mpmath.expm1(-z - nu)) ** 2,
                             [0, 1, 5, 20, 80, mpmath.inf])
-        return float(value / 2)
+        return float(value / (2 * scale))
 
 
 def shape_integral_adaptive(nu):

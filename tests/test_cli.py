@@ -52,8 +52,8 @@ _NON_FINITE_CASES = [
      ["t-over-tc", "k-incident", "delta-lo", "delta-hi"]),
 ]
 
-# Huge finite inputs and their exit codes: a temperature whose T^3 overflows
-# (T above about 5.6e102) fails numerically, an N no float holds is invalid.
+# Huge finite inputs and their exit codes: a temperature whose T^3 zeta(3)
+# overflows (T above about 5.3e102) fails numerically, an N no float holds is invalid.
 _HUGE_FINITE_CASES = [
     (["sweep-angle", "--n", "1000", "--t", "1e103", "--points", "3"], 3),
     (["sweep-angle", "--n", "1000", "--t-over-tc", "1e102", "--points", "3"], 3),

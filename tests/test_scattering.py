@@ -218,6 +218,18 @@ _MPMATH_SHAPE = {
     (0.01, 0.7): 0.02201003899629293, (0.05, 0.7): 0.02150904175065927,
     (0.001, 0.86): 0.015056668929773857, (0.003, 0.86): 0.015039822782374557,
     (0.01, 0.86): 0.014981017327970901, (0.05, 0.86): 0.014649595043634184,
+    # a << nu, where some of the reference's nodes round to the diagonal
+    (0.0001, 1.5): 0.0035916126658858175, (0.0001, 3.0): 0.00015963376399108416,
+    (0.0002, 3.0): 0.00015962570127663324, (0.0002, 5.0): 2.8485886033157374e-06,
+    # the large-a end, f ~ e^{-a/2}/16
+    (200.0, 0.0): 2.325047485013027e-45, (200.0, 0.01): 2.279008460184977e-45,
+    # below the bound's a = 1e-4, down to where f meets its limit f(0, nu)
+    (1e-12, 0.0): 0.22143858184189144, (1e-12, 1e-08): 0.2214384929641473,
+    (1e-12, 1e-06): 0.22143199655106552, (1e-12, 1e-05): 0.22138424154864306,
+    (1e-08, 0.0): 0.22143856527324066, (1e-08, 1e-08): 0.22143847869469302,
+    (1e-08, 1e-06): 0.22143198604173622, (1e-08, 1e-05): 0.22138423295717727,
+    (1e-06, 0.0): 0.22143730850094276, (1e-06, 1e-08): 0.22143723795185677,
+    (1e-06, 1e-06): 0.22143095322719158, (1e-06, 1e-05): 0.2213833831361011,
 }
 
 
@@ -235,12 +247,19 @@ class TestExcitedPairShape:
 
     @pytest.mark.parametrize("a,nu", sorted(_MPMATH_SHAPE))
     def test_against_mpmath(self, a, nu):
-        assert_allclose(excited_pair_shape(a, nu), _MPMATH_SHAPE[a, nu], rtol=2e-13)
+        # the docstring's bound: 2e-13 for a in [1e-4, 200], 3.5e-13 below
+        assert_allclose(excited_pair_shape(a, nu), _MPMATH_SHAPE[a, nu], rtol=2e-13 if a >= 1e-4 else 3.5e-13)
 
-    @pytest.mark.parametrize("a,nu", [(1e-3, 0.0), (8.0, 1e-4), (30.0, 1e-6), (3e-3, 0.7)])
+    @pytest.mark.parametrize("a,nu", [(1e-3, 0.0), (8.0, 1e-4), (30.0, 1e-6), (3e-3, 0.7), (1e-4, 1.5),
+                                      (2e-4, 5.0), (200.0, 0.0), (1e-12, 1e-5)])
     def test_mpmath_table_is_current(self, a, nu):
         # the pinned values are what the reference computes
         assert_allclose(pair_shape_mpmath(a, nu), _MPMATH_SHAPE[a, nu], rtol=1e-15)
+
+    @pytest.mark.parametrize("a,nu", [(200.0, 0.01), (100.2, 3.0)])
+    def test_mpmath_reference_against_double_series(self, a, nu):
+        # the quadrature's error test is absolute, so the reference scales f ~ e^{-a/2}/16 to order 1
+        assert_allclose(pair_shape_mpmath(a, nu), pair_shape_series(a, nu), rtol=1e-14)
 
     @pytest.mark.parametrize("nu", [0.0, 1e-3, 0.1, 1.0])
     def test_angle_integral_is_harmonic_series(self, nu):
@@ -327,6 +346,12 @@ class TestShapeIntegral:
     def test_against_mpmath(self, nu):
         assert_allclose(_shape_integral(nu), shape_integral_mpmath(nu), rtol=1e-14)
 
+    def test_docstring_bound(self):
+        # nu over [0, 30], either side of _SHAPE_SWITCH, against the integral form
+        nu = [0.0, *np.geomspace(1e-9, 30.0, 60), _SHAPE_SWITCH, math.nextafter(_SHAPE_SWITCH, 1.0)]
+        reference = [shape_integral_mpmath(x) for x in nu]
+        assert_allclose([_shape_integral(x) for x in nu], reference, rtol=5e-16, atol=0)
+
     def test_branches_agree_at_switch(self):
         # the expansion about nu = 0 at the switch, the series one ulp beyond
         above = math.nextafter(_SHAPE_SWITCH, math.inf)
@@ -353,12 +378,8 @@ def _rule_state(a, nu, switch):
         return h >= _SHAPE_R_MAX
     cut = min(h, _SHAPE_R_MAX)
     r = np.concatenate([cut * _SHAPE_NODES, cut + (_SHAPE_R_MAX - cut) * _SHAPE_NODES])
-    big, small = nu + (h + r) ** 2, nu + (h - r) ** 2
-    gap, mid = big - small, 0.5 * (big + small)
-    near = gap < quad._HALF_NEAR * np.minimum(mid, 1.0)
-    if switch == "series":
-        return tuple(np.flatnonzero(np.concatenate([big, small, mid[near]]) <= 1.0))
-    return tuple(np.flatnonzero(near))
+    # the pivot of G's divided difference between its two forms of M
+    return tuple(np.flatnonzero(np.concatenate([nu + (h + r) ** 2, nu + (h - r) ** 2]) <= quad._PIVOT))
 
 
 class TestShapeProperties:
@@ -366,12 +387,13 @@ class TestShapeProperties:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
     @given(st.floats(-3.0, 2.3), st.one_of(st.just(None), st.floats(-9.0, 0.5)),
            st.sampled_from(["a", "nu"]), st.floats(1.01, 8.0),
-           st.sampled_from(["ends", "series", "near"]))
+           st.sampled_from(["ends", "pivot"]))
     @example(1.9, None, "a", 1.5, "ends")
     @example(1.9, -2.0, "a", 1.5, "ends")
+    @example(-2.0, -0.5, "nu", 1.5, "pivot")
     def test_continuous_across_rule_switches(self, log_a, log_nu, along, factor, switch):
-        # bisect to where the second interval of the rule vanishes, the t = 1
-        # series switch of M or the midpoint switch of G changes, and step f across it
+        # bisect to where the second interval of the rule vanishes or a node's
+        # argument of G crosses the pivot of M, and step f across it
         assume(along == "a" or log_nu is not None)
         start = [10.0**log_a, 0.0 if log_nu is None else 10.0**log_nu]
         index = 0 if along == "a" else 1
@@ -697,5 +719,8 @@ class TestDeltaDomain:
         # 4 N0 T / delta^2, inf where delta^2 underflows, 0 without a condensate
         limit = 0.0 if n0 == 0.0 else 4.0 * n0 * t / delta**2 if delta**2 > 0.0 else math.inf
         assert bose_0m_differential(ens, delta) == pytest.approx(limit, rel=1e-12)
-        # T^3 f(0, nu): below _SHAPE_TINY f is its a -> 0 limit, bit for bit
-        assert bose_mm_differential(ens, delta) == t**3 * excited_pair_shape(1e-30, -ens.mu / t)
+        # T^3 f(0, nu), f(0, nu) = [Li2(e^{-nu}) - Li3(e^{-nu})]/2, at f's bound below a = 1e-4
+        with mpmath.workdps(30):
+            x = mpmath.exp(-mpmath.mpf(-ens.mu / t))
+            limit = float((mpmath.polylog(2, x) - mpmath.polylog(3, x)) / 2)
+        assert_allclose(bose_mm_differential(ens, delta), t**3 * limit, rtol=3.5e-13)

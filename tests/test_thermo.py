@@ -237,6 +237,27 @@ class TestTrapEnsemble:
         assert ens.t_critical == critical_temperature(2000)
         assert ens.n_excited == 2000 - condensate_count(2000, 8.0)
 
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 150.0).map(lambda x: int(10.0**x)), st.floats(-323.0, 103.0).map(lambda x: 10.0**x))
+    @example(3757636147301653777613037471214811572379221753856, 1.827e-259)  # dN/dmu overflows
+    @example(1, 2.3e-308)  # mu0 = -T ln 2 is subnormal
+    @example(10**150, 2.3e-158)
+    @example(10**150, 5.3e102)  # T^3 zeta(3) just below the largest float
+    @example(1, 5.6e102)
+    @example(1000, 1e-323)  # mu0 rounds to -0.0: refused
+    def test_solves_wherever_the_state_is_representable(self, n, t):
+        # N = 10^U(0, 150), T = 10^U(-323, 103): with T/N >= 2.3e-308 and T^3 zeta(3), the
+        # population at mu0 ~ -T/N, below the largest float (T <= 5.3e102) the ensemble solves;
+        # elsewhere the only outcome besides that is a ConvergenceError, with no warning
+        try:
+            ens = TrapEnsemble(n, t)
+        except ConvergenceError:
+            assert not (t / n >= 2.3e-308 and t <= 5.3e102), (n, t)
+            return
+        assert -math.inf < ens.mu < 0.0
+        assert 0.0 <= ens.n_condensate <= n
+
 
 @pytest.mark.parametrize("call,message", [
     (lambda: critical_temperature(math.nan), "n_total must"),

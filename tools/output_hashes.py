@@ -27,6 +27,9 @@ output then standard error.  The commands are:
   (exit 0); and `sweep-angle --method both` over 40 deltas from 1e-6 to
   2e6, every oracle cell a breakdown (exit 0).  None of them prints a
   numpy warning;
+- `sweep-angle` at N = 1e15, 0.7 Tc and delta from 1 to 3, whose every
+  `bose_mm` row is valid at a = 7.6e-6 to 6.8e-5: f's small-a path, which
+  no workload reaches (label `small-a-sweep-angle`);
 - the python block under README.md's `## Library`, run as `python -c` in
   the same way, followed by the `repr` of each name the block assigns,
   sorted by name (label `readme-library`).
@@ -79,6 +82,9 @@ EXTREME_RUNS = [
     ("extreme-delta-oracle", "sweep-angle --n 1000 --t-over-tc 0.7 --method both --k-incident 1e6 "
                              "--delta-lo 1e-6 --delta-hi 2e6 --log --points 40 --out -"),
 ]
+# (label, command line) of the sweep on f's small-a path
+SMALL_A_RUN = ("small-a-sweep-angle", "sweep-angle --n 1000000000000000 --t-over-tc 0.7 --delta-lo 1 --delta-hi 3 "
+                                      "--points 8 --out -")
 
 
 def readme_commands():
@@ -112,7 +118,7 @@ def commands():
     yield "help", ["--help"]
     for name in SUBCOMMANDS:
         yield f"help-{name}", [name, "--help"]
-    for label, line in OPTION_RUNS + EXTREME_RUNS:
+    for label, line in OPTION_RUNS + EXTREME_RUNS + [SMALL_A_RUN]:
         yield label, line.split()
     yield "readme-library", ["-c", readme_library()]
 

@@ -1,26 +1,20 @@
 """Special functions and quadrature kernels.
 
 Provides the trilogarithm and dilogarithm of the trap thermodynamics'
-number equation and its slope, the thermal two-occupation kernel
+number equation and its slope; the diffraction z-integral
 
-    P(a, b) = int_0^inf z dz / ((e^{z+a} - 1)(e^{z+b} - 1)),
+    int_0^inf dz z^{-3} e^{-1/z} e^{delta^2 mu z / 2},
 
-and the diffraction z-integral
+a Bessel-K closed form, K2 by an exponentially convergent trapezoid rule;
+and the thermal pair kernels
 
-    int_0^inf dz z^{-3} e^{-1/z} e^{delta^2 mu z / 2}.
+    sum_{n, m >= 1} e^{-n a - m b} / (n + m)^s,
 
-The kernel and the z-integral are closed forms (dilogarithm and Bessel K),
-evaluated with numpy alone: the dilogarithm by series, K2 by an
-exponentially convergent trapezoid rule.  The kernel of the shape
-function of `scattering`,
-
-    G(a, b) = sum_{n, m >= 1} e^{-n a - m b} / (n + m)^{5/2},
-
-is a divided difference of M(t) = e^t Li_{5/2}(e^{-t}) - 1: of its
-expansion about t = 0 (DLMF 25.12.12, with hard-coded zeta(5/2 - k))
-below t = 1/2 and of its power series in e^{-t} beyond, both free of
-cancellation.  All are deterministic: identical inputs give bit-identical
-outputs.
+P at s = 2, equal to int_0^inf z dz / ((e^{z+a} - 1)(e^{z+b} - 1)), and G at s = 5/2,
+the kernel of the shape function of `scattering`.  Both are one divided difference of
+M(t) = e^t Li_s(e^{-t}) - 1: of its expansion about t = 0 (DLMF 25.12.12) below t = 1/2
+and of its power series in e^{-t} beyond, both free of cancellation.  All are evaluated
+with numpy alone and deterministic: identical inputs give bit-identical outputs.
 """
 
 import math
@@ -92,122 +86,6 @@ def polylog2(x):
     return s
 
 
-# Below this z = e^{-a} the dilogarithm forms lose digits to cancellation
-# and their power series, truncated after k = 9, take over.
-_SERIES_Z = 0.01
-_SERIES_K = np.arange(2.0, 10.0)
-_TAIL_COEFFS = 1.0 / _SERIES_K**2
-
-# Between x = 1 and _SERIES_Z, M(z) is its power series through k = 36
-# (the next term is below 2e-18 relative); for x <= 1 it comes from the
-# expansion of Li2(e^{-y}) in y, whose odd terms -zeta(-j) y^{j+2}/(j+2)!
-# for j = 1, 3, .., 19 run in powers of y^2.
-_POWER_COEFFS = 1.0 / np.arange(2.0, 37.0) ** 2
-_BERNOULLI_COEFFS = np.array([-_NEG_ZETA[j] / math.factorial(j + 2) for j in range(1, 20, 2)])
-
-# Pairs with |a - b| below this fraction of min(m, 1), m their midpoint, take
-# the midpoint expansion, where the divided difference would cancel.  Its d^2
-# term leaves an O((d/m)^4) error, small enough for a switch relative to m:
-# both sides then hold 1e-10 for m >= 1e-4 (5e-9 at m = 1e-6).
-_NEAR_PAIR = 1e-2
-
-
-def _series(z, coefficients):
-    """sum_j coefficients[j] z^j by Horner's rule, in place; coefficient rows give one sum per column."""
-    z = z.reshape(z.shape + (1,) * (np.ndim(coefficients) - 1))
-    total = np.zeros_like(z) + coefficients[-1]
-    for c in coefficients[-2::-1]:
-        total *= z
-        total += c
-    return total
-
-
-def _li2_excess(x):
-    """M(z) = (Li2(z) - z)/z = sum_{k>=2} z^{k-1}/k^2 at z = e^{-x}, x >= 0.
-
-    Each element takes one of three forms, evaluated on its own elements
-    only: the 8-term series below _SERIES_Z, the 35-term series for x > 1,
-    and for x <= 1
-
-        Li2(e^{-y}) = zeta(2) - y (1 - ln y) + y^2 sum_j zeta(-j) (-y)^j/(j+2)!,
-
-    exact at y = 0.  Relative error below 5e-15 against mpmath.
-    """
-    x = np.asarray(x, dtype=float)
-    z = np.exp(-x)
-    out = np.empty_like(z)
-    tail = z < _SERIES_Z
-    near = x <= 1.0
-    middle = ~(tail | near)
-    zt = z[tail]
-    out[tail] = zt * _series(zt, _TAIL_COEFFS)
-    zm = z[middle]
-    out[middle] = zm * _series(zm, _POWER_COEFFS)
-    y = x[near]
-    y2 = y * y
-    with np.errstate(divide="ignore", invalid="ignore"):
-        li2 = ZETA2 - y * (1.0 - np.log(y)) - 0.25 * y2 + y2 * y * _series(y2, _BERNOULLI_COEFFS)
-    li2[y == 0.0] = ZETA2
-    out[near] = li2 / z[near] - 1.0
-    return out
-
-
-def _midpoint_expansion(m, d, excess):
-    """P(m - d/2, m + d/2) = P(m, m) + E(m) d^2 + O(d^4), at z = e^{-m}.
-
-    P(m, m) = z^2 M'(z) = -ln(1 - z) - Li2(z), with Li2(z) = z (1 + M(z))
-    from `excess` = M(z), and E = [z/(1-z)^2 - 3z/(1-z) - 2 ln(1-z)] / 24,
-    both by series below _SERIES_Z.
-    """
-    z = np.exp(-m)
-    one_minus = -np.expm1(-m)
-    k = _SERIES_K
-    small = z < _SERIES_Z
-    diagonal = np.where(small, z * z * _series(z, (k - 1) / k**2),
-                        -np.log(one_minus) - z * (1.0 + excess))
-    k = k[1:]
-    curvature = np.where(small, z**3 * _series(z, (k - 1) * (k - 2) / (24.0 * k)),
-                         (z / one_minus**2 - 3.0 * z / one_minus - 2.0 * np.log(one_minus)) / 24.0)
-    return diagonal + d * d * curvature
-
-
-def p_kernel(a, b):
-    """Thermal pair kernel P(a, b); symmetric, positive, decreasing in each argument.
-
-    Closed form (partial fractions in e^z and int z dz/(e^{z+a} - 1) =
-    Li2(e^{-a}), DLMF 25.12):
-
-        P(a, b) = [e^a Li2(e^{-a}) - e^b Li2(e^{-b})] / (e^b - e^a)
-                = |M(e^{-a}) - M(e^{-b})| e^{-min(a, b)} / expm1(|a - b|),
-
-    with M(z) = (Li2(z) - z)/z, which keeps full relative precision for
-    large arguments.  Pairs with |a - b| < _NEAR_PAIR min(m, 1), m the
-    midpoint, where the difference would cancel, take the midpoint
-    expansion instead.  Accepts scalars or broadcastable arrays and returns
-    the matching float or array.  Diverges logarithmically only when both
-    arguments vanish; a single vanishing argument is an integrable endpoint.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if not (np.all(a >= 0) and np.all(b >= 0)):  # comparisons with nan are false, so nan fails too
-        raise ValueError("p_kernel arguments a, b must be non-negative")
-    if np.any((a < 1e-14) & (b < 1e-14)):
-        raise ValueError("p_kernel diverges logarithmically at a = b = 0")
-    gap = np.abs(a - b)
-    mid = 0.5 * (a + b)
-    near = gap < _NEAR_PAIR * np.minimum(mid, 1.0)
-    # one M evaluation for a, b and the near-pair midpoints: its cost is
-    # mostly per call, not per element
-    excess = _li2_excess(np.concatenate([a.ravel(), b.ravel(), mid[near]]))
-    excess_a = excess[:a.size].reshape(a.shape)
-    excess_b = excess[a.size:a.size + b.size].reshape(b.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        value = np.asarray(np.abs(excess_a - excess_b) * np.exp(-np.minimum(a, b)) / np.expm1(gap))
-    if np.any(near):
-        value[near] = _midpoint_expansion(mid[near], gap[near], excess[a.size + b.size:])
-    return float(value) if value.ndim == 0 else value
-
-
 # zeta(5/2 - k) for k = 0..20, the values of 40-digit mpmath rounded to double.
 _ZETA_HALF = (
     1.341487257250917, 2.612375348685488, -1.4603545088095868, -0.20788622497735457, -0.025485201889833036,
@@ -217,16 +95,19 @@ _ZETA_HALF = (
     0.2011740493842269, 0.4962712199120576, -1.303229250705114, -3.629759299774574,
 )
 
-# G is made of divided differences of M(t) = sum_{N>=2} e^{-(N-1) t}/N^{5/2}.  Up to
-# _PIVOT, M = Gamma(-3/2) t^{3/2} e^t + Q(t), with Q(t) = e^t sum_k zeta(5/2-k) (-t)^k/k! - 1
-# (DLMF 25.12.12) through t^20 (the next term is below 1e-20); beyond, M is its power
-# series sum_{N=2}^{75} z^{N-1}/N^{5/2} in z = e^{-t} (the next term is below 1e-18 relative).
+# P and G are made of divided differences of M(t) = e^t Li_s(e^{-t}) - 1 = sum_{N>=2} e^{-(N-1) t}/N^s
+# at s = 2 and 5/2.  Up to _PIVOT, M is a singular term, e^t t ln t or Gamma(-3/2) t^{3/2} e^t, plus
+# Q(t) = e^t sum_k c_k t^k - 1 through t^20, c_k those of DLMF 25.12.12 (the next term is below 1e-20;
+# no divided difference reads Q's constant term, so the -1 is left out); beyond, M is its power
+# series sum_{N=2}^{75} z^{N-1}/N^s in z = e^{-t} (the next term is below 1e-18 relative).
 _PIVOT = 0.5
 _BRANCH_GAMMA = 4.0 / 3.0 * math.sqrt(math.pi)
-_Q_COEFFS = np.convolve([_ZETA_HALF[k] * (-1.0) ** k / math.factorial(k) for k in range(21)],
-                        [1.0 / math.factorial(i) for i in range(21)])[:21]
-_Q_COEFFS[0] -= 1.0
+_EXP_SERIES = [1.0 / math.factorial(i) for i in range(21)]
+_Q_COEFFS = np.convolve([_ZETA_HALF[k] * (-1.0) ** k / math.factorial(k) for k in range(21)], _EXP_SERIES)[:21]
 _Z_COEFFS = np.concatenate([[0.0], np.arange(2.0, 76.0) ** -2.5])
+_Q2_COEFFS = np.convolve([ZETA2, -1.0] + [_NEG_ZETA[k - 2] * (-1.0) ** k / math.factorial(k) for k in range(2, 21)],
+                         _EXP_SERIES)[:21]
+_Z2_COEFFS = np.concatenate([[0.0], np.arange(2.0, 76.0) ** -2.0])
 
 
 def _exprel(d):
@@ -250,40 +131,77 @@ def _divided_difference(x, y, coefficients):
     return slope
 
 
-def g_kernel(a, b):
-    """G(a, b) = sum_{n, m >= 1} e^{-n a - m b}/(n + m)^{5/2} for 1-D arrays a, b >= 0.
+def _branch_power(x, y):
+    """Gamma(-3/2) times t^{3/2} e^t's divided difference at x <= y:
+    e^x (x + sqrt(xy) + y)/(sqrt(x) + sqrt(y)) + y^{3/2} e^x exprel(y - x)."""
+    sx, sy = np.sqrt(x), np.sqrt(y)
+    power = np.divide(x + sx * sy + y, sx + sy, out=np.zeros_like(x), where=y > 0.0) + y * sy * _exprel(y - x)
+    return _BRANCH_GAMMA * np.exp(x) * power
 
-    The sum over n at fixed n + m is geometric, so with lo, hi = min(a, b), max(a, b)
 
-        G(a, b) = e^{-lo} (-M[lo, hi]) / exprel(hi - lo),
+def _branch_log(x, y):
+    """e^t t ln t's divided difference at 0 <= x <= y, 0 < y: e^x (ln y + x log1p(v)/(x - y)
+    + y ln y exprel(y - x)), v = (x - y)/y, whose middle term is 0 at x = 0 and 1 at x = y."""
+    v = (x - y) / y
+    middle = np.divide(x * np.log1p(v, out=np.zeros_like(v), where=x > 0.0), x - y,
+                       out=(x == y).astype(float), where=x < y)
+    log = np.log(y)
+    return np.exp(x) * (log + middle + y * log * _exprel(y - x))
 
-    M[lo, hi] the divided difference of M(t) above (M'(lo) at a = b) and
-    exprel(d) = expm1(d)/d.  M[lo, hi] is split at _PIVOT, each side
-    weighted by its share of hi - lo.  Below, Gamma(-3/2) times the divided
-    difference of t^{3/2} e^t, e^x (x + sqrt(xy) + y)/(sqrt(x) + sqrt(y))
-    + y^{3/2} e^x exprel(y - x) for x <= y, adds to Q's; above, that of M
-    in z, times -e^{-x} exprel(x - y), has terms of one sign.  So no pair
-    loses digits at any gap: within 2e-14 of 80-digit mpmath.  Symmetric,
-    positive and decreasing in each argument.
+
+def _pair_kernel(a, b, branch, q_coeffs, z_coeffs):
+    """sum_{n, m >= 1} e^{-n a - m b}/(n + m)^s for 1-D arrays a, b >= 0, from M's parts.
+
+    The sum over n at fixed n + m is geometric, so with lo, hi = min(a, b), max(a, b) it is
+    e^{-lo} (-M[lo, hi]) / exprel(hi - lo), M[lo, hi] the divided difference of M(t) above (M'(lo)
+    at a = b) and exprel(d) = expm1(d)/d.  M[lo, hi] is split at _PIVOT, each side weighted by its
+    share of hi - lo: below, `branch` (the singular term's) plus Q's (`q_coeffs`); above, that of M
+    in z (`z_coeffs`), times -e^{-x} exprel(x - y), has terms of one sign.  So no pair loses digits
+    at any gap.  Arguments are clipped at 1e3, where e^{-lo - hi} underflows: an infinite one gives +0.
     """
-    if not (np.all(a >= 0) and np.all(b >= 0)):  # comparisons with nan are false, so nan fails too
-        raise ValueError("g_kernel arguments a, b must be non-negative")
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    lo, hi = np.minimum(np.minimum(a, b), 1e3), np.minimum(np.maximum(a, b), 1e3)
     gap = hi - lo
     x, y = np.minimum(lo, _PIVOT), np.minimum(hi, _PIVOT)
     share = np.divide(y - x, gap, out=(lo < _PIVOT).astype(float), where=gap > 0.0)
-    slope = np.zeros_like(gap)
+    descent = np.zeros_like(gap)  # -M[lo, hi]
     part = share > 0.0
     x, y = x[part], y[part]
-    sx, sy = np.sqrt(x), np.sqrt(y)
-    power = np.divide(x + sx * sy + y, sx + sy, out=np.zeros_like(x), where=y > 0.0) + y * sy * _exprel(y - x)
-    slope[part] = share[part] * (_BRANCH_GAMMA * np.exp(x) * power + _divided_difference(x, y, _Q_COEFFS))
+    descent[part] = -share[part] * (branch(x, y) + _divided_difference(x, y, q_coeffs))
     part = share < 1.0
     x, y = np.maximum(lo[part], _PIVOT), hi[part]
     z = np.exp(-x)
-    slope[part] -= (1.0 - share[part]) * z * _exprel(x - y) * _divided_difference(z, np.exp(-y), _Z_COEFFS)
-    with np.errstate(over="ignore"):  # exprel(gap) = inf beyond gap ~ 710, an infinite one included: G is 0
-        return np.exp(-lo) * -slope / _exprel(np.minimum(gap, 1e3))
+    descent[part] += (1.0 - share[part]) * z * _exprel(x - y) * _divided_difference(z, np.exp(-y), z_coeffs)
+    with np.errstate(over="ignore"):  # exprel(gap) = inf beyond gap ~ 710: the value is 0
+        return np.exp(-lo) * descent / _exprel(gap)
+
+
+def p_kernel(a, b):
+    """Thermal pair kernel P(a, b) = sum_{n, m >= 1} e^{-n a - m b}/(n + m)^2.
+
+    `_pair_kernel` at power 2, M(t) = e^t Li2(e^{-t}) - 1, whose singular term below _PIVOT is
+    e^t t ln t.  Within 2e-14 of 80-digit mpmath; symmetric bit for bit, positive and decreasing
+    in each argument.  Accepts scalars or broadcastable arrays and returns the matching float or
+    array, each element the scalar call's bits.  Diverges logarithmically only when both
+    arguments vanish; a single vanishing argument is an integrable endpoint.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    if not (np.all(a >= 0) and np.all(b >= 0)):  # comparisons with nan are false, so nan fails too
+        raise ValueError("p_kernel arguments a, b must be non-negative")
+    if np.any((a < 1e-14) & (b < 1e-14)):
+        raise ValueError("p_kernel diverges logarithmically at a = b = 0")
+    value = _pair_kernel(a.ravel(), b.ravel(), _branch_log, _Q2_COEFFS, _Z2_COEFFS).reshape(a.shape)
+    return float(value) if value.ndim == 0 else value
+
+
+def g_kernel(a, b):
+    """G(a, b) = sum_{n, m >= 1} e^{-n a - m b}/(n + m)^{5/2} for 1-D arrays a, b >= 0.
+
+    `_pair_kernel` at power 5/2, M(t) = e^t Li_{5/2}(e^{-t}) - 1, whose singular term below _PIVOT
+    is Gamma(-3/2) t^{3/2} e^t.  Within 2e-14 of 80-digit mpmath; symmetric, positive, decreasing.
+    """
+    if not (np.all(a >= 0) and np.all(b >= 0)):  # comparisons with nan are false, so nan fails too
+        raise ValueError("g_kernel arguments a, b must be non-negative")
+    return _pair_kernel(a, b, _branch_power, _Q_COEFFS, _Z_COEFFS)
 
 
 def _k2_scaled(x):

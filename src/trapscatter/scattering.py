@@ -124,9 +124,17 @@ def diffraction_differential(ensemble, delta):
 
 
 def diffraction_total(ensemble, k_incident):
-    """Angle-integrated diffraction, dominated by the condensate: 2 pi N0^2 / k_i^2."""
+    """Angle-integrated diffraction, dominated by the condensate: 2 pi N0^2 / k_i^2.
+
+    Where that form leaves the float range, 2 pi (N0/k_i)^2: inf, or 0 without a condensate.
+    """
     _check_k(k_incident)
-    return 2.0 * math.pi * ensemble.n_condensate**2 / k_incident**2
+    try:
+        value = 2.0 * math.pi * ensemble.n_condensate**2 / k_incident**2
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    ratio = ensemble.n_condensate / k_incident
+    return value if value < math.inf else 2.0 * math.pi * ratio * ratio
 
 
 def bose_0m_differential(ensemble, delta):
@@ -151,11 +159,17 @@ def bose_0m_total(ensemble, k_incident):
 
     With u = delta^2/2T the integral is -(4 pi N0 T / k_i^2) ln(1 - e^{-1/2T}),
     whose large-T asymptote is the leading log (4 pi N0 T / k_i^2) ln(2T).
+    Where that form leaves the float range, 4 pi (sqrt(N0 T L)/k_i)^2, L that log.
     """
     _check_k(k_incident)
     t = ensemble.temperature
-    return (4.0 * math.pi * ensemble.n_condensate * t / k_incident**2
-            * -math.log(-math.expm1(-0.5 / t)))
+    log = -math.log(-math.expm1(-0.5 / t))
+    try:
+        value = 4.0 * math.pi * ensemble.n_condensate * t / k_incident**2 * log
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    ratio = math.sqrt(ensemble.n_condensate) * math.sqrt(t * log) / k_incident
+    return value if value < math.inf else 4.0 * math.pi * ratio * ratio
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +284,22 @@ def bose_mm_differential(ensemble, delta):
 
 
 def bose_mm_total(ensemble, k_incident):
-    """Angle-integrated excited<->excited rate (2 pi T^4 / k_i^2) S(nu), S = int f(a, nu) da."""
+    """Angle-integrated excited<->excited rate (2 pi T^4 / k_i^2) S(nu), S = int f(a, nu) da.
+
+    Where that form leaves the float range, 2 pi (T^2 z/k_i)^2 S/z^2 with z = e^{-nu} and
+    S/z^2 = 1/8 + z/18 + ..., 1/8 in double beyond nu = 37, where S itself may underflow.
+    """
     _check_k(k_incident)
     t = ensemble.temperature
-    return 2.0 * math.pi * t**4 / k_incident**2 * _shape_table(-ensemble.mu / t).integral
+    nu = -ensemble.mu / t
+    integral = _shape_table(nu).integral
+    try:
+        value = 2.0 * math.pi * t**4 / k_incident**2 * integral
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    z = math.exp(-nu)
+    ratio, scaled = t * t * z / k_incident, 0.125 if nu > 37.0 else integral / (z * z)
+    return value if value < math.inf else 2.0 * math.pi * ratio * ratio * scaled
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, critical_temperature
-from .errors import ConvergenceError, TruncationError
+from .errors import ConfigError, ConvergenceError, TruncationError
 from .scattering import CHANNELS, decompose_rows
 from .thermo import TrapEnsemble
 
@@ -39,8 +39,11 @@ def _config_echo(config):
 
 
 def _spaced(config, lo, hi):
-    """The grid of `points` values from lo to hi."""
-    return (np.geomspace if config.log_spacing else np.linspace)(lo, hi, config.points)
+    """The grid of `points` values from lo to hi; a grid numpy cannot index or allocate is a ConfigError."""
+    try:
+        return (np.geomspace if config.log_spacing else np.linspace)(lo, hi, config.points)
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError("points", f"{config.points} grid points cannot be allocated ({exc})") from None
 
 
 def _rows(config, ensembles, deltas, discretes):

@@ -30,7 +30,7 @@ term alone is N, Newton falls onto the root without overshooting.
 import math
 from dataclasses import dataclass, field
 
-from . import critical_temperature, quad
+from . import ZETA3, critical_temperature, quad
 from .errors import ConvergenceError
 
 __all__ = ["TrapEnsemble", "condensate_count", "chemical_potential"]
@@ -72,17 +72,16 @@ def _population(mu, t):
     return value, n0 / t * ((n0 + 1.0) / value) + t * t * quad.polylog2(z) / value
 
 
-def _solve_number_equation(population, n_total, t, context):
+def _solve_number_equation(population, n_total, t, context, start=0.0):
     """Root mu < 0 of N(mu) = n_total by Newton's method on ln N(mu).
 
-    `population(mu)` returns N(mu) and d ln N/dmu, ln N increasing and
-    convex (module docstring).  Starts at mu0 = -T ln(1 + 1/N) and steps by
-    ln(N/n_total)/(d ln N/dmu) until a step is below 1e-15 T or no longer
-    lowers the iterate.  A mu0 that underflows to 0 (a T near the smallest
-    float), or a population or slope that overflows or leaves (0, inf), is
-    a ConvergenceError.
+    `population(mu)` returns N(mu) and d ln N/dmu, ln N increasing and convex (module
+    docstring).  Starts at mu0 = -T ln(1 + 1/N), or at `start` where that is smaller and its
+    population at least n_total, and steps by ln(N/n_total)/(d ln N/dmu) until a step is below
+    1e-15 T or no longer lowers the iterate.  A mu0 that underflows to 0 (a T near the smallest
+    float), or a population or slope that overflows or leaves (0, inf), is a ConvergenceError.
     """
-    mu = -t * math.log1p(1.0 / n_total)
+    mu = min(-t * math.log1p(1.0 / n_total), start)
     if not mu < 0.0:
         raise ConvergenceError(f"{context}: the start point mu0={mu} is not below 0 at T={t}")
     for iteration in range(_NEWTON_ITERATIONS):
@@ -112,7 +111,10 @@ def chemical_potential(n_total, temperature):
     if not 1 <= n_total < math.inf:
         raise ValueError("n_total must be finite and >= 1")
     t = float(temperature)
-    return _solve_number_equation(lambda mu: _population(mu, t), n_total, t, "chemical_potential")
+    # From T = 5.31e102, the cloud term at mu0 (~T^3 zeta(3)) overflows though the root does not before
+    # T^3 does: there the solve starts at T ln(2N/T^3), right of the root as Li3(z) >= z.
+    start = t * (math.log(2 * n_total) - 3.0 * math.log(t)) if t * t * t * ZETA3 == math.inf else 0.0
+    return _solve_number_equation(lambda mu: _population(mu, t), n_total, t, "chemical_potential", start)
 
 
 @dataclass(frozen=True)

@@ -299,6 +299,33 @@ class TestConfigPlumbing:
         assert capsys.readouterr().err == f"config-invalid: {field}: temperature too large for a float\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [
+        ["sweep-angle", "--t-over-tc", "0.7", "--delta-lo", "1", "--delta-hi", "2"],
+        ["sweep-temp", "--t-over-tc-lo", "0.5", "--t-over-tc-hi", "0.7", "--delta", "1", "--log"],
+        ["oracle-compare", "--t-over-tc", "0.7", "--delta-lo", "1", "--delta-hi", "2", "--format", "json"],
+    ])
+    def test_points_beyond_an_array_index(self, tmp_path, capsys, args):
+        # numpy refuses a grid of 10**23 points before it allocates any
+        out = tmp_path / "none.csv"
+        assert run_main([*args, "--n", "1000", "--points", str(10**23), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config-invalid: points: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_points_the_allocator_refuses(self, tmp_path, capsys, monkeypatch):
+        # as 10**11 points (745 GiB) are refused: the grid builder raises MemoryError
+        def refuse(*args):
+            raise MemoryError("Unable to allocate 745. GiB")
+
+        monkeypatch.setattr("numpy.linspace", refuse)
+        out = tmp_path / "none.csv"
+        args = ["sweep-angle", "--n", "1000", "--t-over-tc", "0.7", "--delta-lo", "1", "--delta-hi", "2",
+                "--points", str(10**11), "--out", str(out)]
+        assert run_main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config-invalid: points: ") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("config_bytes", [None, b"n = 300\xff\n"])
     def test_unreadable_config_file(self, tmp_path, capsys, config_bytes):
         # a missing or non-UTF-8 --config is an invalid configuration, not a traceback

@@ -17,10 +17,8 @@ from trapscatter import (
 from trapscatter.quad import (
     ZETA2,
     _PIVOT,
-    _SERIES_Z,
     _ZETA_HALF,
     _k2_scaled,
-    _li2_excess,
     g_kernel,
     p_kernel,
     polylog2,
@@ -88,23 +86,6 @@ class TestPolylog2:
             polylog2(x)
 
 
-class TestLi2Excess:
-    def test_against_mpmath(self):
-        # M(z) = (Li2(z) - z)/z at z = e^{-x}: x = 0 and both branch edges,
-        # x = 1 and z = _SERIES_Z, from either side
-        edges = [1.0, -math.log(_SERIES_Z)]
-        x = np.concatenate([
-            np.geomspace(1e-10, 60.0, 2000), [0.0],
-            edges, np.nextafter(edges, 0.0), np.nextafter(edges, 100.0),
-        ])
-        with mpmath.workdps(40):
-            reference = []
-            for xi in x:
-                z = mpmath.exp(-mpmath.mpf(float(xi)))
-                reference.append(float((mpmath.polylog(2, z) - z) / z))
-        assert_allclose(_li2_excess(x), reference, rtol=1e-13, atol=0.0)
-
-
 def _g_mpmath(a, b):
     """G(a, b) from mpmath's Li_{5/2} at 80 digits; Li_{3/2} - Li_{5/2} at a = b."""
     with mpmath.workdps(80):
@@ -120,6 +101,28 @@ def _g_mpmath(a, b):
         if a < b:
             a, b = b, a
         return float(mpmath.exp(-b) * (excess(b) - excess(a)) / mpmath.expm1(a - b))
+
+
+def _p_mpmath(a, b):
+    """P(a, b) at 80 digits, with no cancellation at large arguments.
+
+    e^{-lo} (M(lo) - M(hi))/expm1(hi - lo), M(t) = sum_{N>=2} e^{-(N-1) t}/N^2
+    summed as it stands from t = 1 and as e^t Li2(e^{-t}) - 1 below; on the
+    diagonal sum_{N>=2} (N - 1) e^{-N a}/N^2, or -ln(1 - z) - Li2(z) below a = 1.
+    """
+    def excess(t):
+        if t >= 1:
+            return mpmath.nsum(lambda n: mpmath.exp(-(n - 1) * t) / n**2, [2, mpmath.inf])
+        return mpmath.exp(t) * mpmath.polylog(2, mpmath.exp(-t)) - 1
+
+    with mpmath.workdps(80):
+        lo, hi = sorted((mpmath.mpf(float(a)), mpmath.mpf(float(b))))
+        if lo < hi:
+            return float(mpmath.exp(-lo) * (excess(lo) - excess(hi)) / mpmath.expm1(hi - lo))
+        if lo >= 1:
+            return float(mpmath.nsum(lambda n: (n - 1) * mpmath.exp(-n * lo) / n**2, [2, mpmath.inf]))
+        z = mpmath.exp(-lo)
+        return float(-mpmath.log(1 - z) - mpmath.polylog(2, z))
 
 
 class TestHalfOrderPolylog:
@@ -181,8 +184,37 @@ class TestGKernel:
         with pytest.raises(ValueError):
             g_kernel(np.array([-0.1]), np.array([1.0]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_argument_gives_positive_zero(self):
+        values = g_kernel(np.array([math.inf, 1.0, math.inf, 0.0]), np.array([1.0, math.inf, math.inf, math.inf]))
+        assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in values)
+
 
 class TestPKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(st.tuples(st.floats(-8.0, math.log10(40.0)).map(lambda x: 10.0**x), st.floats(0.0, 2.0))
+           .map(lambda pair: (pair[0] * (1.0 - 0.5 * pair[1]), pair[0] * (1.0 + 0.5 * pair[1]))))
+    @example((1.4881551802007953e-06, 1.6448030939061425e-06))  # midpoint 1.6e-6, relative gap 0.1
+    @example((60.0, 60.0))
+    @example((1e-8, 1e-8))
+    @example((0.0, 1e-8))  # one argument 0
+    @example((0.0, 1.0))
+    @example((0.3, 0.45))  # both below the pivot
+    @example((0.49, 0.51))  # one on each side
+    @example((_PIVOT, _PIVOT))
+    @example((0.55, 0.7))  # both above it
+    @example((40.0, 40.000001))
+    def test_against_80_digit_mpmath(self, pair):
+        # pairs mid (1 -+ gap/2): midpoints over 1e-8..40 and relative gaps 0..2, on either side
+        # of _PIVOT and across it, one argument 0 at gap 2
+        assert_allclose(p_kernel(*pair), _p_mpmath(*pair), rtol=2e-14)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a,b", [(math.inf, 1.0), (0.0, math.inf), (math.inf, math.inf)])
+    def test_infinite_argument_gives_positive_zero(self, a, b):
+        value = p_kernel(a, b)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
     def test_symmetry(self):
         assert p_kernel(0.3, 1.7) == p_kernel(1.7, 0.3)
 
@@ -199,7 +231,6 @@ class TestPKernel:
     @pytest.mark.parametrize("base", [1.5, 3.0])
     @pytest.mark.parametrize("gap", [0.0, 1e-12, 1e-9, 0.9e-5, 1.1e-5, 1e-3, 0.99e-2, 1.01e-2])
     def test_near_diagonal_precision(self, base, gap):
-        # both sides of the midpoint-expansion switch at gap = 1e-2 min(m, 1)
         assert_allclose(p_kernel(base, base + gap), p_reference(base, base + gap), rtol=1e-9)
 
     @pytest.mark.parametrize("a", [1e-6, 60.0])

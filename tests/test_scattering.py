@@ -187,6 +187,36 @@ class TestClosedFormTotals:
         k = 1000.0
         assert_allclose(bose_0m_total(ens, k), bose_0m_total_quadrature(ens, k), rtol=1e-13)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("ratio,k,limit", [(0.7, 1e-200, math.inf), (2.0, 1e-200, 0.0), (0.7, 1e200, 0.0)])
+    def test_k_squared_beyond_the_float_range(self, ratio, k, limit):
+        # k_i^2 underflows at 1e-200 and overflows at 1e200: each total is its float limit, 0
+        # where the condensate is empty
+        ens = TrapEnsemble.at_ratio(1000, ratio)
+        assert diffraction_total(ens, k) == limit and bose_0m_total(ens, k) == limit
+        assert bose_mm_total(ens, k) == (0.0 if k > 1.0 else math.inf)
+
+    def test_finite_totals_whose_closed_form_overflows(self):
+        # 4 pi N0 T overflows at N = 1e300, T = 1e95, and 2 pi N0^2 at N0 = 1.3e154: the totals do not
+        ens = TrapEnsemble(10**300, 1e95)
+        n0, t = mpmath.mpf(ens.n_condensate), mpmath.mpf(ens.temperature)
+        expected = 4 * mpmath.pi * n0 * t / mpmath.mpf(1e100) ** 2 * -mpmath.log(-mpmath.expm1(-0.5 / t))
+        assert_allclose(bose_0m_total(ens, 1e100), float(expected), rtol=1e-14)
+        ens = TrapEnsemble(13 * 10**153, 1.0)
+        expected = 2 * mpmath.pi * mpmath.mpf(ens.n_condensate) ** 2 / 100
+        assert_allclose(diffraction_total(ens, 10.0), float(expected), rtol=1e-14)
+
+    def test_bose_mm_total_where_t4_overflows(self):
+        # T^4 overflows at T = 1e100, but 2 pi T^4 S(nu)/k_i^2, about 2 pi N^2/(8 T^2), does not:
+        # against 30-digit mpmath at the same nu, where S itself underflows
+        ens = TrapEnsemble(1000, 1e100)
+        with mpmath.workdps(30):
+            nu = mpmath.mpf(-ens.mu / ens.temperature)
+            s = mpmath.nsum(lambda n: mpmath.harmonic(n - 1) * mpmath.exp(-n * nu) / n**3, [2, mpmath.inf])
+            expected = float(2 * mpmath.pi * mpmath.mpf(ens.temperature) ** 4 * s)
+        assert 1e-196 < expected < 1e-193
+        assert_allclose(bose_mm_total(ens, 1.0), expected, rtol=1e-14)
+
 
 # f(a, nu) from `_reference.pair_shape_mpmath` at 25 digits, rounded to double;
 # at 30 digits every value rounds the same

@@ -244,19 +244,28 @@ class TestTrapEnsemble:
     @example(1, 2.3e-308)  # mu0 = -T ln 2 is subnormal
     @example(10**150, 2.3e-158)
     @example(10**150, 5.3e102)  # T^3 zeta(3) just below the largest float
+    @example(10**150, 5.32e102)  # T^3 zeta(3) beyond it: the solve starts at T ln(2N/T^3)
     @example(1, 5.6e102)
+    @example(1000, 5.64e102)  # T^3 just below the largest float
     @example(1000, 1e-323)  # mu0 rounds to -0.0: refused
     def test_solves_wherever_the_state_is_representable(self, n, t):
-        # N = 10^U(0, 150), T = 10^U(-323, 103): with T/N >= 2.3e-308 and T^3 zeta(3), the
-        # population at mu0 ~ -T/N, below the largest float (T <= 5.3e102) the ensemble solves;
-        # elsewhere the only outcome besides that is a ConvergenceError, with no warning
+        # N = 10^U(0, 150), T = 10^U(-323, 103): with T/N >= 2.3e-308 and T^3 below the largest
+        # float (T <= 5.64e102) the ensemble solves; elsewhere the only outcome besides that is a
+        # ConvergenceError, with no warning
         try:
             ens = TrapEnsemble(n, t)
         except ConvergenceError:
-            assert not (t / n >= 2.3e-308 and t <= 5.3e102), (n, t)
+            assert not (t / n >= 2.3e-308 and t * t * t < math.inf), (n, t)
             return
         assert -math.inf < ens.mu < 0.0
         assert 0.0 <= ens.n_condensate <= n
+
+
+@pytest.mark.parametrize("n", [1, 1000, 10**6, 10**150])
+def test_solves_where_the_cloud_at_mu0_overflows(n):
+    # at T = 5.5e102, T^3 zeta(3) overflows but T^3 does not: mu solves the number equation
+    t = 5.5e102
+    assert abs(continuum_population(chemical_potential(n, t), t) / n - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("call,message", [

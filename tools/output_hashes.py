@@ -20,13 +20,15 @@ output then standard error.  The commands are:
 - a sweep read from a key=value config file, with one flag overriding it;
 - three refused configurations (exit 2): `method = bogus` in a config
   file, `--t-over-tc nan`, and `sweep-temp` without `--delta`;
-- five extreme inputs: `sweep-angle` and `sweep-temp --method both` at
+- seven extreme inputs: `sweep-angle` and `sweep-temp --method both` at
   T = 1e-323, whose mu0 underflows (exit 3); `sweep-angle --method oracle`
   at N = 10**308, whose discrete population overflows (exit 3);
   `sweep-angle` at T = 1.1e78 and delta = 1e-39, whose diffraction is inf
-  (exit 0); and `sweep-angle --method both` over 40 deltas from 1e-6 to
-  2e6, every oracle cell a breakdown (exit 0).  None of them prints a
-  numpy warning;
+  (exit 0); `sweep-angle --method both` over 40 deltas from 1e-6 to
+  2e6, every oracle cell a breakdown (exit 0); `sweep-angle` with 10**23
+  points, a grid numpy cannot index (exit 2); and `sweep-angle` at
+  T = 5.5e102, where the continuum population at mu0 overflows but the
+  root does not (exit 0).  None of them prints a numpy warning;
 - `sweep-angle` at N = 1e15, 0.7 Tc and delta from 1 to 3, whose every
   `bose_mm` row is valid at a = 7.6e-6 to 6.8e-5: f's small-a path, which
   no workload reaches (label `small-a-sweep-angle`);
@@ -81,6 +83,9 @@ EXTREME_RUNS = [
                           "--k-incident 100 --out -"),
     ("extreme-delta-oracle", "sweep-angle --n 1000 --t-over-tc 0.7 --method both --k-incident 1e6 "
                              "--delta-lo 1e-6 --delta-hi 2e6 --log --points 40 --out -"),
+    ("huge-points", "sweep-angle --n 1000 --t-over-tc 0.7 --delta-lo 1 --delta-hi 2 "
+                    "--points 99999999999999999999999 --out -"),
+    ("huge-t-continuum", "sweep-angle --n 1000 --t 5.5e102 --points 2 --delta-lo 1 --delta-hi 2 --out -"),
 ]
 # (label, command line) of the sweep on f's small-a path
 SMALL_A_RUN = ("small-a-sweep-angle", "sweep-angle --n 1000000000000000 --t-over-tc 0.7 --delta-lo 1 --delta-hi 3 "
